@@ -3,9 +3,7 @@
 from .assembly import (TTNO, TTNOTensor, assign_indices, contract_to_dense,
                        dense_element_count, element_count, emit_tensors,
                        read_ttno, write_ttno)
-from .diagram import (SinglePath, StateDiagram, add_term, bond_dimensions,
-                      enumerate_single_paths, from_hamiltonian,
-                      single_term_diagram)
+from .diagram import SinglePath, StateDiagram, from_hamiltonian
 from .operators import (DEFAULT_REGISTRY, Hamiltonian, OperatorRegistry,
                         ProductTerm, SiteOperator, fold_coefficient,
                         random_hamiltonian, to_dense)
@@ -15,8 +13,7 @@ from .tree import Route, TreeTopology, edge_key
 __all__ = [
     "TTNO", "TTNOTensor", "assign_indices", "contract_to_dense",
     "dense_element_count", "element_count", "emit_tensors", "read_ttno",
-    "write_ttno", "SinglePath", "StateDiagram", "add_term", "bond_dimensions",
-    "enumerate_single_paths", "from_hamiltonian", "single_term_diagram",
+    "write_ttno", "SinglePath", "StateDiagram", "from_hamiltonian",
     "DEFAULT_REGISTRY", "Hamiltonian", "OperatorRegistry", "ProductTerm",
     "SiteOperator", "fold_coefficient", "random_hamiltonian", "to_dense",
     "BenchRecord", "BondReport", "optimal_bond_dims", "r_diff", "run_bench",

@@ -13,27 +13,16 @@ from dataclasses import dataclass
 import numpy as np
 
 from .diagram import StateDiagram
-from .errors import DenseCapExceededError, ValidationError
-from .operators import (DEFAULT_REGISTRY, OperatorRegistry, dense_cap)
+from .errors import ValidationError
+from .operators import DEFAULT_REGISTRY, OperatorRegistry, dense_layout
 from .tree import Edge, TreeTopology, edge_key
 
 
-@dataclass
-class IndexAssignment:
-    """Per edge, a bijection vertex uid -> 0..len(w_e)-1."""
-
-    by_edge: dict[Edge, dict[int, int]]
-
-    def index(self, edge: Edge, vertex_uid: int) -> int:
-        return self.by_edge[edge][vertex_uid]
-
-
-def assign_indices(diagram: StateDiagram) -> IndexAssignment:
-    """Number vertices by insertion order within each edge collection."""
-    return IndexAssignment({
-        e: {v.uid: i for i, v in enumerate(vs)}
-        for e, vs in diagram.w.items()
-    })
+def assign_indices(diagram: StateDiagram) -> dict[Edge, dict[int, int]]:
+    """Per edge, vertex uid -> bond index, numbered by insertion order
+    within each edge collection."""
+    return {e: {v.uid: i for i, v in enumerate(vs)}
+            for e, vs in diagram.w.items()}
 
 
 def canonical_legs(tree: TreeTopology, site: int) -> tuple[Edge, ...]:
@@ -60,9 +49,6 @@ class TTNOTensor:
     def phys_dim(self) -> int:
         return self.elements.shape[-1]
 
-    def bond_legs(self) -> list[tuple[Edge, int]]:
-        return list(zip(self.legs, self.bond_dims))
-
     def nonzero_slices(self) -> int:
         flat = self.elements.reshape(-1, self.phys_dim, self.phys_dim)
         return int(np.count_nonzero(flat.any(axis=(1, 2))))
@@ -83,12 +69,11 @@ class TTNO:
 
 
 def emit_tensors(diagram: StateDiagram,
-                 assignment: IndexAssignment | None = None,
                  registry: OperatorRegistry | None = None) -> TTNO:
     """Dense tensors from the diagram; hyperedges on the same multi-index
     accumulate additively (their label matrices sum into one element)."""
     registry = registry or DEFAULT_REGISTRY
-    assignment = assignment or assign_indices(diagram)
+    index = assign_indices(diagram)
     tree = diagram.tree
     dims = diagram.bond_dimensions()
     tensors: dict[int, TTNOTensor] = {}
@@ -98,7 +83,7 @@ def emit_tensors(diagram: StateDiagram,
         shape = tuple(dims[e] for e in legs) + (d, d)
         arr = np.zeros(shape, dtype=complex)
         for y in diagram.eps[s]:
-            idx = tuple(assignment.index(e, y.connected[e].uid) for e in legs)
+            idx = tuple(index[e][y.connected[e].uid] for e in legs)
             arr[idx] += registry.resolve(y.op)
         tensors[s] = TTNOTensor(s, legs, arr)
     return TTNO(tree, tensors)
@@ -113,19 +98,7 @@ def contract_to_dense(ttno: TTNO, ordering=None,
     :func:`ttno.operators.to_dense`.
     """
     tree = ttno.tree
-    if ordering is None:
-        ordering = list(tree.nodes)
-    else:
-        ordering = list(ordering)
-        if sorted(ordering) != list(tree.nodes):
-            raise ValidationError("ordering must be a permutation of the sites")
-    total = 1
-    for s in ordering:
-        total *= tree.phys_dim(s)
-    limit = dense_cap(cap)
-    if total > limit:
-        raise DenseCapExceededError(
-            f"total dimension {total} exceeds cap {limit}")
+    ordering, total = dense_layout(tree, ordering, cap)
 
     def sub(site: int) -> tuple[np.ndarray, list[int]]:
         """Contract the subtree at ``site``.
@@ -138,7 +111,6 @@ def contract_to_dense(ttno: TTNO, ordering=None,
         kids = tree.children(site)
         has_parent = tree.parent(site) is not None
         # current axes: (parent?, child_1..child_k, d_out, d_in)
-        d = t.phys_dim
         sites_order = [site]
         # start with OUT/IN = this site's physical legs
         n_child = len(kids)

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import argparse
 import csv
-import io
 import json
 import sys
 import warnings
@@ -18,8 +17,8 @@ import warnings
 import numpy as np
 
 from . import assembly, closedform, diagram, oqs, svdref
-from .errors import (DenseCapExceededError, DuplicateTermError,
-                     UnknownOperatorError, ValidationError)
+from .errors import (DenseCapExceededError, UnknownOperatorError,
+                     ValidationError)
 from .operators import (Hamiltonian, OperatorRegistry, ProductTerm,
                         SiteOperator, to_dense)
 from .tree import TreeTopology
@@ -29,8 +28,6 @@ EXIT_PARSE = 2
 EXIT_VALIDATION = 3
 EXIT_VERIFY = 4
 EXIT_CAP = 5
-
-FLOAT_FMT = "%.17g"
 
 
 def _load_json(path: str):
@@ -50,26 +47,52 @@ class _ParseFailure(Exception):
 
 def load_hamiltonian(tree: TreeTopology, data: dict) -> tuple[Hamiltonian,
                                                               OperatorRegistry]:
+    """Hamiltonian and operator registry from parsed JSON; every malformed
+    field raises ValidationError naming the field and the term or site."""
+    if not isinstance(data, dict):
+        raise ValidationError("hamiltonian JSON must be an object")
     registry = OperatorRegistry()
     for label, spec in (data.get("operators") or {}).items():
-        dim = int(spec["dim"])
-        flat = spec["matrix"]
+        try:
+            dim = int(spec["dim"])
+            flat = spec["matrix"]
+            mat = np.array([complex(re, im) for re, im in flat],
+                           dtype=complex)
+        except (KeyError, TypeError, ValueError) as exc:
+            raise ValidationError(f"operator {label!r}: needs an integer "
+                                  f"'dim' and a [re, im] 'matrix'") from exc
         if len(flat) != dim * dim:
             raise ValidationError(
                 f"matrix for {label!r} must hold {dim * dim} row-major entries")
-        mat = np.array([complex(re, im) for re, im in flat],
-                       dtype=complex).reshape(dim, dim)
-        registry.register(label, mat)
+        registry.register(label, mat.reshape(dim, dim))
     terms = []
-    for raw in data.get("terms", []):
-        re, im = raw.get("coeff", [1.0, 0.0])
+    for i, raw in enumerate(data.get("terms", [])):
+        raw_factors = raw.get("factors", {}) if isinstance(raw, dict) else None
+        if not isinstance(raw_factors, dict):
+            raise ValidationError(f"term {i}: needs an object 'factors'")
+        try:
+            re, im = raw.get("coeff", [1.0, 0.0])
+            coeff = complex(re, im)
+        except (TypeError, ValueError) as exc:
+            raise ValidationError(
+                f"term {i}: 'coeff' must be a [re, im] pair") from exc
         factors = {}
-        for site_str, label in raw.get("factors", {}).items():
-            site = int(site_str)
+        for site_str, label in raw_factors.items():
+            try:
+                site = int(site_str)
+            except ValueError as exc:
+                raise ValidationError(f"term {i}: 'factors' site {site_str!r} "
+                                      f"is not an integer") from exc
             if site not in tree.phys_dims:
-                raise ValidationError(f"term factor on unknown site {site}")
+                raise ValidationError(
+                    f"term {i}: factor on unknown site {site}")
+            try:
+                registry.lookup(label, tree.phys_dim(site))
+            except UnknownOperatorError as exc:
+                raise UnknownOperatorError(
+                    f"term {i}, site {site}: {exc}") from exc
             factors[site] = SiteOperator(label, tree.phys_dim(site))
-        terms.append(ProductTerm(complex(re, im), factors))
+        terms.append(ProductTerm(coeff, factors))
     if not terms:
         raise ValidationError("hamiltonian has no terms")
     return Hamiltonian(tree, terms), registry
@@ -83,27 +106,16 @@ def _write(path: str | None, text: str) -> None:
             fh.write(text)
 
 
-def _bond_report_csv(dims: dict, opt: dict | None = None) -> str:
-    buf = io.StringIO()
-    w = csv.writer(buf, lineterminator="\n")
-    if opt is None:
-        w.writerow(["edge", "alg_dim"])
-        for e in sorted(dims):
-            w.writerow([f"{e[0]}-{e[1]}", dims[e]])
-    else:
-        w.writerow(["edge", "alg_dim", "opt_dim"])
-        for e in sorted(dims):
-            w.writerow([f"{e[0]}-{e[1]}", dims[e], opt[e]])
-    return buf.getvalue()
+def _edge_rows(dims: dict) -> list[list]:
+    return [[f"{e[0]}-{e[1]}", dims[e]] for e in sorted(dims)]
 
 
 def verify_dump_against(path: str, h: Hamiltonian,
-                        registry: OperatorRegistry,
-                        cap: int | None = None) -> bool:
+                        registry: OperatorRegistry) -> bool:
     """Re-read a TTNO dump and compare its contraction to the dense build."""
     ttno = assembly.read_ttno(path)
-    got = assembly.contract_to_dense(ttno, cap=cap)
-    want = to_dense(h, registry=registry, cap=cap)
+    got = assembly.contract_to_dense(ttno)
+    want = to_dense(h, registry=registry)
     return bool(np.allclose(got, want, atol=1e-12, rtol=0.0))
 
 
@@ -113,15 +125,16 @@ def cmd_build(args) -> int:
     g = diagram.from_hamiltonian(h)
     ttno = assembly.emit_tensors(g, registry=registry)
     assembly.write_ttno(ttno, args.out)
+    dims = g.bond_dimensions()
     if args.report:
-        _write(args.report, _bond_report_csv(g.bond_dimensions()))
+        _write(args.report,
+               svdref.csv_text(["edge", "alg_dim"], _edge_rows(dims)))
     if args.verify:
         if not verify_dump_against(args.out, h, registry):
             print("verification FAILED: contraction differs from dense build",
                   file=sys.stderr)
             return EXIT_VERIFY
         print("verification passed")
-    dims = g.bond_dimensions()
     print(f"built TTNO: {len(tree.nodes)} sites, "
           f"max bond {max(dims.values()) if dims else 1}")
     return EXIT_OK
@@ -153,14 +166,12 @@ def cmd_bench(args) -> int:
 
 def cmd_cayley(args) -> int:
     spec = closedform.CayleyTreeSpec(args.degree, args.depth)
-    buf = io.StringIO()
-    w = csv.writer(buf, lineterminator="\n")
-    w.writerow(["degree", "depth", "chi", "closed_form", "brute_force"])
+    rows = []
     mismatch_in_regime = False
     if args.all_to_all:
         cf = closedform.all_to_all_bound(spec)
         bf = closedform.brute_force_all_to_all_bond(spec)
-        w.writerow([spec.degree, spec.depth, "all", cf, bf])
+        rows.append([spec.degree, spec.depth, "all", cf, bf])
         mismatch_in_regime = cf != bf
     else:
         chis = ([args.range] if args.range is not None
@@ -168,10 +179,11 @@ def cmd_cayley(args) -> int:
         for chi in chis:
             cf = closedform.fixed_range_bond_bound(spec, chi)
             bf = closedform.brute_force_root_bond(spec, chi)
-            w.writerow([spec.degree, spec.depth, chi, cf, bf])
+            rows.append([spec.degree, spec.depth, chi, cf, bf])
             if chi <= spec.depth and cf != bf:
                 mismatch_in_regime = True
-    _write(args.out, buf.getvalue())
+    _write(args.out, svdref.csv_text(
+        ["degree", "depth", "chi", "closed_form", "brute_force"], rows))
     return EXIT_VALIDATION if mismatch_in_regime else EXIT_OK
 
 
@@ -184,17 +196,13 @@ def cmd_oqs(args) -> int:
     ttno = assembly.emit_tensors(g)
     if args.out:
         assembly.write_ttno(ttno, args.out)
-    if args.report:
-        dims = g.bond_dimensions()
-        buf = io.StringIO()
-        w = csv.writer(buf, lineterminator="\n")
-        w.writerow(["edge", "bond_dim"])
-        for e in sorted(dims):
-            w.writerow([f"{e[0]}-{e[1]}", dims[e]])
-        w.writerow(["element_count", assembly.element_count(ttno)])
-        w.writerow(["dense_element_count", assembly.dense_element_count(ttno)])
-        _write(args.report, buf.getvalue())
     dims = g.bond_dimensions()
+    if args.report:
+        rows = _edge_rows(dims)
+        rows.append(["element_count", assembly.element_count(ttno)])
+        rows.append(["dense_element_count",
+                     assembly.dense_element_count(ttno)])
+        _write(args.report, svdref.csv_text(["edge", "bond_dim"], rows))
     print(f"{args.topology}: {len(h.tree.nodes)} sites, "
           f"max bond {max(dims.values()) if dims else 1}, "
           f"elements {assembly.element_count(ttno)}")
@@ -235,7 +243,7 @@ def cmd_plotdata(args) -> int:
     lines = ["n_terms r_diff"]
     for n_terms in sorted(by_terms):
         diffs = by_terms[n_terms]
-        lines.append(f"{n_terms} {FLOAT_FMT % (sum(diffs) / len(diffs))}")
+        lines.append(f"{n_terms} {svdref.fmt_float(sum(diffs) / len(diffs))}")
     _write(f"{prefix}_rdiff.dat", "\n".join(lines) + "\n")
 
     lo = min(min(a, o) for a, o in hist)
@@ -315,7 +323,7 @@ def main(argv=None) -> int:
         print(f"dense cap exceeded: {exc}\n"
               "raise TTNO_DENSE_CAP or shrink the system", file=sys.stderr)
         return EXIT_CAP
-    except (ValidationError, DuplicateTermError, UnknownOperatorError) as exc:
+    except ValidationError as exc:
         print(f"validation error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
 

@@ -208,52 +208,48 @@ def fixed_range_bond_bound(spec: CayleyTreeSpec, chi: int) -> int:
     return 2 + cross  # no root-anchored pairs beyond the depth
 
 
+def _site_pairs(tree: TreeTopology, in_range) -> list[tuple[int, int]]:
+    """Site pairs ``a < b`` (node order) whose distance satisfies
+    ``in_range``."""
+    nodes = tree.nodes
+    return [(a, b) for i, a in enumerate(nodes) for b in nodes[i + 1:]
+            if in_range(tree.distance(a, b))]
+
+
+def _max_root_crossing(spec: CayleyTreeSpec, in_range) -> int:
+    """Pairs whose distance satisfies ``in_range`` and whose route crosses a
+    root edge, plus the two trivial index values; max over root edges."""
+    tree = cayley_tree(spec)
+    pairs = _site_pairs(tree, in_range)
+    best = 0
+    for child in tree.children(tree.root):
+        inside = tree.subtree(child)
+        crossing = 0
+        for a, b in pairs:
+            if (a in inside) != (b in inside):
+                crossing += 1
+        best = max(best, crossing + 2)
+    return best
+
+
 def brute_force_root_bond(spec: CayleyTreeSpec, chi: int) -> int:
     """Ground truth: count pairs at distance exactly chi whose route crosses
     a root edge, plus the two trivial index values; max over root edges."""
     if chi < 1:
         raise ValidationError("chi must be >= 1")
-    tree = cayley_tree(spec)
-    best = 0
-    for child in tree.children(tree.root):
-        inside = tree.subtree(child)
-        crossing = 0
-        nodes = tree.nodes
-        for i, a in enumerate(nodes):
-            for b in nodes[i + 1:]:
-                if (a in inside) != (b in inside):
-                    if tree.distance(a, b) == chi:
-                        crossing += 1
-        best = max(best, crossing + 2)
-    return best
+    return _max_root_crossing(spec, lambda dist: dist == chi)
 
 
 def all_to_all_bound(spec: CayleyTreeSpec) -> int:
-    """Root bond dimension for all pair interactions of range 1..2*depth-1."""
-    kappa, depth = spec.degree, spec.depth
-    total = 2
-    for chi in range(1, depth + 1):
-        total += chi * (kappa - 1) ** (chi - 1)
-    for chi in range(depth + 1, 2 * depth):
-        total += (kappa - 1) * _cross_subtree_pairs(spec, chi)
-    return total
+    """Root bond dimension for all pair interactions of range 1..2*depth-1:
+    the fixed-range channels of every range share the two trivial ones."""
+    return 2 + sum(fixed_range_bond_bound(spec, chi) - 2
+                   for chi in range(1, 2 * spec.depth))
 
 
 def brute_force_all_to_all_bond(spec: CayleyTreeSpec) -> int:
-    tree = cayley_tree(spec)
     chi_max = 2 * spec.depth - 1
-    best = 0
-    for child in tree.children(tree.root):
-        inside = tree.subtree(child)
-        crossing = 0
-        nodes = tree.nodes
-        for i, a in enumerate(nodes):
-            for b in nodes[i + 1:]:
-                if (a in inside) != (b in inside):
-                    if 1 <= tree.distance(a, b) <= chi_max:
-                        crossing += 1
-        best = max(best, crossing + 2)
-    return best
+    return _max_root_crossing(spec, lambda dist: 1 <= dist <= chi_max)
 
 
 def _pair_interaction_terms(tree: TreeTopology, pairs) -> list[ProductTerm]:
@@ -269,16 +265,12 @@ def _pair_interaction_terms(tree: TreeTopology, pairs) -> list[ProductTerm]:
 
 def fixed_range_hamiltonian(tree: TreeTopology, chi: int) -> Hamiltonian:
     """All pairs at distance exactly chi, each with its own operator pair."""
-    nodes = tree.nodes
-    pairs = [(a, b) for i, a in enumerate(nodes) for b in nodes[i + 1:]
-             if tree.distance(a, b) == chi]
+    pairs = _site_pairs(tree, lambda dist: dist == chi)
     if not pairs:
         raise ValidationError(f"no site pairs at distance {chi}")
     return Hamiltonian(tree, _pair_interaction_terms(tree, pairs))
 
 
 def all_to_all_hamiltonian(tree: TreeTopology, chi_max: int) -> Hamiltonian:
-    nodes = tree.nodes
-    pairs = [(a, b) for i, a in enumerate(nodes) for b in nodes[i + 1:]
-             if 1 <= tree.distance(a, b) <= chi_max]
+    pairs = _site_pairs(tree, lambda dist: 1 <= dist <= chi_max)
     return Hamiltonian(tree, _pair_interaction_terms(tree, pairs))

@@ -19,12 +19,11 @@ and hyperedges.  Per term exactly one new single path appears.
 from __future__ import annotations
 
 import warnings
-from collections import Counter
 
 from .errors import (DuplicateTermError, PathCapExceededError,
                      ValidationError)
 from .operators import (Hamiltonian, ProductTerm, SiteOperator,
-                        fold_coefficient)
+                        fold_coefficient, identity)
 from .tree import Edge, TreeTopology, edge_key
 
 DEFAULT_PATH_CAP = 10 ** 6
@@ -102,6 +101,7 @@ class StateDiagram:
         self._term_keys: set = set()
         self._next_vertex = 0
         self._next_hyperedge = 0
+        self._identity = {s: identity(tree.phys_dim(s)) for s in tree.nodes}
         # hyperedge candidates examined while matching (runtime-bound probe)
         self.match_visits = 0
 
@@ -127,7 +127,7 @@ class StateDiagram:
         return y
 
     def _want(self, term: ProductTerm, site: int) -> SiteOperator:
-        return term.op_at(site, self.tree.phys_dim(site))
+        return term.factors.get(site) or self._identity[site]
 
     @classmethod
     def from_single_term(cls, tree: TreeTopology,
@@ -158,16 +158,17 @@ class StateDiagram:
         marked: dict[Edge, Vertex] = {}
         if reuse:
             for leaf in self.tree.leaves():
-                self._mark_matching(self.eps[leaf], leaf, term, marked)
+                self._mark_matching(leaf, term, marked)
 
         for s in self.tree.nodes:
             for e in self.tree.incident_edges(s):
                 if e not in marked:
                     marked[e] = self._new_vertex(e)
             want = self._want(term, s)
+            want_id = want.op_id
             found = False
             for y in self.eps[s]:
-                if (y.op == want
+                if (y.op.op_id == want_id
                         and all(marked.get(e) is v
                                 for e, v in y.connected.items())):
                     found = True
@@ -180,37 +181,41 @@ class StateDiagram:
         self._term_keys.add(term.key())
         return self
 
-    def _mark_matching(self, candidates, site: int, term: ProductTerm,
+    def _mark_matching(self, leaf: int, term: ProductTerm,
                        marked: dict[Edge, Vertex]) -> None:
         """Climb away from a leaf, marking vertices whose far side already
         realises the new term's factors uniquely."""
-        want = self._want(term, site)
-        for y in candidates:
-            self.match_visits += 1
-            if y.op != want:
-                continue
-            free = None
-            usable = True
-            for e, v in y.connected.items():
-                m = marked.get(e)
-                if m is v:
+        site, candidates = leaf, self.eps[leaf]
+        while True:
+            want_id = self._want(term, site).op_id
+            for y in candidates:
+                self.match_visits += 1
+                if y.op.op_id != want_id:
                     continue
-                if m is not None or free is not None:
-                    # edge claimed by a different vertex, or more than one
-                    # unmarked vertex left
-                    usable = False
-                    break
-                free = (e, v)
-            if not usable or free is None:
-                continue
-            e, v = free
-            if len(v.sides[site]) != 1:
-                # reusing v would drag extra hyperedges into the new path
-                continue
-            marked[e] = v
-            next_site = e[0] if e[1] == site else e[1]
-            self._mark_matching(v.sides[next_site], next_site, term, marked)
-            return
+                free = None
+                usable = True
+                for e, v in y.connected.items():
+                    m = marked.get(e)
+                    if m is v:
+                        continue
+                    if m is not None or free is not None:
+                        # edge claimed by a different vertex, or more than
+                        # one unmarked vertex left
+                        usable = False
+                        break
+                    free = (e, v)
+                if not usable or free is None:
+                    continue
+                e, v = free
+                if len(v.sides[site]) != 1:
+                    # reusing v would drag extra hyperedges into the new path
+                    continue
+                marked[e] = v
+                site = e[0] if e[1] == site else e[1]
+                candidates = v.sides[site]
+                break
+            else:
+                return
 
     # -- queries -------------------------------------------------------------
 
@@ -231,69 +236,56 @@ class StateDiagram:
         """All single paths through the diagram."""
         tree = self.tree
         root = tree.root
+        # pre-order site list, children ascending
+        order: list[int] = []
+        stack = [root]
+        while stack:
+            s = stack.pop()
+            order.append(s)
+            stack.extend(reversed(tree.children(s)))
 
-        counts: dict[tuple[int, int | None], int] = {}
+        # below[v.uid]: sub-paths of the subtree under v's child site that
+        # pass through v; children are counted before their parents
+        below: dict[int, int] = {}
 
-        def count(site: int, vertex_in: Vertex | None) -> int:
-            key = (site, None if vertex_in is None else vertex_in.uid)
-            if key in counts:
-                return counts[key]
-            cands = self.eps[site] if vertex_in is None else vertex_in.sides[site]
+        def count(site: int, cands) -> int:
             total = 0
             for y in cands:
                 n = 1
                 for c in tree.children(site):
-                    n *= count(c, y.connected[edge_key(site, c)])
+                    n *= below[y.connected[edge_key(site, c)].uid]
                 total += n
-            counts[key] = total
             return total
 
-        total = count(root, None)
+        for site in reversed(order[1:]):
+            for v in self.w[edge_key(tree.parent(site), site)]:
+                below[v.uid] = count(site, v.sides[site])
+        total = count(root, self.eps[root])
         if total > cap:
             raise PathCapExceededError(
                 f"{total} single paths exceed the cap {cap}")
 
+        # depth-first over ``order``: candidates[i] iterates the hyperedges
+        # of order[i] on the vertex its parent's chosen hyperedge put on
+        # their shared edge
         paths: list[SinglePath] = []
-
-        # explicit recursion over a pre-order site list; vertex_for carries
-        # the vertex each already-chosen hyperedge put on a pending edge
-        order: list[int] = []
-
-        def build_order(s: int):
-            order.append(s)
-            for c in tree.children(s):
-                build_order(c)
-
-        build_order(root)
-
-        def rec(idx: int, vertex_for: dict[Edge, Vertex], chosen: dict):
-            if idx == len(order):
+        chosen: dict[int, HyperEdge] = {}
+        candidates = [iter(self.eps[root])]
+        while candidates:
+            y = next(candidates[-1], None)
+            if y is None:
+                candidates.pop()
+                continue
+            idx = len(candidates) - 1
+            chosen[order[idx]] = y
+            if idx + 1 == len(order):
                 paths.append(SinglePath(dict(chosen)))
-                return
-            site = order[idx]
+                continue
+            site = order[idx + 1]
             parent = tree.parent(site)
-            if parent is None:
-                cands = self.eps[site]
-            else:
-                v_in = vertex_for[edge_key(parent, site)]
-                cands = v_in.sides[site]
-            for y in cands:
-                chosen[site] = y
-                added = []
-                for c in tree.children(site):
-                    e = edge_key(site, c)
-                    vertex_for[e] = y.connected[e]
-                    added.append(e)
-                rec(idx + 1, vertex_for, chosen)
-                for e in added:
-                    del vertex_for[e]
-                del chosen[site]
-
-        rec(0, {}, {})
+            v_in = chosen[parent].connected[edge_key(parent, site)]
+            candidates.append(iter(v_in.sides[site]))
         return paths
-
-    def term_multiset(self) -> Counter:
-        return Counter(t.key() for t in self.terms)
 
     # -- consistency ---------------------------------------------------------
 
@@ -330,10 +322,11 @@ class StateDiagram:
                     if v.edge != e:
                         raise ValidationError(
                             f"hyperedge {y.uid} touches a vertex of another edge")
-                combo = (y.op.label, y.vertex_set())
+                combo = (y.op.op_id, y.vertex_set())
                 if combo in combos:
                     raise ValidationError(
-                        f"mergeable duplicate hyperedges at site {s}: {combo}")
+                        f"mergeable duplicate hyperedges at site {s}: "
+                        f"{y.op.label} on {sorted(combo[1])}")
                 combos.add(combo)
 
     # -- debugging -----------------------------------------------------------
@@ -355,15 +348,6 @@ class StateDiagram:
 # -- module-level operations ---------------------------------------------
 
 
-def single_term_diagram(tree: TreeTopology, term: ProductTerm) -> StateDiagram:
-    return StateDiagram.from_single_term(tree, term)
-
-
-def add_term(diagram: StateDiagram, term: ProductTerm,
-             reuse: bool = True) -> StateDiagram:
-    return diagram.add_term(term, reuse=reuse)
-
-
 def from_hamiltonian(h: Hamiltonian, reuse: bool = True) -> StateDiagram:
     """Build the diagram of a whole Hamiltonian, terms in list order."""
     if not h.terms:
@@ -378,12 +362,3 @@ def from_hamiltonian(h: Hamiltonian, reuse: bool = True) -> StateDiagram:
     for term in terms[1:]:
         diagram.add_term(term, reuse=reuse)
     return diagram
-
-
-def enumerate_single_paths(diagram: StateDiagram,
-                           cap: int = DEFAULT_PATH_CAP) -> list[ProductTerm]:
-    return diagram.enumerate_single_paths(cap=cap)
-
-
-def bond_dimensions(diagram: StateDiagram) -> dict[Edge, int]:
-    return diagram.bond_dimensions()

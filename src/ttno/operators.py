@@ -2,8 +2,8 @@
 
 A Hamiltonian is a list of product terms ``coefficient * prod_s A^[s]``.
 Sites absent from a term's factor map act as the identity.  Symbolic
-equality of operators is by (label, dimension) only; matrices are resolved
-on demand through an :class:`OperatorRegistry`.
+equality of operators is by (base label as given, dimension, scale) only;
+matrices are resolved on demand through an :class:`OperatorRegistry`.
 """
 
 from __future__ import annotations
@@ -23,11 +23,27 @@ IDENTITY_LABEL = "I"
 DEFAULT_DENSE_CAP = 4096
 
 
-def dense_cap(override: int | None = None) -> int:
-    """Dense-dimension cap; the TTNO_DENSE_CAP env var overrides the default."""
-    if override is not None:
-        return int(override)
-    return int(os.environ.get("TTNO_DENSE_CAP", DEFAULT_DENSE_CAP))
+def dense_layout(tree: TreeTopology, ordering=None,
+                 cap: int | None = None) -> tuple[list[int], int]:
+    """Site ordering (default ascending) and total dimension of a dense
+    build, after checking the ordering and the dense cap (``cap``, else the
+    TTNO_DENSE_CAP env var, else the default)."""
+    if ordering is None:
+        ordering = list(tree.nodes)
+    else:
+        ordering = list(ordering)
+        if sorted(ordering) != list(tree.nodes):
+            raise ValidationError("ordering must be a permutation of the sites")
+    total = 1
+    for s in ordering:
+        total *= tree.phys_dim(s)
+    if cap is None:
+        cap = os.environ.get("TTNO_DENSE_CAP", DEFAULT_DENSE_CAP)
+    limit = int(cap)
+    if total > limit:
+        raise DenseCapExceededError(
+            f"total dimension {total} exceeds cap {limit}")
+    return ordering, total
 
 
 def format_scalar(c: complex) -> str:
@@ -45,13 +61,21 @@ def format_scalar(c: complex) -> str:
     return f"({fmt_real(c.real)}{sign}{fmt_real(abs(c.imag))}j)"
 
 
+# (base label, dim, scale) -> small int; ids are only ever compared for
+# equality, so sharing one table across the process is harmless
+_OPERATOR_IDS: dict[tuple[str, int, complex], int] = {}
+
+
 @dataclass(eq=False)
 class SiteOperator:
     """A labelled single-site operator.
 
     ``matrix`` may be attached directly; otherwise the operator resolves as
-    ``scale * registry[base_label or label]``.  Equality and hashing are
-    symbolic: two operators are the same iff label and dimension agree.
+    ``scale * registry[base_label]`` (``base_label`` defaults to ``label``).
+    Equality and hashing are symbolic: two operators are the same iff base
+    label, dimension and scale agree.  ``op_id`` is that identity as one
+    int; ``label`` is for display only, so a user label such as ``2*X``
+    never matches the derived label of ``X`` scaled by 2.
     """
 
     label: str
@@ -59,6 +83,7 @@ class SiteOperator:
     matrix: np.ndarray | None = None
     scale: complex = 1.0
     base_label: str | None = None
+    op_id: int = field(init=False)
 
     def __post_init__(self):
         if not self.label:
@@ -73,6 +98,12 @@ class SiteOperator:
             if self.label == IDENTITY_LABEL and not np.allclose(m, np.eye(self.dim)):
                 raise ValidationError("label 'I' is reserved for the identity")
             self.matrix = m
+        if self.base_label is None:
+            self.base_label = self.label
+        # numbers hash and compare equal across int/float/complex, so the
+        # scale needs no conversion
+        key = (self.base_label, self.dim, self.scale)
+        self.op_id = _OPERATOR_IDS.setdefault(key, len(_OPERATOR_IDS))
 
     def is_identity(self) -> bool:
         return self.label == IDENTITY_LABEL
@@ -83,10 +114,11 @@ class SiteOperator:
         if c == 1.0:
             return self
         total = c * self.scale
-        base = self.base_label if self.base_label is not None else self.label
+        base = self.base_label
         if self.matrix is not None:
             return SiteOperator(f"{format_scalar(c)}*{self.label}", self.dim,
-                                matrix=c * self.matrix)
+                                matrix=c * self.matrix, scale=total,
+                                base_label=base)
         if total == 1.0:
             label = base
         else:
@@ -94,11 +126,10 @@ class SiteOperator:
         return SiteOperator(label, self.dim, scale=total, base_label=base)
 
     def __eq__(self, other):
-        return (isinstance(other, SiteOperator)
-                and self.label == other.label and self.dim == other.dim)
+        return isinstance(other, SiteOperator) and self.op_id == other.op_id
 
     def __hash__(self):
-        return hash((self.label, self.dim))
+        return self.op_id
 
     def __repr__(self):
         return f"SiteOperator({self.label!r}, dim={self.dim})"
@@ -116,18 +147,16 @@ class OperatorRegistry:
     dimension.
     """
 
-    def __init__(self, include_defaults: bool = True):
+    def __init__(self):
         self._fixed: dict[tuple[str, int], np.ndarray] = {}
         self._factories: dict[str, callable] = {}
-        if include_defaults:
-            self._factories[IDENTITY_LABEL] = lambda d: np.eye(d, dtype=complex)
-            self._factories["B"] = _boson_annihilation
-            self._factories["Bdag"] = lambda d: _boson_annihilation(d).conj().T
-            self._factories["N"] = lambda d: np.diag(
-                np.arange(d, dtype=complex))
-            self.register("X", np.array([[0, 1], [1, 0]], dtype=complex))
-            self.register("Y", np.array([[0, -1j], [1j, 0]], dtype=complex))
-            self.register("Z", np.array([[1, 0], [0, -1]], dtype=complex))
+        self._factories[IDENTITY_LABEL] = lambda d: np.eye(d, dtype=complex)
+        self._factories["B"] = _boson_annihilation
+        self._factories["Bdag"] = lambda d: _boson_annihilation(d).conj().T
+        self._factories["N"] = lambda d: np.diag(np.arange(d, dtype=complex))
+        self.register("X", np.array([[0, 1], [1, 0]], dtype=complex))
+        self.register("Y", np.array([[0, -1j], [1j, 0]], dtype=complex))
+        self.register("Z", np.array([[1, 0], [0, -1]], dtype=complex))
 
     def register(self, label: str, matrix) -> None:
         m = np.asarray(matrix, dtype=complex)
@@ -147,8 +176,7 @@ class OperatorRegistry:
         """Dense matrix of ``op``, honouring attached matrices and scales."""
         if op.matrix is not None:
             return op.matrix
-        base = op.base_label if op.base_label is not None else op.label
-        m = self.lookup(base, op.dim)
+        m = self.lookup(op.base_label, op.dim)
         if op.scale != 1.0:
             return op.scale * m
         return m
@@ -190,7 +218,7 @@ class ProductTerm:
     def key(self) -> tuple:
         """Canonical symbolic identity, independent of factor-map order."""
         return (self.coefficient,
-                tuple((s, op.label, op.dim) for s, op in
+                tuple((s, op.op_id) for s, op in
                       sorted(self.factors.items())))
 
     def __eq__(self, other):
@@ -208,9 +236,10 @@ def fold_coefficient(term: ProductTerm, root: int | None = None,
                      root_dim: int = 2) -> ProductTerm:
     """Absorb the scalar into the factor at the smallest acted-on site.
 
-    The folded factor gets a derived label like ``-2*X`` so symbolic equality
-    still distinguishes scaled operators.  An all-identity term folds into an
-    explicit scaled identity at the root, which must then be supplied.
+    The folded factor carries the scale in its identity (and a derived
+    display label like ``-2*X``), so scaled operators stay distinct.  An
+    all-identity term folds into an explicit scaled identity at the root,
+    which must then be supplied.
     """
     if term.coefficient == 1.0:
         return term
@@ -251,9 +280,6 @@ class Hamiltonian:
         return [fold_coefficient(t, root, self.tree.phys_dim(root))
                 for t in self.terms]
 
-    def __len__(self):
-        return len(self.terms)
-
     def __repr__(self):
         return f"Hamiltonian({len(self.terms)} terms on {self.tree!r})"
 
@@ -264,19 +290,7 @@ def to_dense(h: Hamiltonian, ordering=None,
     """Dense matrix of ``h``, Kronecker factors in the given site ordering."""
     registry = registry or DEFAULT_REGISTRY
     tree = h.tree
-    if ordering is None:
-        ordering = list(tree.nodes)
-    else:
-        ordering = list(ordering)
-        if sorted(ordering) != list(tree.nodes):
-            raise ValidationError("ordering must be a permutation of the sites")
-    total = 1
-    for s in ordering:
-        total *= tree.phys_dim(s)
-    limit = dense_cap(cap)
-    if total > limit:
-        raise DenseCapExceededError(
-            f"total dimension {total} exceeds cap {limit}")
+    ordering, total = dense_layout(tree, ordering, cap)
     out = np.zeros((total, total), dtype=complex)
     for term in h.terms:
         block = np.array([[term.coefficient]], dtype=complex)
@@ -305,15 +319,16 @@ def random_hamiltonian(tree: TreeTopology, n_terms: int, op_labels,
     k_max = n_sites if max_support is None else min(max_support, n_sites)
     if k_max < 1:
         raise ValidationError("max_support must be >= 1")
-    n_possible = sum(math.comb(n_sites, k) * len(labels) ** k
-                     for k in range(1, k_max + 1))
+    # distinct terms per support size
+    per_size = [math.comb(n_sites, k) * len(labels) ** k
+                for k in range(1, k_max + 1)]
+    n_possible = sum(per_size)
     if n_terms > n_possible:
         raise ValidationError(
             f"requested {n_terms} distinct terms but only {n_possible} exist")
 
     rng = np.random.default_rng(seed)
-    size_weights = np.array([math.comb(n_sites, k) * len(labels) ** k
-                             for k in range(1, k_max + 1)], dtype=float)
+    size_weights = np.array(per_size, dtype=float)
     size_weights /= size_weights.sum()
 
     terms: list[ProductTerm] = []

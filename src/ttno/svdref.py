@@ -25,7 +25,6 @@ RANK_REL_TOL = 1e-10
 
 
 def optimal_bond_dims(h: Hamiltonian, registry: OperatorRegistry | None = None,
-                      rel_tol: float = RANK_REL_TOL,
                       cap: int | None = None) -> dict[Edge, int]:
     """Matricization rank of the dense operator across every tree edge."""
     tree = h.tree
@@ -48,7 +47,7 @@ def optimal_bond_dims(h: Hamiltonian, registry: OperatorRegistry | None = None,
         if sv.size == 0 or sv[0] == 0.0:
             rank = 0
         else:
-            rank = int(np.count_nonzero(sv > rel_tol * sv[0]))
+            rank = int(np.count_nonzero(sv > RANK_REL_TOL * sv[0]))
         out[e] = max(rank, 1)
     return out
 
@@ -101,9 +100,8 @@ def r_diff_stderr(records: list[BenchRecord]) -> float:
 
 
 def run_bench(tree: TreeTopology, term_counts, n_samples: int, seed: int,
-              op_labels=("X", "Y", "Z"), max_support: int | None = None,
-              registry: OperatorRegistry | None = None,
-              cap: int | None = None) -> dict[int, list[BenchRecord]]:
+              op_labels=("X", "Y", "Z"),
+              max_support: int | None = None) -> dict[int, list[BenchRecord]]:
     """Seeded study: random Hamiltonians per term count, both bond-dim paths.
 
     Per-sample RNG streams derive from (seed, n_terms, sample), so the whole
@@ -116,8 +114,7 @@ def run_bench(tree: TreeTopology, term_counts, n_samples: int, seed: int,
             h = random_hamiltonian(tree, n_terms, op_labels, max_support,
                                    seed=(seed, n_terms, i))
             g = sd.from_hamiltonian(h)
-            report = BondReport(g.bond_dimensions(),
-                                optimal_bond_dims(h, registry, cap=cap))
+            report = BondReport(g.bond_dimensions(), optimal_bond_dims(h))
             records.append(BenchRecord(seed, i, n_terms, report,
                                        g.match_visits))
         results[n_terms] = records
@@ -126,27 +123,33 @@ def run_bench(tree: TreeTopology, term_counts, n_samples: int, seed: int,
 
 # -- CSV interchange ----------------------------------------------------------
 
-def _fmt_float(x: float) -> str:
+def fmt_float(x: float) -> str:
+    """17 significant digits: every CSV float round-trips exactly."""
     return "%.17g" % x
 
 
-def detail_csv(results: dict[int, list[BenchRecord]]) -> str:
+def csv_text(header, rows) -> str:
+    """CSV text with a header row and newline line ends."""
     buf = io.StringIO()
     w = csv.writer(buf, lineterminator="\n")
-    w.writerow(["seed", "n_terms", "edge", "alg_dim", "opt_dim"])
+    w.writerow(header)
+    w.writerows(rows)
+    return buf.getvalue()
+
+
+def detail_csv(results: dict[int, list[BenchRecord]]) -> str:
+    rows = []
     for n_terms in sorted(results):
         for rec in results[n_terms]:
             for e in sorted(rec.report.alg):
-                w.writerow([rec.seed, rec.n_terms, f"{e[0]}-{e[1]}",
-                            rec.report.alg[e], rec.report.opt[e]])
-    return buf.getvalue()
+                rows.append([rec.seed, rec.n_terms, f"{e[0]}-{e[1]}",
+                             rec.report.alg[e], rec.report.opt[e]])
+    return csv_text(["seed", "n_terms", "edge", "alg_dim", "opt_dim"], rows)
 
 
 def summary_csv(results: dict[int, list[BenchRecord]]) -> str:
-    buf = io.StringIO()
-    w = csv.writer(buf, lineterminator="\n")
-    w.writerow(["n_terms", "r_diff", "n_samples"])
+    rows = []
     for n_terms in sorted(results):
         recs = results[n_terms]
-        w.writerow([n_terms, _fmt_float(r_diff(recs)), len(recs)])
-    return buf.getvalue()
+        rows.append([n_terms, fmt_float(r_diff(recs)), len(recs)])
+    return csv_text(["n_terms", "r_diff", "n_samples"], rows)

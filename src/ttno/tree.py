@@ -48,8 +48,13 @@ class TreeTopology:
     def __init__(self, edges, root, phys_dims=None, nodes=None):
         edge_set: set[Edge] = set()
         node_set: set[int] = set(nodes) if nodes is not None else set()
-        for a, b in edges:
-            a, b = int(a), int(b)
+        for edge in edges:
+            try:
+                a, b = edge
+                a, b = int(a), int(b)
+            except (TypeError, ValueError) as exc:
+                raise ValidationError(f"edge {edge!r} must be a pair of "
+                                      f"integer site ids") from exc
             if a == b:
                 raise ValidationError(f"self-loop at site {a}")
             if a < 0 or b < 0:
@@ -62,7 +67,11 @@ class TreeTopology:
             node_set.add(b)
         if not node_set:
             raise ValidationError("tree must contain at least one site")
-        root = int(root)
+        try:
+            root = int(root)
+        except (TypeError, ValueError) as exc:
+            raise ValidationError(
+                f"root {root!r} is not an integer site id") from exc
         if root not in node_set:
             raise ValidationError(f"root {root} is not a site")
         if len(edge_set) != len(node_set) - 1:
@@ -86,7 +95,11 @@ class TreeTopology:
         self.phys_dims: dict[int, int] = {s: 2 for s in self.nodes}
         if phys_dims:
             for s, d in phys_dims.items():
-                s, d = int(s), int(d)
+                try:
+                    s, d = int(s), int(d)
+                except (TypeError, ValueError) as exc:
+                    raise ValidationError(f"phys_dims entry {s!r}: {d!r} "
+                                          f"is not an integer pair") from exc
                 if s not in node_set:
                     raise ValidationError(f"phys_dim for unknown site {s}")
                 if d < 1:
@@ -95,7 +108,6 @@ class TreeTopology:
 
         # Rooted structure via BFS from the root; also checks connectivity.
         parent: dict[int, int | None] = {root: None}
-        order: list[int] = [root]
         depth: dict[int, int] = {root: 0}
         queue = deque([root])
         while queue:
@@ -104,13 +116,11 @@ class TreeTopology:
                 if n not in parent:
                     parent[n] = s
                     depth[n] = depth[s] + 1
-                    order.append(n)
                     queue.append(n)
         if len(parent) != len(self.nodes):
             raise ValidationError("tree is not connected")
         self._parent = parent
         self._depth_of = depth
-        self._bfs_order = tuple(order)
         children: dict[int, list[int]] = {s: [] for s in self.nodes}
         for s in self.nodes:
             p = parent[s]
@@ -142,9 +152,6 @@ class TreeTopology:
 
     def depth(self) -> int:
         return max(self._depth_of.values())
-
-    def depth_of(self, s: int) -> int:
-        return self._depth_of[self._check(s)]
 
     def phys_dim(self, s: int) -> int:
         return self.phys_dims[self._check(s)]
@@ -254,6 +261,8 @@ class TreeTopology:
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "TreeTopology":
+        if not isinstance(data, dict):
+            raise ValidationError("tree JSON must be an object")
         try:
             edges = data["edges"]
             root = data["root"]
@@ -263,7 +272,7 @@ class TreeTopology:
         nodes = None
         if not edges:
             nodes = [root]
-        return cls(edges, root, {int(k): v for k, v in phys.items()}, nodes=nodes)
+        return cls(edges, root, phys, nodes=nodes)
 
 
 def tree_from_json(text: str) -> TreeTopology:

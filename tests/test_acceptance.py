@@ -17,13 +17,13 @@ from ttno.closedform import (CayleyTreeSpec, brute_force_root_bond,
 from ttno.diagram import from_hamiltonian
 from ttno.operators import (DEFAULT_REGISTRY, Hamiltonian, random_hamiltonian,
                             to_dense)
-from ttno.oqs import (OQSSpec, chain_reference_matrices, chain_fixture_kind,
-                      n_sites, operator_matrices_equivalent, oqs_hamiltonian,
-                      reported_bond_dims)
+from ttno.oqs import OQSSpec, n_sites, oqs_hamiltonian, reported_bond_dims
 from ttno.svdref import r_diff, r_diff_stderr, run_bench
 from ttno.tree import TreeTopology
 
 from conftest import demo_terms, demo_tree
+from oqs_fixtures import (chain_fixture_kind, chain_reference_matrices,
+                          operator_matrices_equivalent)
 from oracles import pick_nonleaf_root, random_tree_edges
 from test_closedform import random_distinct_interaction
 from test_oqs import chain_tensor_as_matrix

@@ -4,10 +4,10 @@ import pytest
 from ttno.assembly import (assign_indices, canonical_legs, contract_to_dense,
                            dense_element_count, element_count, emit_tensors,
                            read_ttno, write_ttno)
-from ttno.diagram import from_hamiltonian, single_term_diagram
+from ttno.diagram import StateDiagram, from_hamiltonian
 from ttno.errors import DenseCapExceededError
-from ttno.operators import (Hamiltonian, ProductTerm, SiteOperator,
-                            random_hamiltonian, to_dense)
+from ttno.operators import (Hamiltonian, OperatorRegistry, ProductTerm,
+                            SiteOperator, random_hamiltonian, to_dense)
 from ttno.tree import TreeTopology
 
 from conftest import demo_tree, pauli_term
@@ -15,20 +15,20 @@ from oracles import pick_nonleaf_root, random_tree_edges
 
 
 def test_assign_indices_single_term(tree):
-    g = single_term_diagram(tree, pauli_term({2: "Y", 3: "X"}))
+    g = StateDiagram.from_single_term(tree, pauli_term({2: "Y", 3: "X"}))
     a = assign_indices(g)
-    assert all(list(m.values()) == [0] for m in a.by_edge.values())
+    assert all(list(m.values()) == [0] for m in a.values())
 
 
 def test_assign_indices_insertion_order_and_determinism(demo_hamiltonian):
     g = from_hamiltonian(demo_hamiltonian)
     a = assign_indices(g)
     for e, vs in g.w.items():
-        assert [a.index(e, v.uid) for v in vs] == list(range(len(vs)))
+        assert [a[e][v.uid] for v in vs] == list(range(len(vs)))
     g2 = from_hamiltonian(demo_hamiltonian)
     a2 = assign_indices(g2)
-    assert ([sorted(m.values()) for m in a.by_edge.values()]
-            == [sorted(m.values()) for m in a2.by_edge.values()])
+    assert ([sorted(m.values()) for m in a.values()]
+            == [sorted(m.values()) for m in a2.values()])
     assert g.dump() == g2.dump()
 
 
@@ -40,7 +40,7 @@ def test_canonical_leg_order(tree):
 
 def test_single_term_tensors_have_one_slice_each(tree):
     term = pauli_term({2: "Y", 3: "X", 4: "X"})
-    g = single_term_diagram(tree, term)
+    g = StateDiagram.from_single_term(tree, term)
     ttno = emit_tensors(g)
     for t in ttno.tensors.values():
         assert t.nonzero_slices() == 1
@@ -51,7 +51,7 @@ def test_single_term_tensors_have_one_slice_each(tree):
 
 def test_single_term_contraction_is_kron(tree):
     term = pauli_term({2: "Y", 3: "X", 4: "X"})
-    g = single_term_diagram(tree, term)
+    g = StateDiagram.from_single_term(tree, term)
     got = contract_to_dense(emit_tensors(g))
     want = to_dense(Hamiltonian(tree, [term]))
     assert np.allclose(got, want, atol=1e-12)
@@ -94,7 +94,7 @@ def test_sparsity_matches_hyperedge_count_when_collision_free(demo_hamiltonian):
         # non-zero slices never exceed the hyperedge count ...
         assert t.nonzero_slices() <= len(g.eps[s])
         # ... and match it exactly when no two hyperedges share a multi-index
-        combos = {tuple(a.index(e, y.connected[e].uid) for e in t.legs)
+        combos = {tuple(a[e][y.connected[e].uid] for e in t.legs)
                   for y in g.eps[s]}
         if len(combos) == len(g.eps[s]):
             assert t.nonzero_slices() == len(g.eps[s])
@@ -118,6 +118,27 @@ def test_colliding_hyperedges_sum():
     y = np.array([[0, -1j], [1j, 0]])
     z = np.array([[1, 0], [0, -1]])
     assert np.allclose(mid[0, 0], y + z)
+
+
+def test_user_label_colliding_with_derived_label():
+    # a user operator named "2*X" (here Z) must not merge with the folded
+    # 2 * X at the same site
+    assert SiteOperator("X", 2).scaled(2) != SiteOperator("2*X", 2)
+    path = TreeTopology([(1, 2), (2, 3)], root=2)
+    registry = OperatorRegistry()
+    registry.register("2*X", np.diag([1.0, -1.0]))
+    h = Hamiltonian(path, [
+        ProductTerm(2.0, {1: SiteOperator("X", 2), 2: SiteOperator("X", 2)}),
+        ProductTerm(1.0, {1: SiteOperator("2*X", 2),
+                          3: SiteOperator("X", 2)}),
+    ])
+    g = from_hamiltonian(h)
+    g.validate()
+    assert len(g.eps[1]) == 2
+    assert [y.op.label for y in g.eps[1]] == ["2*X", "2*X"]
+    got = contract_to_dense(emit_tensors(g, registry=registry))
+    want = to_dense(h, registry=registry)
+    assert np.allclose(got, want, atol=1e-12, rtol=0.0)
 
 
 def bond_dims_all_one(g):

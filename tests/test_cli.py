@@ -49,6 +49,34 @@ def test_build_malformed_json(files):
     assert rc == EXIT_PARSE
 
 
+PAIR_TERM = {"coeff": [1, 0], "factors": {"1": "X", "2": "X"}}
+
+
+@pytest.mark.parametrize("tree_json, ham_json, message", [
+    (TREE_JSON, {"terms": [{"coeff": 2.0, "factors": {"1": "X"}}]},
+     "term 0: 'coeff'"),
+    (TREE_JSON, {"terms": [PAIR_TERM, {"factors": {"a": "X"}}]},
+     "term 1: 'factors' site 'a'"),
+    (TREE_JSON, {"operators": {"Q": {"matrix": [[1, 0]]}},
+                 "terms": [PAIR_TERM]}, "operator 'Q'"),
+    (TREE_JSON, [PAIR_TERM], "hamiltonian JSON must be an object"),
+    ([TREE_JSON], HAM_JSON, "tree JSON must be an object"),
+    ({"root": 1, "edges": [[1, 2], [3]]}, HAM_JSON, "edge [3]"),
+    ({"root": "a", "edges": [[1, 2]]}, HAM_JSON, "root 'a'"),
+    (dict(TREE_JSON, phys_dims={"x": 2}), HAM_JSON, "phys_dims entry 'x'"),
+    (TREE_JSON, {"terms": [PAIR_TERM, {"factors": {"3": "Q"}}]},
+     "term 1, site 3: no matrix for label 'Q'"),
+])
+def test_build_malformed_fields(tmp_path, capsys, tree_json, ham_json,
+                                message):
+    tree, ham = tmp_path / "tree.json", tmp_path / "ham.json"
+    tree.write_text(json.dumps(tree_json))
+    ham.write_text(json.dumps(ham_json))
+    rc = main(["build", str(tree), str(ham), "--out", str(tmp_path / "o")])
+    assert rc == EXIT_VALIDATION
+    assert message in capsys.readouterr().err
+
+
 def test_build_site_mismatch(files):
     tmp, tree, _ = files
     ham = tmp / "mism.json"
@@ -212,6 +240,26 @@ def test_plotdata_empty_csv(tmp_path):
     header_only.write_text("seed,n_terms,edge,alg_dim,opt_dim\n")
     assert main(["plotdata", str(header_only),
                  "--out-prefix", str(tmp_path / "p")]) == EXIT_PARSE
+
+
+def test_user_label_colliding_with_derived_label(tmp_path):
+    tree = tmp_path / "tree.json"
+    tree.write_text(json.dumps({"root": 2, "edges": [[1, 2], [2, 3]]}))
+    ham = tmp_path / "ham.json"
+    ham_json = {
+        "operators": {"2*X": {"dim": 2,
+                              "matrix": [[1, 0], [0, 0], [0, 0], [-1, 0]]}},
+        "terms": [{"coeff": [2, 0], "factors": {"1": "X", "2": "X"}},
+                  {"coeff": [1, 0], "factors": {"1": "2*X", "3": "X"}}],
+    }
+    ham.write_text(json.dumps(ham_json))
+    out = str(tmp_path / "o.json")
+    assert main(["build", str(tree), str(ham), "--out", out]) == EXIT_OK
+    h, registry = load_hamiltonian(
+        TreeTopology.from_json_dict(json.loads(tree.read_text())), ham_json)
+    assert verify_dump_against(out, h, registry)
+    assert main(["build", str(tree), str(ham), "--out", out,
+                 "--verify"]) == EXIT_OK
 
 
 def test_custom_operator_matrices_via_json(tmp_path):

@@ -3,9 +3,7 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from ttno.diagram import (add_term, bond_dimensions,
-                          enumerate_single_paths, from_hamiltonian,
-                          single_term_diagram)
+from ttno.diagram import StateDiagram, from_hamiltonian
 from ttno.errors import DuplicateTermError, PathCapExceededError
 from ttno.operators import (Hamiltonian, ProductTerm, SiteOperator,
                             random_hamiltonian)
@@ -24,7 +22,8 @@ def path_keys(diagram):
 
 
 def test_single_term_diagram_shape(tree):
-    g = single_term_diagram(tree, pauli_term({2: "Y", 3: "X", 4: "X"}))
+    g = StateDiagram.from_single_term(tree,
+                                      pauli_term({2: "Y", 3: "X", 4: "X"}))
     assert g.n_vertices() == 7  # one per bond
     assert g.n_hyperedges() == 8  # one per site
     labels = {s: g.eps[s][0].op.label for s in tree.nodes}
@@ -36,7 +35,7 @@ def test_single_term_diagram_shape(tree):
 
 def test_single_term_diagram_empty_term():
     pair = TreeTopology([(0, 1)], root=0)
-    g = single_term_diagram(pair, ProductTerm(1.0, {}))
+    g = StateDiagram.from_single_term(pair, ProductTerm(1.0, {}))
     assert g.n_vertices() == 1
     assert g.n_hyperedges() == 2
     assert all(y.op.label == "I" for ys in g.eps.values() for y in ys)
@@ -44,15 +43,15 @@ def test_single_term_diagram_empty_term():
 
 def test_single_term_single_path(tree):
     term = pauli_term({1: "X", 2: "Y", 6: "Y"})
-    g = single_term_diagram(tree, term)
-    paths = enumerate_single_paths(g)
+    g = StateDiagram.from_single_term(tree, term)
+    paths = g.enumerate_single_paths()
     assert len(paths) == 1
     assert paths[0].key() == term.key()
 
 
 def test_demo_hamiltonian_bond_dimensions(demo_hamiltonian):
     g = from_hamiltonian(demo_hamiltonian)
-    dims = bond_dimensions(g)
+    dims = g.bond_dimensions()
     assert max(dims.values()) == 3
     assert dims == {(1, 2): 3, (1, 5): 3, (2, 3): 2, (2, 4): 2,
                     (5, 6): 2, (5, 7): 2, (7, 8): 2}
@@ -61,7 +60,7 @@ def test_demo_hamiltonian_bond_dimensions(demo_hamiltonian):
 
 def test_naive_union_baseline(demo_hamiltonian):
     g = from_hamiltonian(demo_hamiltonian, reuse=False)
-    assert all(d == 4 for d in bond_dimensions(g).values())
+    assert all(d == 4 for d in g.bond_dimensions().values())
     # still semantically correct
     assert path_keys(g) == folded_keys(demo_hamiltonian)
 
@@ -69,11 +68,11 @@ def test_naive_union_baseline(demo_hamiltonian):
 def test_add_term_path_count_and_products(demo_hamiltonian):
     tree = demo_hamiltonian.tree
     terms = demo_hamiltonian.folded_terms()
-    g = single_term_diagram(tree, terms[0])
+    g = StateDiagram.from_single_term(tree, terms[0])
     seen = Counter([terms[0].key()])
     for t in terms[1:]:
         before = len(g.enumerate_single_paths())
-        add_term(g, t)
+        g.add_term(t)
         paths = g.enumerate_single_paths()
         assert len(paths) == before + 1
         seen[t.key()] += 1
@@ -83,7 +82,7 @@ def test_add_term_path_count_and_products(demo_hamiltonian):
 def test_add_duplicate_term_rejected(demo_hamiltonian):
     g = from_hamiltonian(demo_hamiltonian)
     with pytest.raises(DuplicateTermError):
-        add_term(g, demo_hamiltonian.terms[0])
+        g.add_term(demo_hamiltonian.terms[0])
 
 
 def test_demo_path_products(demo_hamiltonian):
@@ -101,18 +100,18 @@ def test_single_paths_are_vertex_consistent(demo_hamiltonian):
 
 
 def test_root_choice_invariance(demo_hamiltonian):
-    base = bond_dimensions(from_hamiltonian(demo_hamiltonian))
+    base = from_hamiltonian(demo_hamiltonian).bond_dimensions()
     t5 = demo_tree(root=5)
     g5 = from_hamiltonian(Hamiltonian(t5, demo_terms()))
-    assert bond_dimensions(g5) == base  # same undirected edges, same dims
+    assert g5.bond_dimensions() == base  # same undirected edges, same dims
 
 
 def test_root_at_leaf_degrades_one_edge(demo_hamiltonian):
-    base = bond_dimensions(from_hamiltonian(demo_hamiltonian))
+    base = from_hamiltonian(demo_hamiltonian).bond_dimensions()
     t6 = demo_tree(root=6)
     with pytest.warns(UserWarning):
         g6 = from_hamiltonian(Hamiltonian(t6, demo_terms()))
-    dims = bond_dimensions(g6)
+    dims = g6.bond_dimensions()
     assert dims[(5, 6)] == 4
     for e, d in base.items():
         if e != (5, 6):
@@ -120,11 +119,11 @@ def test_root_at_leaf_degrades_one_edge(demo_hamiltonian):
 
 
 def test_nonleaf_roots_all_agree(demo_hamiltonian):
-    base = bond_dimensions(from_hamiltonian(demo_hamiltonian))
+    base = from_hamiltonian(demo_hamiltonian).bond_dimensions()
     for root in (2, 5, 7):
         t = demo_tree(root=root)
         g = from_hamiltonian(Hamiltonian(t, demo_terms()))
-        assert bond_dimensions(g) == base
+        assert g.bond_dimensions() == base
 
 
 def test_semantic_soundness_random_suite():
@@ -175,7 +174,7 @@ def test_path_cap():
     h = random_hamiltonian(tree, 12, ("X", "Y", "Z"), seed=9)
     g = from_hamiltonian(h)
     with pytest.raises(PathCapExceededError):
-        enumerate_single_paths(g, cap=3)
+        g.enumerate_single_paths(cap=3)
 
 
 def test_coefficients_fold_before_matching():
@@ -189,6 +188,22 @@ def test_coefficients_fold_before_matching():
     assert path_keys(g) == folded_keys(h)
     labels0 = sorted(y.op.label for y in g.eps[0])
     assert labels0 == ["2*X", "X"]
+
+
+def test_deep_chain_builds_and_enumerates():
+    # far deeper than the default recursion limit
+    n = 1500
+    chain = TreeTopology([(i, i + 1) for i in range(n - 1)], root=1)
+    h = Hamiltonian(chain, [
+        pauli_term({0: "X", 1: "X"}),
+        pauli_term({n // 2: "Z"}),
+        pauli_term({0: "Z", n - 1: "Z"}),
+        ProductTerm(-2.0, {n - 2: SiteOperator("X", 2),
+                           n - 1: SiteOperator("X", 2)}),
+    ])
+    g = from_hamiltonian(h)
+    g.validate()
+    assert path_keys(g) == folded_keys(h)
 
 
 def test_dump_is_stable(demo_hamiltonian):

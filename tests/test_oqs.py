@@ -6,10 +6,12 @@ from ttno.assembly import (contract_to_dense, dense_element_count,
 from ttno.diagram import from_hamiltonian
 from ttno.errors import ValidationError
 from ttno.operators import to_dense
-from ttno.oqs import (OQSSpec, chain_reference_matrices, boson_site,
-                      chain_fixture_kind, chain_topology, ftp_topology,
-                      n_sites, operator_matrices_equivalent, oqs_hamiltonian,
-                      oqs_terms, reported_bond_dims, spin_site, star_topology)
+from ttno.oqs import (OQSSpec, boson_site, chain_topology, ftp_topology,
+                      n_sites, oqs_hamiltonian, oqs_terms, reported_bond_dims,
+                      spin_site, star_topology)
+
+from oqs_fixtures import (chain_fixture_kind, chain_reference_matrices,
+                          operator_matrices_equivalent)
 
 
 def chain_tensor_as_matrix(ttno, spec, site):
