@@ -156,19 +156,19 @@ def dense_element_count(ttno: TTNO) -> int:
 
 # -- dump format ------------------------------------------------------------
 
-def ttno_to_json_dict(ttno: TTNO) -> dict:
-    tensors = {}
-    for s, t in ttno.tensors.items():
-        flat = t.elements.reshape(-1)
-        tensors[str(s)] = {
-            "legs": [list(e) for e in t.legs],
-            "shape": list(t.elements.shape),
-            "re": flat.real.tolist(),
-            "im": flat.imag.tolist(),
-        }
-    return {"format": "ttno-v1",
-            "tree": ttno.tree.to_json_dict(),
-            "tensors": tensors}
+# floats per json.dumps call when writing a dump: keeps every temporary
+# list and string small
+_DUMP_CHUNK = 4096
+
+
+def _write_floats(fh, values: np.ndarray) -> None:
+    """``json.dumps(values.tolist())``, encoded a slice at a time."""
+    fh.write("[")
+    for i in range(0, values.size, _DUMP_CHUNK):
+        if i:
+            fh.write(", ")
+        fh.write(json.dumps(values[i:i + _DUMP_CHUNK].tolist())[1:-1])
+    fh.write("]")
 
 
 def ttno_from_json_dict(data: dict) -> TTNO:
@@ -189,8 +189,28 @@ def ttno_from_json_dict(data: dict) -> TTNO:
 
 
 def write_ttno(ttno: TTNO, path: str) -> None:
+    """Write the ``ttno-v1`` dump piece by piece.
+
+    The bytes are those of ``json.dump`` on the object
+    ``{"format", "tree", "tensors": {site: {"legs", "shape", "re", "im"}}}``
+    with the flattened real and imaginary parts, but every piece goes
+    through the C encoder of ``json.dumps`` and no element list is held
+    whole.
+    """
     with open(path, "w") as fh:
-        json.dump(ttno_to_json_dict(ttno), fh)
+        fh.write('{"format": "ttno-v1", "tree": ')
+        fh.write(json.dumps(ttno.tree.to_json_dict()))
+        fh.write(', "tensors": {')
+        for i, (s, t) in enumerate(ttno.tensors.items()):
+            flat = t.elements.reshape(-1)
+            fh.write(f'{", " if i else ""}"{s}": {{"legs": '
+                     f'{json.dumps([list(e) for e in t.legs])}, "shape": '
+                     f'{json.dumps(list(t.elements.shape))}, "re": ')
+            _write_floats(fh, flat.real)
+            fh.write(', "im": ')
+            _write_floats(fh, flat.imag)
+            fh.write("}")
+        fh.write("}}")
 
 
 def read_ttno(path: str) -> TTNO:

@@ -51,8 +51,15 @@ def load_hamiltonian(tree: TreeTopology, data: dict) -> tuple[Hamiltonian,
     field raises ValidationError naming the field and the term or site."""
     if not isinstance(data, dict):
         raise ValidationError("hamiltonian JSON must be an object")
+    operators = data.get("operators") or {}
+    if not isinstance(operators, dict):
+        raise ValidationError("hamiltonian JSON 'operators' must be an "
+                              "object mapping labels to operators")
+    raw_terms = data.get("terms", [])
+    if not isinstance(raw_terms, list):
+        raise ValidationError("hamiltonian JSON 'terms' must be a list")
     registry = OperatorRegistry()
-    for label, spec in (data.get("operators") or {}).items():
+    for label, spec in operators.items():
         try:
             dim = int(spec["dim"])
             flat = spec["matrix"]
@@ -66,7 +73,7 @@ def load_hamiltonian(tree: TreeTopology, data: dict) -> tuple[Hamiltonian,
                 f"matrix for {label!r} must hold {dim * dim} row-major entries")
         registry.register(label, mat.reshape(dim, dim))
     terms = []
-    for i, raw in enumerate(data.get("terms", [])):
+    for i, raw in enumerate(raw_terms):
         raw_factors = raw.get("factors", {}) if isinstance(raw, dict) else None
         if not isinstance(raw_factors, dict):
             raise ValidationError(f"term {i}: needs an object 'factors'")

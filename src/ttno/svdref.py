@@ -1,54 +1,142 @@
-"""Minimal-bond-dimension oracle via bipartition ranks, plus the benchmark
-statistic comparing it with the diagram construction.
+"""Minimal-bond-dimension oracle via operator Schmidt ranks, plus the
+benchmark statistic comparing it with the diagram construction.
 
-For every tree edge the dense operator is reshaped so that rows carry the
-(output, input) physical indices of one side of the cut and columns the
-other side; the numerical rank of that matricization is the smallest bond
-dimension any TTNO can have across the edge.
+The smallest bond dimension any TTNO can have across a tree edge is the
+operator Schmidt rank of H across that cut: the rank of H reshaped so that
+rows carry the (output, input) physical indices of one side and columns
+the other.  It is computed from the terms, never from a dense matrix.
+
+Per site, the operators used there are expanded by Gram-Schmidt in an
+orthonormal basis of their span under the normalised Hilbert-Schmidt
+product tr(A^dag B) / d, with the identity as basis element 0; the per-site
+Gram matrices are resolved through the registry, so bosons and user
+matrices (also linearly dependent ones) are handled.  Products of these
+basis elements are orthonormal, so H becomes one sparse coefficient vector
+over basis strings, and cutting every string at an edge turns it into a
+matrix C whose singular values are those of the dense matricization times
+one common factor.  Identity sites carry basis element 0 and drop out, so
+the work follows the term supports.
 """
 
 from __future__ import annotations
 
 import csv
 import io
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import diagram as sd
 from .errors import ValidationError
-from .operators import (Hamiltonian, OperatorRegistry, random_hamiltonian,
-                        to_dense)
+from .operators import (DEFAULT_REGISTRY, Hamiltonian, OperatorRegistry,
+                        random_hamiltonian)
 from .tree import Edge, TreeTopology
 
 RANK_REL_TOL = 1e-10
+# Gram-Schmidt components (and the residual) of a site operator below this
+# fraction of its norm are dropped: a residual that small makes the operator
+# a combination of the earlier ones, and what is dropped moves singular
+# values far less than RANK_REL_TOL
+GRAM_REL_TOL = 1e-12
+
+BasisString = tuple[tuple[int, int], ...]  # (site, basis index >= 1) pairs
 
 
-def optimal_bond_dims(h: Hamiltonian, registry: OperatorRegistry | None = None,
-                      cap: int | None = None) -> dict[Edge, int]:
-    """Matricization rank of the dense operator across every tree edge."""
+def _site_expansions(h: Hamiltonian, registry: OperatorRegistry
+                     ) -> dict[int, dict[int, list[tuple[int, complex]]]]:
+    """Per site, op_id -> [(basis index, coefficient)] of the operator in a
+    Gram-Schmidt basis of the site's operators (index 0 is the identity)."""
+    bases: dict[int, list[np.ndarray]] = {}
+    out: dict[int, dict[int, list[tuple[int, complex]]]] = {}
+    for term in h.terms:
+        for s, op in term.factors.items():
+            known = out.setdefault(s, {})
+            if op.op_id in known:
+                continue
+            d = op.dim
+            # unscaled vectors and vdot / d: the identity has unit norm and
+            # orthogonal Paulis or bosonic ladders give exact zeros
+            basis = bases.setdefault(s, [np.eye(d, dtype=complex).ravel()])
+            resid = registry.resolve(op).ravel()
+            cut = GRAM_REL_TOL * math.sqrt(np.vdot(resid, resid).real / d)
+            coeffs = []
+            for b in basis:
+                c = np.vdot(b, resid) / d
+                resid = resid - c * b
+                coeffs.append(c)
+            norm = math.sqrt(np.vdot(resid, resid).real / d)
+            if norm > cut:
+                basis.append(resid / norm)
+                coeffs.append(norm)
+            known[op.op_id] = [(m, c) for m, c in enumerate(coeffs)
+                               if abs(c) > cut]
+    return out
+
+
+def _basis_coefficients(h: Hamiltonian, registry: OperatorRegistry
+                        ) -> dict[BasisString, complex]:
+    """H as coefficients over orthonormal product basis strings."""
+    expansions = _site_expansions(h, registry)
+    out: dict[BasisString, complex] = {}
+    for term in h.terms:
+        strings = [((), term.coefficient)]
+        for s, op in sorted(term.factors.items()):
+            strings = [(key + ((s, m),) if m else key, c * k)
+                       for key, c in strings
+                       for m, k in expansions[s][op.op_id]]
+        for key, c in strings:
+            out[key] = out.get(key, 0.0) + c
+    return out
+
+
+def _fold_single_entry_rows(rows) -> list[dict]:
+    """Rows with one entry, replaced per column by one row holding their
+    2-norm: a unitary on those rows, so the singular values stay."""
+    kept, folded = [], {}
+    for row in rows:
+        if len(row) == 1:
+            (col, c), = row.items()
+            folded[col] = folded.get(col, 0.0) + abs(c) ** 2
+        else:
+            kept.append(row)
+    kept.extend({col: math.sqrt(n2)} for col, n2 in folded.items())
+    return kept
+
+
+def _schmidt_rank(rows) -> int:
+    """Numerical rank of the sparse matrix ``rows`` ({col: value} each)."""
+    rows = _fold_single_entry_rows(rows)
+    cols: dict[BasisString, dict[int, complex]] = {}
+    for i, row in enumerate(rows):
+        for col, c in row.items():
+            cols.setdefault(col, {})[i] = c
+    cols = _fold_single_entry_rows(cols.values())
+    mat = np.zeros((len(cols), len(rows)), dtype=complex)
+    for j, col in enumerate(cols):
+        for i, c in col.items():
+            mat[j, i] = c
+    sv = np.linalg.svd(mat, compute_uv=False)
+    if sv.size == 0 or sv[0] == 0.0:
+        return 0
+    return int(np.count_nonzero(sv > RANK_REL_TOL * sv[0]))
+
+
+def optimal_bond_dims(h: Hamiltonian,
+                      registry: OperatorRegistry | None = None
+                      ) -> dict[Edge, int]:
+    """Operator Schmidt rank of ``h`` across every tree edge (at least 1)."""
     tree = h.tree
-    sites = list(tree.nodes)
-    dims = [tree.phys_dim(s) for s in sites]
-    dense = to_dense(h, sites, registry, cap)
-    tensor = dense.reshape(dims + dims)
-    n = len(sites)
-    pos = {s: i for i, s in enumerate(sites)}
+    coeffs = _basis_coefficients(h, registry or DEFAULT_REGISTRY)
     out: dict[Edge, int] = {}
     for e in tree.edges:
         side = tree.component_without_edge(e, e[0])
-        axes_a = [pos[s] for s in sites if s in side]
-        axes_b = [pos[s] for s in sites if s not in side]
-        perm = (axes_a + [a + n for a in axes_a]
-                + axes_b + [b + n for b in axes_b])
-        rows = int(np.prod([dims[a] for a in axes_a], dtype=np.int64)) ** 2
-        mat = tensor.transpose(perm).reshape(rows, -1)
-        sv = np.linalg.svd(mat, compute_uv=False)
-        if sv.size == 0 or sv[0] == 0.0:
-            rank = 0
-        else:
-            rank = int(np.count_nonzero(sv > RANK_REL_TOL * sv[0]))
-        out[e] = max(rank, 1)
+        rows: dict[BasisString, dict[BasisString, complex]] = {}
+        for key, c in coeffs.items():
+            left = tuple(x for x in key if x[0] in side)
+            right = tuple(x for x in key if x[0] not in side)
+            rows.setdefault(left, {})[right] = c
+        out[e] = max(_schmidt_rank(rows.values()), 1)
     return out
 
 

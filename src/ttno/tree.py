@@ -269,6 +269,9 @@ class TreeTopology:
         except (KeyError, TypeError) as exc:
             raise ValidationError(f"tree JSON missing field: {exc}") from exc
         phys = data.get("phys_dims") or {}
+        if not isinstance(phys, dict):
+            raise ValidationError("tree JSON 'phys_dims' must be an object "
+                                  "mapping site ids to dimensions")
         nodes = None
         if not edges:
             nodes = [root]

@@ -2,12 +2,17 @@
 
 These deliberately avoid the package's own code paths: BFS on a raw edge
 list, an element-wise Kronecker sum, and a recursive-attachment random tree
-generator.
+generator.  The one exception is the dense rank oracle, which builds on
+``to_dense`` (itself checked against the element-wise sum) and stands
+apart from the term-based ``optimal_bond_dims`` it checks.
 """
 
 from collections import deque
 
 import numpy as np
+
+from ttno.operators import to_dense
+from ttno.svdref import RANK_REL_TOL
 
 
 def bfs_distance(edges, a, b):
@@ -86,3 +91,34 @@ def pick_nonleaf_root(edges, n_sites):
         if degree[s] > 1:
             return s
     return 0
+
+
+def dense_bond_dims(h, registry=None):
+    """Rank of the dense operator's matricization across every tree edge.
+
+    The reference for ``ttno.svdref.optimal_bond_dims``: rows carry the
+    (output, input) physical indices of one side of the cut, columns the
+    other side, with the same relative rank tolerance and ``max(rank, 1)``.
+    """
+    tree = h.tree
+    sites = list(tree.nodes)
+    dims = [tree.phys_dim(s) for s in sites]
+    tensor = to_dense(h, sites, registry).reshape(dims + dims)
+    n = len(sites)
+    pos = {s: i for i, s in enumerate(sites)}
+    out = {}
+    for e in tree.edges:
+        side = tree.component_without_edge(e, e[0])
+        axes_a = [pos[s] for s in sites if s in side]
+        axes_b = [pos[s] for s in sites if s not in side]
+        perm = (axes_a + [a + n for a in axes_a]
+                + axes_b + [b + n for b in axes_b])
+        rows = int(np.prod([dims[a] for a in axes_a], dtype=np.int64)) ** 2
+        mat = tensor.transpose(perm).reshape(rows, -1)
+        sv = np.linalg.svd(mat, compute_uv=False)
+        if sv.size == 0 or sv[0] == 0.0:
+            rank = 0
+        else:
+            rank = int(np.count_nonzero(sv > RANK_REL_TOL * sv[0]))
+        out[e] = max(rank, 1)
+    return out

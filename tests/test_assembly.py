@@ -1,13 +1,16 @@
+import json
+
 import numpy as np
 import pytest
 
-from ttno.assembly import (assign_indices, canonical_legs, contract_to_dense,
-                           dense_element_count, element_count, emit_tensors,
-                           read_ttno, write_ttno)
+from ttno.assembly import (_DUMP_CHUNK, assign_indices, canonical_legs,
+                           contract_to_dense, dense_element_count,
+                           element_count, emit_tensors, read_ttno, write_ttno)
 from ttno.diagram import StateDiagram, from_hamiltonian
 from ttno.errors import DenseCapExceededError
 from ttno.operators import (Hamiltonian, OperatorRegistry, ProductTerm,
                             SiteOperator, random_hamiltonian, to_dense)
+from ttno.oqs import OQSSpec, oqs_hamiltonian
 from ttno.tree import TreeTopology
 
 from conftest import demo_tree, pauli_term
@@ -202,3 +205,21 @@ def test_dump_round_trip_preserves_irrationals(tmp_path):
     for s in ttno.tensors:
         assert np.array_equal(back.tensors[s].elements,
                               ttno.tensors[s].elements)
+
+
+def test_dump_bytes_equal_whole_object_json_dump(tmp_path):
+    # the dump is written piece by piece; its bytes must be those of one
+    # json.dump of the whole ttno-v1 object
+    h = oqs_hamiltonian(OQSSpec(4, 4, g=np.pi + 1j / 3, boson_dim=4), "star")
+    ttno = emit_tensors(from_hamiltonian(h))
+    # a tensor spanning several encoding slices
+    assert max(t.elements.size for t in ttno.tensors.values()) > _DUMP_CHUNK
+    whole = {"format": "ttno-v1", "tree": ttno.tree.to_json_dict(),
+             "tensors": {str(s): {"legs": [list(e) for e in t.legs],
+                                  "shape": list(t.elements.shape),
+                                  "re": t.elements.real.ravel().tolist(),
+                                  "im": t.elements.imag.ravel().tolist()}
+                         for s, t in ttno.tensors.items()}}
+    p = tmp_path / "star.json"
+    write_ttno(ttno, str(p))
+    assert p.read_text() == json.dumps(whole)

@@ -66,6 +66,10 @@ PAIR_TERM = {"coeff": [1, 0], "factors": {"1": "X", "2": "X"}}
     (dict(TREE_JSON, phys_dims={"x": 2}), HAM_JSON, "phys_dims entry 'x'"),
     (TREE_JSON, {"terms": [PAIR_TERM, {"factors": {"3": "Q"}}]},
      "term 1, site 3: no matrix for label 'Q'"),
+    (dict(TREE_JSON, phys_dims=[2, 2]), HAM_JSON, "'phys_dims' must be"),
+    (TREE_JSON, {"terms": 3}, "'terms' must be"),
+    (TREE_JSON, {"operators": [{"dim": 2}], "terms": [PAIR_TERM]},
+     "'operators' must be"),
 ])
 def test_build_malformed_fields(tmp_path, capsys, tree_json, ham_json,
                                 message):
@@ -139,13 +143,21 @@ def test_bench_refuses_seed_zero(files):
     assert rc == EXIT_VALIDATION
 
 
-def test_bench_cap_exceeded(tmp_path):
+def test_bench_beyond_dense_cap(tmp_path, monkeypatch):
+    # 14 qubits: total dimension 16384 exceeds the default TTNO_DENSE_CAP,
+    # which bounds only dense builds, not the rank oracle
+    monkeypatch.delenv("TTNO_DENSE_CAP", raising=False)
     big = tmp_path / "big.json"
     big.write_text(json.dumps(
         {"root": 1, "edges": [[i, i + 1] for i in range(13)]}))
-    rc = main(["bench", str(big), "--terms", "5", "--samples", "1",
+    rc = main(["bench", str(big), "--terms", "5,20", "--samples", "2",
                "--seed", "2", "--out", str(tmp_path / "d.csv")])
-    assert rc == EXIT_CAP
+    assert rc == EXIT_OK
+    rows = (tmp_path / "d.csv").read_text().splitlines()[1:]
+    assert len(rows) == 2 * 2 * 13
+    for row in rows:
+        alg, opt = (int(x) for x in row.split(",")[3:5])
+        assert 1 <= opt <= alg
 
 
 def test_bench_root_at_leaf_flag(files):

@@ -1,15 +1,22 @@
+import itertools
+import time
+
 import numpy as np
 import pytest
 
 from ttno.diagram import from_hamiltonian
 from ttno.errors import ValidationError
-from ttno.operators import Hamiltonian, to_dense
+from ttno.operators import (DEFAULT_DENSE_CAP, Hamiltonian, OperatorRegistry,
+                            ProductTerm, SiteOperator, random_hamiltonian,
+                            to_dense)
+from ttno.oqs import TOPOLOGIES, OQSSpec, oqs_hamiltonian
 from ttno.svdref import (BenchRecord, BondReport, detail_csv,
                          optimal_bond_dims, r_diff, r_diff_stderr, run_bench,
                          summary_csv)
 from ttno.tree import TreeTopology
 
 from conftest import demo_tree, pauli_term
+from oracles import dense_bond_dims, pick_nonleaf_root, random_tree_edges
 
 
 def test_single_term_all_ranks_one(tree):
@@ -52,6 +59,96 @@ def test_rank_symmetric_under_transposed_bipartition(demo_hamiltonian):
         sv = np.linalg.svd(mat, compute_uv=False)
         rank = int(np.count_nonzero(sv > 1e-10 * sv[0]))
         assert rank == base[e]
+
+
+def test_matches_dense_on_random_demo_systems(tree):
+    # seeds disjoint from acceptance criterion 4 (20240901)
+    for i in range(300):
+        n_terms = 1 + i % 30
+        max_support = (None, 2, 3)[i % 3]
+        h = random_hamiltonian(tree, n_terms, ("X", "Y", "Z"), max_support,
+                               seed=(5150, i))
+        assert optimal_bond_dims(h) == dense_bond_dims(h), i
+
+
+def test_matches_dense_on_oqs_models():
+    checked = 0
+    for kind, spins, baths, boson_dim in itertools.product(
+            TOPOLOGIES, (2, 3), (1, 2), (2, 3, 4)):
+        if 2 ** spins * boson_dim ** (spins * baths) > DEFAULT_DENSE_CAP:
+            continue
+        spec = OQSSpec(spins, baths, coupling=0.7, g=0.3 - 0.8j, omega=1.1,
+                       boson_dim=boson_dim)
+        h = oqs_hamiltonian(spec, kind)
+        assert optimal_bond_dims(h) == dense_bond_dims(h), (kind, spec)
+        checked += 1
+    assert checked == 30
+
+
+def user_matrix_system(rng, n_sites=6):
+    """Random tree with site dimensions 2 and 3, user operators A and B per
+    dimension plus a linearly dependent C = a A + b B, complex couplings."""
+    edges = random_tree_edges(rng, n_sites)
+    dims = {s: int(rng.choice((2, 3))) for s in range(n_sites)}
+    tree = TreeTopology(edges, pick_nonleaf_root(edges, n_sites), dims)
+    registry = OperatorRegistry()
+    for d in (2, 3):
+        a, b = (rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
+                for _ in range(2))
+        registry.register("A", a)
+        registry.register("B", b)
+        registry.register("C", complex(*rng.normal(size=2)) * a
+                          + complex(*rng.normal(size=2)) * b)
+    n_terms = int(rng.integers(1, 16))
+    shape = random_hamiltonian(tree, n_terms, ("A", "B", "C"),
+                               int(rng.integers(1, 5)),
+                               seed=int(rng.integers(2 ** 31)))
+    terms = [ProductTerm(complex(*rng.normal(size=2)), t.factors)
+             for t in shape.terms]
+    return Hamiltonian(tree, terms), registry
+
+
+def test_matches_dense_on_user_matrices():
+    rng = np.random.default_rng(8086)
+    for i in range(120):
+        h, registry = user_matrix_system(rng)
+        assert (optimal_bond_dims(h, registry)
+                == dense_bond_dims(h, registry)), i
+
+
+X_MATRIX = np.array([[0.0, 1.0], [1.0, 0.0]])
+
+
+@pytest.mark.parametrize("two_x, coeff, site, expected", [
+    (np.diag([1.0, -1.0]), 1.0, 3, {(1, 2): 2, (2, 3): 2}),
+    # "2*X" registered as 2 X: the first two terms cancel exactly
+    (2 * X_MATRIX, -1.0, 2, {(1, 2): 1, (2, 3): 1}),
+])
+def test_matches_dense_on_label_collision(two_x, coeff, site, expected):
+    tree = TreeTopology([(1, 2), (2, 3)], root=2)
+    registry = OperatorRegistry()
+    registry.register("2*X", two_x)
+    x, z = SiteOperator("X", 2), SiteOperator("Z", 2)
+    h = Hamiltonian(tree, [
+        ProductTerm(2.0, {1: x, 2: x}),
+        ProductTerm(coeff, {1: SiteOperator("2*X", 2), site: x}),
+        ProductTerm(1.0, {1: z, 3: z})])
+    assert optimal_bond_dims(h, registry) == dense_bond_dims(h, registry)
+    assert optimal_bond_dims(h, registry) == expected
+
+
+def test_transverse_field_chain_beyond_dense_cap():
+    # 2^200-dimensional: only the term-based oracle can do this
+    n = 200
+    tree = TreeTopology([(i, i + 1) for i in range(n - 1)], root=0)
+    x, z = SiteOperator("X", 2), SiteOperator("Z", 2)
+    terms = ([ProductTerm(-1.0, {i: x, i + 1: x}) for i in range(n - 1)]
+             + [ProductTerm(0.5, {i: z}) for i in range(n)])
+    t0 = time.perf_counter()
+    dims = optimal_bond_dims(Hamiltonian(tree, terms))
+    print(f"\n200-site transverse-field chain oracle: "
+          f"{time.perf_counter() - t0:.2f}s")
+    assert dims == {e: 3 for e in tree.edges}
 
 
 def test_dominance_over_random_suite(tree):
