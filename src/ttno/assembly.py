@@ -8,12 +8,13 @@ parent leg; its trivial leg is dropped.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .diagram import StateDiagram
-from .errors import ValidationError
+from .errors import DenseCapExceededError, ValidationError
 from .operators import DEFAULT_REGISTRY, OperatorRegistry, dense_layout
 from .tree import Edge, TreeTopology, edge_key
 
@@ -71,7 +72,10 @@ class TTNO:
 def emit_tensors(diagram: StateDiagram,
                  registry: OperatorRegistry | None = None) -> TTNO:
     """Dense tensors from the diagram; hyperedges on the same multi-index
-    accumulate additively (their label matrices sum into one element)."""
+    accumulate additively (their label matrices sum into one element).
+
+    A tensor too large to allocate raises DenseCapExceededError naming its
+    site and shape."""
     registry = registry or DEFAULT_REGISTRY
     index = assign_indices(diagram)
     tree = diagram.tree
@@ -81,7 +85,14 @@ def emit_tensors(diagram: StateDiagram,
         legs = canonical_legs(tree, s)
         d = tree.phys_dim(s)
         shape = tuple(dims[e] for e in legs) + (d, d)
-        arr = np.zeros(shape, dtype=complex)
+        try:
+            arr = np.zeros(shape, dtype=complex)
+        except (MemoryError, ValueError) as exc:
+            # ValueError: the byte count overflows the address space
+            gib = math.prod(shape) * np.dtype(complex).itemsize / 2 ** 30
+            raise DenseCapExceededError(
+                f"site {s}: the dense tensor of shape {shape} ({gib:.2f} GiB) "
+                f"cannot be allocated; shrink the system") from exc
         for y in diagram.eps[s]:
             idx = tuple(index[e][y.connected[e].uid] for e in legs)
             arr[idx] += registry.resolve(y.op)
@@ -171,21 +182,14 @@ def _write_floats(fh, values: np.ndarray) -> None:
     fh.write("]")
 
 
-def ttno_from_json_dict(data: dict) -> TTNO:
-    if data.get("format") != "ttno-v1":
-        raise ValidationError("not a ttno-v1 dump")
-    tree = TreeTopology.from_json_dict(data["tree"])
-    tensors = {}
-    for s_str, td in data["tensors"].items():
-        s = int(s_str)
-        shape = tuple(td["shape"])
-        arr = (np.array(td["re"], dtype=float)
-               + 1j * np.array(td["im"], dtype=float)).reshape(shape)
-        legs = tuple(edge_key(*e) for e in td["legs"])
-        tensors[s] = TTNOTensor(s, legs, arr)
-    ttno = TTNO(tree, tensors)
-    ttno.bond_dimensions()  # shared-edge consistency
-    return ttno
+def _parsed_elements(obj: dict) -> dict:
+    """``json.load`` hook: a tensor entry's element lists become one complex
+    array as soon as the entry is parsed, so that only one tensor's floats
+    are Python objects at a time."""
+    if "re" in obj:
+        obj["elements"] = (np.array(obj.pop("re"), dtype=float)
+                           + 1j * np.array(obj.pop("im"), dtype=float))
+    return obj
 
 
 def write_ttno(ttno: TTNO, path: str) -> None:
@@ -215,4 +219,16 @@ def write_ttno(ttno: TTNO, path: str) -> None:
 
 def read_ttno(path: str) -> TTNO:
     with open(path) as fh:
-        return ttno_from_json_dict(json.load(fh))
+        data = json.load(fh, object_hook=_parsed_elements)
+    if data.get("format") != "ttno-v1":
+        raise ValidationError("not a ttno-v1 dump")
+    tree = TreeTopology.from_json_dict(data["tree"])
+    tensors = {}
+    for s_str, td in data["tensors"].items():
+        s = int(s_str)
+        arr = td["elements"].reshape(tuple(td["shape"]))
+        legs = tuple(edge_key(*e) for e in td["legs"])
+        tensors[s] = TTNOTensor(s, legs, arr)
+    ttno = TTNO(tree, tensors)
+    ttno.bond_dimensions()  # shared-edge consistency
+    return ttno

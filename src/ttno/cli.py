@@ -1,7 +1,8 @@
 """Command-line surface: build, bench, cayley, oqs, plotdata.
 
 Exit codes: 0 success, 2 parse error, 3 validation error, 4 verification
-mismatch, 5 dense cap exceeded.  CSVs carry a header row; floats are printed
+mismatch, 5 dense build too large (dense cap exceeded, or a TTNO tensor
+that cannot be allocated).  CSVs carry a header row; floats are printed
 with 17 significant digits.  Seeds are mandatory for benchmarks and seed 0
 is refused.
 """
@@ -327,8 +328,7 @@ def main(argv=None) -> int:
         print(f"parse error: {exc}", file=sys.stderr)
         return EXIT_PARSE
     except DenseCapExceededError as exc:
-        print(f"dense cap exceeded: {exc}\n"
-              "raise TTNO_DENSE_CAP or shrink the system", file=sys.stderr)
+        print(f"dense build too large: {exc}", file=sys.stderr)
         return EXIT_CAP
     except ValidationError as exc:
         print(f"validation error: {exc}", file=sys.stderr)

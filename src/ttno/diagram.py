@@ -14,6 +14,16 @@ against existing structure from the leaves upward.  A matched vertex means
 "the new term, restricted to the far side of this edge, is already present
 as a unique continuation"; everything left unmatched gets fresh vertices
 and hyperedges.  Per term exactly one new single path appears.
+
+Both stages look hyperedges up in per-site hash indexes instead of scanning
+them.  The *full* index of a site maps ``(op_id, vertex per incident edge)``
+to its hyperedge, so the graft asks once whether the new path's hyperedge
+exists.  The *open* index of a site's i-th incident edge maps ``(op_id,
+vertices on the other edges)`` to the hyperedges with that key in creation
+order (at a leaf the key is the operator alone), so the climb, which can
+extend the match only through a site with exactly one unmarked edge, looks
+up the hyperedges that agree with every mark and takes the first whose
+free vertex it may reuse: the one a scan in creation order would find.
 """
 
 from __future__ import annotations
@@ -102,7 +112,16 @@ class StateDiagram:
         self._next_vertex = 0
         self._next_hyperedge = 0
         self._identity = {s: identity(tree.phys_dim(s)) for s in tree.nodes}
-        # hyperedge candidates examined while matching (runtime-bound probe)
+        self._incident = {s: tree.incident_edges(s) for s in tree.nodes}
+        self._leaves = tree.leaves()
+        # per site: (op_id, *vertices in incident-edge order) -> hyperedge
+        self._full: dict[int, dict[tuple, HyperEdge]] = {
+            s: {} for s in tree.nodes}
+        # per site and incident edge i: (op_id, *vertices on the other
+        # edges) -> hyperedges in creation order
+        self._open: dict[int, list[dict[tuple, list[HyperEdge]]]] = {
+            s: [{} for _ in self._incident[s]] for s in tree.nodes}
+        # open-index hits examined while matching (runtime-bound probe)
         self.match_visits = 0
 
     # -- construction ------------------------------------------------------
@@ -118,12 +137,18 @@ class StateDiagram:
         return v
 
     def _new_hyperedge(self, site: int, op: SiteOperator,
-                       connected: dict[Edge, Vertex]) -> HyperEdge:
-        y = HyperEdge(self._next_hyperedge, site, op, connected)
+                       vs: tuple[Vertex, ...]) -> HyperEdge:
+        """A hyperedge at ``site`` on the vertices ``vs``, one per incident
+        edge in incident-edge order, filed in the indexes."""
+        y = HyperEdge(self._next_hyperedge, site, op,
+                      dict(zip(self._incident[site], vs)))
         self._next_hyperedge += 1
         self.eps[site].append(y)
-        for e, v in connected.items():
+        full, opens = _index_keys(op.op_id, vs)
+        self._full[site][full] = y
+        for v, index, key in zip(vs, self._open[site], opens):
             v.sides[site].append(y)
+            index.setdefault(key, []).append(y)
         return y
 
     def _want(self, term: ProductTerm, site: int) -> SiteOperator:
@@ -137,8 +162,8 @@ class StateDiagram:
         term = diagram._fold(term)
         vertices = {e: diagram._new_vertex(e) for e in tree.edges}
         for s in tree.nodes:
-            connected = {e: vertices[e] for e in tree.incident_edges(s)}
-            diagram._new_hyperedge(s, diagram._want(term, s), connected)
+            vs = tuple([vertices[e] for e in diagram._incident[s]])
+            diagram._new_hyperedge(s, diagram._want(term, s), vs)
         diagram.terms.append(term)
         diagram._term_keys.add(term.key())
         return diagram
@@ -157,25 +182,18 @@ class StateDiagram:
         # at most one mark per edge.
         marked: dict[Edge, Vertex] = {}
         if reuse:
-            for leaf in self.tree.leaves():
+            for leaf in self._leaves:
                 self._mark_matching(leaf, term, marked)
 
         for s in self.tree.nodes:
-            for e in self.tree.incident_edges(s):
+            incident = self._incident[s]
+            for e in incident:
                 if e not in marked:
                     marked[e] = self._new_vertex(e)
             want = self._want(term, s)
-            want_id = want.op_id
-            found = False
-            for y in self.eps[s]:
-                if (y.op.op_id == want_id
-                        and all(marked.get(e) is v
-                                for e, v in y.connected.items())):
-                    found = True
-                    break
-            if not found:
-                self._new_hyperedge(
-                    s, want, {e: marked[e] for e in self.tree.incident_edges(s)})
+            vs = tuple([marked[e] for e in incident])
+            if (want.op_id, *vs) not in self._full[s]:
+                self._new_hyperedge(s, want, vs)
 
         self.terms.append(term)
         self._term_keys.add(term.key())
@@ -184,36 +202,36 @@ class StateDiagram:
     def _mark_matching(self, leaf: int, term: ProductTerm,
                        marked: dict[Edge, Vertex]) -> None:
         """Climb away from a leaf, marking vertices whose far side already
-        realises the new term's factors uniquely."""
-        site, candidates = leaf, self.eps[leaf]
+        realises the new term's factors uniquely.
+
+        A hyperedge can extend the match only if it agrees with every mark
+        at its site and leaves exactly one incident edge free, so a site with
+        no or several unmarked edges ends the climb without a lookup."""
+        site = leaf
         while True:
-            want_id = self._want(term, site).op_id
-            for y in candidates:
+            incident = self._incident[site]
+            free = None
+            others = []
+            for i, e in enumerate(incident):
+                v = marked.get(e)
+                if v is not None:
+                    others.append(v)
+                elif free is None:
+                    free = i
+                else:
+                    return
+            if free is None:
+                return
+            e = incident[free]
+            key = (self._want(term, site).op_id, *others)
+            for y in self._open[site][free].get(key, ()):
                 self.match_visits += 1
-                if y.op.op_id != want_id:
-                    continue
-                free = None
-                usable = True
-                for e, v in y.connected.items():
-                    m = marked.get(e)
-                    if m is v:
-                        continue
-                    if m is not None or free is not None:
-                        # edge claimed by a different vertex, or more than
-                        # one unmarked vertex left
-                        usable = False
-                        break
-                    free = (e, v)
-                if not usable or free is None:
-                    continue
-                e, v = free
-                if len(v.sides[site]) != 1:
-                    # reusing v would drag extra hyperedges into the new path
-                    continue
-                marked[e] = v
-                site = e[0] if e[1] == site else e[1]
-                candidates = v.sides[site]
-                break
+                v = y.connected[e]
+                if len(v.sides[site]) == 1:
+                    # a shared v would drag extra hyperedges into the path
+                    marked[e] = v
+                    site = e[0] if e[1] == site else e[1]
+                    break
             else:
                 return
 
@@ -328,6 +346,20 @@ class StateDiagram:
                         f"mergeable duplicate hyperedges at site {s}: "
                         f"{y.op.label} on {sorted(combo[1])}")
                 combos.add(combo)
+            keys = [_index_keys(y.op.op_id, tuple(
+                y.connected[e] for e in self._incident[s])) for y in ys]
+            full = self._full[s]
+            if len(full) != len(ys) or any(
+                    full.get(k) is not y for y, (k, _) in zip(ys, keys)):
+                raise ValidationError(
+                    f"full index of site {s} disagrees with its hyperedges")
+            for i, index in enumerate(self._open[s]):
+                filed = [(k, y) for k, hits in index.items() for y in hits]
+                if (len(filed) != len(ys) or set(filed)
+                        != {(k[i], y) for y, (_, k) in zip(ys, keys)}):
+                    raise ValidationError(
+                        f"open index of edge {self._incident[s][i]} at site "
+                        f"{s} disagrees with its hyperedges")
 
     # -- debugging -----------------------------------------------------------
 
@@ -346,6 +378,16 @@ class StateDiagram:
 
 
 # -- module-level operations ---------------------------------------------
+
+
+def _index_keys(op_id: int,
+                vs: tuple[Vertex, ...]) -> tuple[tuple, list[tuple]]:
+    """Key of a hyperedge with operator ``op_id`` on the vertices ``vs``
+    (incident-edge order) in its site's full index, and in the open index of
+    each incident edge."""
+    return ((op_id, *vs),
+            [(op_id, *vs[:i], *vs[i + 1:]) for i in range(len(vs))])
+
 
 
 def from_hamiltonian(h: Hamiltonian, reuse: bool = True) -> StateDiagram:

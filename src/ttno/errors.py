@@ -14,7 +14,8 @@ class UnknownOperatorError(ValidationError):
 
 
 class DenseCapExceededError(RuntimeError):
-    """Total physical dimension exceeds the dense-matrix cap."""
+    """A dense build is too large: the total physical dimension exceeds the
+    dense-matrix cap, or a TTNO tensor cannot be allocated."""
 
 
 class PathCapExceededError(RuntimeError):

@@ -42,7 +42,8 @@ def dense_layout(tree: TreeTopology, ordering=None,
     limit = int(cap)
     if total > limit:
         raise DenseCapExceededError(
-            f"total dimension {total} exceeds cap {limit}")
+            f"total dimension {total} exceeds cap {limit}; raise "
+            f"TTNO_DENSE_CAP or shrink the system")
     return ordering, total
 
 

@@ -1,6 +1,7 @@
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 sys.path.insert(0, str(Path(__file__).parent))
@@ -28,6 +29,19 @@ def demo_terms():
         pauli_term({1: "X", 2: "Y", 5: "Z"}),
         pauli_term({5: "Z", 7: "X", 8: "X"}),
     ]
+
+
+def refuse_allocation(monkeypatch, shape):
+    """Make ``np.zeros`` raise MemoryError for ``shape``, as for an array
+    too large for memory, without allocating it."""
+    zeros = np.zeros
+
+    def fake(requested, *args, **kwargs):
+        if requested == shape:
+            raise MemoryError(f"cannot allocate an array of shape {shape}")
+        return zeros(requested, *args, **kwargs)
+
+    monkeypatch.setattr(np, "zeros", fake)
 
 
 @pytest.fixture

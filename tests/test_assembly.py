@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -13,7 +14,7 @@ from ttno.operators import (Hamiltonian, OperatorRegistry, ProductTerm,
 from ttno.oqs import OQSSpec, oqs_hamiltonian
 from ttno.tree import TreeTopology
 
-from conftest import demo_tree, pauli_term
+from conftest import demo_tree, pauli_term, refuse_allocation
 from oracles import pick_nonleaf_root, random_tree_edges
 
 
@@ -179,6 +180,27 @@ def test_contract_cap():
         contract_to_dense(ttno, cap=16)
 
 
+def test_unallocatable_tensor_names_site_and_shape(monkeypatch,
+                                                   demo_hamiltonian):
+    g = from_hamiltonian(demo_hamiltonian)
+    refuse_allocation(monkeypatch, (3, 2, 2, 2, 2))
+    with pytest.raises(DenseCapExceededError,
+                       match=r"site 2: .* shape \(3, 2, 2, 2, 2\)"):
+        emit_tensors(g)
+
+
+def test_tensor_beyond_address_space():
+    # 40 leaves of bond dimension 3 around site 0: its tensor would take
+    # 3**40 * 64 bytes, which numpy refuses (ValueError) before allocating
+    n = 40
+    star = TreeTopology([(0, i) for i in range(1, n + 1)], root=0)
+    h = Hamiltonian(star, [pauli_term({i: "Z"}) for i in range(1, n + 1)]
+                    + [pauli_term({i: "X", i + 1: "X"}) for i in range(1, n)])
+    g = from_hamiltonian(h)
+    with pytest.raises(DenseCapExceededError, match=r"site 0: .* \(3, 3, "):
+        emit_tensors(g)
+
+
 def test_dump_round_trip_bit_exact(tmp_path, demo_hamiltonian):
     ttno = emit_tensors(from_hamiltonian(demo_hamiltonian))
     p = tmp_path / "demo.ttno.json"
@@ -223,3 +245,18 @@ def test_dump_bytes_equal_whole_object_json_dump(tmp_path):
     p = tmp_path / "star.json"
     write_ttno(ttno, str(p))
     assert p.read_text() == json.dumps(whole)
+
+
+def test_read_parses_one_tensor_of_floats_at_a_time(tmp_path):
+    # element lists become arrays tensor by tensor; parsing the whole dump
+    # into Python floats first peaked at ~5.4x the bytes of the tensors
+    h = oqs_hamiltonian(OQSSpec(8, 4, boson_dim=4), "star")
+    p = tmp_path / "star.json"
+    write_ttno(emit_tensors(from_hamiltonian(h)), str(p))
+    tracemalloc.start()
+    try:
+        back = read_ttno(str(p))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 3 * sum(t.elements.nbytes for t in back.tensors.values())

@@ -8,7 +8,7 @@ from ttno.cli import (EXIT_CAP, EXIT_OK, EXIT_PARSE, EXIT_VALIDATION,
                       load_hamiltonian, main, verify_dump_against)
 from ttno.tree import TreeTopology
 
-from conftest import DEMO_EDGES
+from conftest import DEMO_EDGES, refuse_allocation
 
 TREE_JSON = {"root": 1, "edges": [list(e) for e in DEMO_EDGES]}
 HAM_JSON = {"terms": [
@@ -90,11 +90,23 @@ def test_build_site_mismatch(files):
     assert rc == EXIT_VALIDATION
 
 
-def test_build_cap_exceeded(files, monkeypatch):
+def test_build_cap_exceeded(files, monkeypatch, capsys):
     tmp, tree, ham = files
     monkeypatch.setenv("TTNO_DENSE_CAP", "16")
     rc = main(["build", tree, ham, "--out", str(tmp / "o.json"), "--verify"])
     assert rc == EXIT_CAP
+    assert "TTNO_DENSE_CAP" in capsys.readouterr().err
+
+
+def test_build_unallocatable_tensor(files, monkeypatch, capsys):
+    tmp, tree, ham = files
+    refuse_allocation(monkeypatch, (3, 2, 2, 2, 2))
+    rc = main(["build", tree, ham, "--out", str(tmp / "o.json")])
+    assert rc == EXIT_CAP
+    err = capsys.readouterr().err
+    assert "site 2" in err and "(3, 2, 2, 2, 2)" in err
+    # the cap does not govern emission, so the hint must not name it
+    assert "TTNO_DENSE_CAP" not in err
 
 
 def test_verification_rejects_any_corruption(files):

@@ -1,16 +1,20 @@
+import hashlib
 from collections import Counter
 
 import numpy as np
 import pytest
 
 from ttno.diagram import StateDiagram, from_hamiltonian
-from ttno.errors import DuplicateTermError, PathCapExceededError
+from ttno.errors import (DuplicateTermError, PathCapExceededError,
+                         ValidationError)
 from ttno.operators import (Hamiltonian, ProductTerm, SiteOperator,
                             random_hamiltonian)
+from ttno.oqs import TOPOLOGIES, OQSSpec, oqs_hamiltonian
 from ttno.tree import TreeTopology
 
 from conftest import demo_terms, demo_tree, pauli_term
 from oracles import pick_nonleaf_root, random_tree_edges
+from test_svdref import user_matrix_system
 
 
 def folded_keys(h):
@@ -155,8 +159,8 @@ def test_mergeability_exclusion_random_suite():
 
 
 def test_work_counter_bound_random_suite():
-    # frozen constant: max observed ratio is ~2 on the demo tree and ~5.5
-    # across small random trees
+    # frozen constant: the max observed ratio is ~0.4 on the demo tree and
+    # ~1.7 across 300 random trees of 3-11 sites
     C = 8
     rng = np.random.default_rng(77)
     tree = demo_tree()
@@ -167,6 +171,89 @@ def test_work_counter_bound_random_suite():
                                seed=(77, trial))
         g = from_hamiltonian(h)
         assert g.match_visits <= C * n_terms * n_leaves * depth
+
+
+def test_match_visits_scale_with_lookups():
+    # 40-site random recursive tree, 1,200 Pauli terms of support <= 4: the
+    # climb examines ~2.1 index hits per term and leaf, where a scan of the
+    # hyperedges at each site examined ~108
+    rng = np.random.default_rng(1)
+    edges = random_tree_edges(rng, 40)
+    tree = TreeTopology(edges, pick_nonleaf_root(edges, 40))
+    h = random_hamiltonian(tree, 1200, ("X", "Y", "Z"), 4, seed=(1, 1))
+    g = from_hamiltonian(h)
+    assert g.match_visits <= 3 * len(h.terms) * len(tree.leaves())
+
+
+def _drop_full(g):
+    del g._full[2][next(iter(g._full[2]))]
+
+
+def _refile_full(g):
+    key, y = g._full[2].popitem()
+    g._full[2][(-1, *key[1:])] = y
+
+
+def _repeat_open(g):
+    hits = next(iter(g._open[2][1].values()))
+    hits.append(hits[0])
+
+
+def _drop_open(g):
+    next(iter(g._open[2][0].values())).pop()
+
+
+def _refile_open(g):
+    key, hits = g._open[2][2].popitem()
+    g._open[2][2][(-1, *key[1:])] = hits
+
+
+@pytest.mark.parametrize("corrupt, message", [
+    (_drop_full, "full index"), (_refile_full, "full index"),
+    (_repeat_open, "open index"), (_drop_open, "open index"),
+    (_refile_open, "open index")])
+def test_validate_catches_index_drift(demo_hamiltonian, corrupt, message):
+    g = from_hamiltonian(demo_hamiltonian)
+    g.validate()
+    corrupt(g)
+    with pytest.raises(ValidationError, match=message):
+        g.validate()
+
+
+def pinned_suite():
+    """Hamiltonians whose diagram dumps are pinned by digest."""
+    rng = np.random.default_rng(4242)
+    for trial in range(200):
+        n = int(rng.integers(3, 31))
+        edges = random_tree_edges(rng, n)
+        tree = TreeTopology(edges, pick_nonleaf_root(edges, n))
+        yield random_hamiltonian(tree, int(rng.integers(1, 37)),
+                                 ("X", "Y", "Z"), int(rng.integers(2, 5)),
+                                 seed=(4242, trial))
+    for kind in TOPOLOGIES:
+        for spins, baths, boson_dim in ((2, 1, 2), (3, 2, 3), (5, 3, 2)):
+            yield oqs_hamiltonian(OQSSpec(spins, baths, g=0.3 - 0.8j,
+                                          boson_dim=boson_dim), kind)
+    rng = np.random.default_rng(8086)
+    for _ in range(10):
+        yield user_matrix_system(rng)[0]
+    x = SiteOperator("X", 2)
+    yield Hamiltonian(TreeTopology([(1, 2), (2, 3)], root=2), [
+        ProductTerm(2.0, {1: x, 2: x}),
+        ProductTerm(1.0, {1: SiteOperator("2*X", 2), 3: x})])
+
+
+# SHA-256 of the concatenated dumps, computed with the list-scanning
+# construction that the hash indexes replaced
+PINNED_DUMP_DIGEST = ("9b9153a78047f5bfa2c40194228f44dc"
+                      "f904fade5c17239d496ac7f80c68cc66")
+
+
+def test_dumps_pinned():
+    digest = hashlib.sha256()
+    for h in pinned_suite():
+        digest.update(from_hamiltonian(h).dump().encode())
+    assert digest.hexdigest() == PINNED_DUMP_DIGEST
 
 
 def test_path_cap():
