@@ -1,8 +1,17 @@
-"""Read TTNO tensors off a state diagram, and contract small TTNOs densely.
+"""Read TTNO tensors off a state diagram, contract small TTNOs densely, and
+dump them to JSON.
 
 Leg convention: parent bond first, then child bonds by ascending child id,
 then the two physical legs (row = output, column = input).  The root has no
 parent leg; its trivial leg is dropped.
+
+Dump format ``ttno-v2`` is block-sparse: ``{"format": "ttno-v2", "tree":
+..., "tensors": {"<site>": {"legs", "shape", "index", "re", "im"}}}``.
+``index`` lists the bond multi-index of every stored d x d block in
+row-major order; ``re`` and ``im`` hold those blocks' entries, row-major and
+concatenated.  A block is stored when any of its entries has a non-zero bit
+pattern, so ``-0.0`` survives and a dump reads back bit-identical.  The
+dense ``ttno-v1`` format is not read: rebuild such a dump from its inputs.
 """
 
 from __future__ import annotations
@@ -50,9 +59,16 @@ class TTNOTensor:
     def phys_dim(self) -> int:
         return self.elements.shape[-1]
 
+    def stored_blocks(self) -> np.ndarray:
+        """Boolean mask of shape ``bond_dims``: True where the d x d block
+        holds an entry whose bit pattern is not zero (so ``-0.0`` counts).
+        These are the blocks a dump stores."""
+        bits = np.ascontiguousarray(self.elements, dtype=complex)
+        bits = bits.view(np.uint64).reshape(self.bond_dims + (-1,))
+        return bits.any(axis=-1)
+
     def nonzero_slices(self) -> int:
-        flat = self.elements.reshape(-1, self.phys_dim, self.phys_dim)
-        return int(np.count_nonzero(flat.any(axis=(1, 2))))
+        return int(np.count_nonzero(self.stored_blocks()))
 
 
 @dataclass
@@ -67,6 +83,19 @@ class TTNO:
                 if dims.setdefault(e, d) != d:
                     raise ValidationError(f"bond dimension mismatch on {e}")
         return dims
+
+
+def _zeros(site: int, shape: tuple[int, ...]) -> np.ndarray:
+    """The zero tensor of ``site``; DenseCapExceededError naming the site
+    and shape if it cannot be allocated."""
+    try:
+        return np.zeros(shape, dtype=complex)
+    except (MemoryError, ValueError) as exc:
+        # ValueError: the byte count overflows the address space
+        gib = math.prod(shape) * np.dtype(complex).itemsize / 2 ** 30
+        raise DenseCapExceededError(
+            f"site {site}: the dense tensor of shape {shape} ({gib:.2f} GiB) "
+            f"cannot be allocated; shrink the system") from exc
 
 
 def emit_tensors(diagram: StateDiagram,
@@ -84,15 +113,7 @@ def emit_tensors(diagram: StateDiagram,
     for s in tree.nodes:
         legs = canonical_legs(tree, s)
         d = tree.phys_dim(s)
-        shape = tuple(dims[e] for e in legs) + (d, d)
-        try:
-            arr = np.zeros(shape, dtype=complex)
-        except (MemoryError, ValueError) as exc:
-            # ValueError: the byte count overflows the address space
-            gib = math.prod(shape) * np.dtype(complex).itemsize / 2 ** 30
-            raise DenseCapExceededError(
-                f"site {s}: the dense tensor of shape {shape} ({gib:.2f} GiB) "
-                f"cannot be allocated; shrink the system") from exc
+        arr = _zeros(s, tuple(dims[e] for e in legs) + (d, d))
         for y in diagram.eps[s]:
             idx = tuple(index[e][y.connected[e].uid] for e in legs)
             arr[idx] += registry.resolve(y.op)
@@ -155,7 +176,8 @@ def contract_to_dense(ttno: TTNO, ordering=None,
 
 
 def element_count(ttno: TTNO) -> int:
-    """Stored operator-valued entries: non-zero bond slices times d^2."""
+    """Stored operator-valued entries: stored blocks (the non-zero bond
+    slices, see ``TTNOTensor.stored_blocks``) times d^2."""
     return sum(t.nonzero_slices() * t.phys_dim ** 2
                for t in ttno.tensors.values())
 
@@ -167,68 +189,150 @@ def dense_element_count(ttno: TTNO) -> int:
 
 # -- dump format ------------------------------------------------------------
 
-# floats per json.dumps call when writing a dump: keeps every temporary
-# list and string small
+# rows (floats, or block indices) per json.dumps call when writing a dump:
+# keeps every temporary list and string small
 _DUMP_CHUNK = 4096
 
 
-def _write_floats(fh, values: np.ndarray) -> None:
-    """``json.dumps(values.tolist())``, encoded a slice at a time."""
+def _write_list(fh, rows: np.ndarray) -> None:
+    """``json.dumps(rows.tolist())``, encoded a slice of rows at a time."""
     fh.write("[")
-    for i in range(0, values.size, _DUMP_CHUNK):
+    for i in range(0, len(rows), _DUMP_CHUNK):
         if i:
             fh.write(", ")
-        fh.write(json.dumps(values[i:i + _DUMP_CHUNK].tolist())[1:-1])
+        fh.write(json.dumps(rows[i:i + _DUMP_CHUNK].tolist())[1:-1])
     fh.write("]")
 
 
-def _parsed_elements(obj: dict) -> dict:
-    """``json.load`` hook: a tensor entry's element lists become one complex
-    array as soon as the entry is parsed, so that only one tensor's floats
-    are Python objects at a time."""
-    if "re" in obj:
-        obj["elements"] = (np.array(obj.pop("re"), dtype=float)
-                           + 1j * np.array(obj.pop("im"), dtype=float))
+def _parsed_floats(obj: dict) -> dict:
+    """``json.load`` hook: a tensor entry's ``re`` and ``im`` lists become
+    float arrays as soon as the entry is parsed, so that only one tensor's
+    floats are Python objects at a time.  A value that is not a flat list
+    of numbers is left as parsed, for ``read_ttno`` to reject."""
+    for key in ("re", "im"):
+        if isinstance(obj.get(key), list):
+            try:
+                values = np.array(obj[key])
+            except (TypeError, ValueError):  # ragged nesting
+                continue
+            if values.ndim == 1 and values.dtype.kind in "fi":
+                obj[key] = values.astype(float)
     return obj
 
 
 def write_ttno(ttno: TTNO, path: str) -> None:
-    """Write the ``ttno-v1`` dump piece by piece.
+    """Write the ``ttno-v2`` dump of ``ttno`` (layout in the module
+    docstring).
 
-    The bytes are those of ``json.dump`` on the object
-    ``{"format", "tree", "tensors": {site: {"legs", "shape", "re", "im"}}}``
-    with the flattened real and imaginary parts, but every piece goes
-    through the C encoder of ``json.dumps`` and no element list is held
+    The bytes are those of ``json.dump`` on the whole object, but every
+    piece goes through the C encoder of ``json.dumps`` and no list is held
     whole.
     """
     with open(path, "w") as fh:
-        fh.write('{"format": "ttno-v1", "tree": ')
+        fh.write('{"format": "ttno-v2", "tree": ')
         fh.write(json.dumps(ttno.tree.to_json_dict()))
         fh.write(', "tensors": {')
         for i, (s, t) in enumerate(ttno.tensors.items()):
-            flat = t.elements.reshape(-1)
+            stored = t.stored_blocks()
+            entries = t.elements[stored].reshape(-1)
             fh.write(f'{", " if i else ""}"{s}": {{"legs": '
                      f'{json.dumps([list(e) for e in t.legs])}, "shape": '
-                     f'{json.dumps(list(t.elements.shape))}, "re": ')
-            _write_floats(fh, flat.real)
+                     f'{json.dumps(list(t.elements.shape))}, "index": ')
+            _write_list(fh, np.argwhere(stored))
+            fh.write(', "re": ')
+            _write_list(fh, entries.real)
             fh.write(', "im": ')
-            _write_floats(fh, flat.imag)
+            _write_list(fh, entries.imag)
             fh.write("}")
         fh.write("}}")
 
 
+def _read_tensor(tree: TreeTopology, s: int, td) -> TTNOTensor:
+    """Check one parsed tensor entry against the tree and scatter its
+    blocks into a zero tensor of its shape."""
+    def bad(message: str) -> ValidationError:
+        return ValidationError(f"ttno dump, site {s}: {message}")
+
+    if not isinstance(td, dict):
+        raise bad("the tensor entry must be an object")
+    for key in ("legs", "shape", "index", "re", "im"):
+        if key not in td:
+            raise bad(f"the tensor has no {key!r}")
+    legs = canonical_legs(tree, s)
+    if td["legs"] != [list(e) for e in legs]:
+        raise bad(f"legs {td['legs']!r} differ from the tree's "
+                  f"{[list(e) for e in legs]}")
+    shape, d = td["shape"], tree.phys_dim(s)
+    if (not isinstance(shape, list) or len(shape) != len(legs) + 2
+            or not all(type(n) is int and n >= 1 for n in shape)):
+        raise bad(f"shape {shape!r} is not a list of {len(legs) + 2} "
+                  f"positive integers")
+    if shape[-2:] != [d, d]:
+        raise bad(f"physical dimensions {shape[-2:]} disagree with the "
+                  f"tree's {d}")
+    bond, rows, seen = shape[:-2], td["index"], set()
+    if not isinstance(rows, list):
+        raise bad("'index' must be a list of bond multi-indices")
+    for r in rows:
+        if not (isinstance(r, list) and len(r) == len(bond)
+                and all(type(i) is int for i in r)):
+            raise bad(f"block index {r!r} is not a list of {len(bond)} "
+                      f"integers")
+        if not all(0 <= i < n for i, n in zip(r, bond)):
+            raise bad(f"block index {r} is out of range for bond "
+                      f"dimensions {bond}")
+        if tuple(r) in seen:
+            raise bad(f"block index {r} is listed twice")
+        seen.add(tuple(r))
+    for key in ("re", "im"):
+        if not isinstance(td[key], np.ndarray):  # left so by the hook
+            raise bad(f"{key!r} must be a flat list of numbers")
+        if td[key].size != len(rows) * d * d:
+            raise bad(f"{key!r} holds {td[key].size} numbers, not "
+                      f"{len(rows)} blocks x {d * d}")
+    arr = _zeros(s, tuple(shape))
+    strides = [math.prod(bond[i + 1:]) for i in range(len(bond))]
+    flat = (np.array(rows, dtype=np.int64).reshape(len(rows), len(bond))
+            @ np.array(strides, dtype=np.int64))
+    blocks = arr.reshape(-1, d * d)
+    # real and imaginary parts are set apart: re + 1j * im would turn an
+    # imaginary -0.0 into +0.0
+    blocks.real[flat] = td["re"].reshape(-1, d * d)
+    blocks.imag[flat] = td["im"].reshape(-1, d * d)
+    return TTNOTensor(s, legs, arr)
+
+
 def read_ttno(path: str) -> TTNO:
-    with open(path) as fh:
-        data = json.load(fh, object_hook=_parsed_elements)
-    if data.get("format") != "ttno-v1":
-        raise ValidationError("not a ttno-v1 dump")
-    tree = TreeTopology.from_json_dict(data["tree"])
-    tensors = {}
-    for s_str, td in data["tensors"].items():
-        s = int(s_str)
-        arr = td["elements"].reshape(tuple(td["shape"]))
-        legs = tuple(edge_key(*e) for e in td["legs"])
-        tensors[s] = TTNOTensor(s, legs, arr)
-    ttno = TTNO(tree, tensors)
+    """Read a ``ttno-v2`` dump back into dense tensors, bit-identical to
+    the ones written.  Malformed or inconsistent content raises
+    ValidationError naming the site or field at fault; a ``ttno-v1`` dump
+    must be rebuilt from its inputs."""
+    try:
+        with open(path) as fh:
+            data = json.load(fh, object_hook=_parsed_floats)
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+        raise ValidationError(f"ttno dump {path}: not valid JSON "
+                              f"({exc})") from exc
+    if not isinstance(data, dict):
+        raise ValidationError("ttno dump: must be a JSON object")
+    if data.get("format") != "ttno-v2":
+        raise ValidationError(
+            f"ttno dump: format {data.get('format')!r} is not read, only "
+            f"'ttno-v2'; rebuild the dump with `ttno build` or `ttno oqs`")
+    tree = TreeTopology.from_json_dict(data.get("tree"))
+    entries = data.get("tensors")
+    if not isinstance(entries, dict):
+        raise ValidationError("ttno dump: 'tensors' must be an object "
+                              "mapping site ids to tensors")
+    sites = {str(s): s for s in tree.nodes}
+    for key, s in sites.items():
+        if key not in entries:
+            raise ValidationError(f"ttno dump, site {s}: no tensor")
+    for key in entries:
+        if key not in sites:
+            raise ValidationError(f"ttno dump: tensor for {key!r}, which is "
+                                  f"not a site of the tree")
+    ttno = TTNO(tree, {sites[k]: _read_tensor(tree, sites[k], td)
+                       for k, td in entries.items()})
     ttno.bond_dimensions()  # shared-edge consistency
     return ttno

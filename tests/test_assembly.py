@@ -1,4 +1,5 @@
 import json
+import math
 import tracemalloc
 
 import numpy as np
@@ -8,7 +9,7 @@ from ttno.assembly import (_DUMP_CHUNK, assign_indices, canonical_legs,
                            contract_to_dense, dense_element_count,
                            element_count, emit_tensors, read_ttno, write_ttno)
 from ttno.diagram import StateDiagram, from_hamiltonian
-from ttno.errors import DenseCapExceededError
+from ttno.errors import DenseCapExceededError, ValidationError
 from ttno.operators import (Hamiltonian, OperatorRegistry, ProductTerm,
                             SiteOperator, random_hamiltonian, to_dense)
 from ttno.oqs import OQSSpec, oqs_hamiltonian
@@ -202,17 +203,34 @@ def test_tensor_beyond_address_space():
 
 
 def test_dump_round_trip_bit_exact(tmp_path, demo_hamiltonian):
-    ttno = emit_tensors(from_hamiltonian(demo_hamiltonian))
-    p = tmp_path / "demo.ttno.json"
-    write_ttno(ttno, str(p))
-    back = read_ttno(str(p))
-    for s, t in ttno.tensors.items():
-        assert back.tensors[s].legs == t.legs
-        assert np.array_equal(back.tensors[s].elements, t.elements)
-    # write -> read -> write is byte-stable
-    p2 = tmp_path / "again.ttno.json"
-    write_ttno(back, str(p2))
-    assert p.read_bytes() == p2.read_bytes()
+    demo = emit_tensors(from_hamiltonian(demo_hamiltonian))
+    # a block of only -0.0 entries, and a tensor with no stored block
+    edited = emit_tensors(from_hamiltonian(demo_hamiltonian))
+    t5 = edited.tensors[5]
+    zero_block = tuple(np.argwhere(~t5.stored_blocks())[0])
+    t5.elements[zero_block] = complex(-0.0, -0.0)
+    assert t5.nonzero_slices() == 5
+    edited.tensors[8].elements[...] = 0
+    assert edited.tensors[8].nonzero_slices() == 0
+    # a single-site tree: a tensor without bond legs
+    lone = TreeTopology([], root=0, nodes=[0])
+    single = emit_tensors(from_hamiltonian(Hamiltonian(lone, [ProductTerm(
+        2.0, {0: SiteOperator("X", 2)})])))
+    for name, ttno in [("demo", demo), ("edited", edited),
+                       ("single", single)]:
+        p = tmp_path / f"{name}.ttno.json"
+        write_ttno(ttno, str(p))
+        back = read_ttno(str(p))
+        assert back.tree == ttno.tree and list(back.tensors) == list(
+            ttno.tensors)
+        for s, t in ttno.tensors.items():
+            assert back.tensors[s].legs == t.legs
+            assert back.tensors[s].elements.shape == t.elements.shape
+            assert back.tensors[s].elements.tobytes() == t.elements.tobytes()
+        # write -> read -> write is byte-stable
+        p2 = tmp_path / f"{name}.again.ttno.json"
+        write_ttno(back, str(p2))
+        assert p.read_bytes() == p2.read_bytes()
 
 
 def test_dump_round_trip_preserves_irrationals(tmp_path):
@@ -231,20 +249,103 @@ def test_dump_round_trip_preserves_irrationals(tmp_path):
 
 def test_dump_bytes_equal_whole_object_json_dump(tmp_path):
     # the dump is written piece by piece; its bytes must be those of one
-    # json.dump of the whole ttno-v1 object
-    h = oqs_hamiltonian(OQSSpec(4, 4, g=np.pi + 1j / 3, boson_dim=4), "star")
+    # json.dump of the whole ttno-v2 object
+    h = oqs_hamiltonian(OQSSpec(4, 5, g=np.pi + 1j / 3, boson_dim=4), "star")
     ttno = emit_tensors(from_hamiltonian(h))
-    # a tensor spanning several encoding slices
-    assert max(t.elements.size for t in ttno.tensors.values()) > _DUMP_CHUNK
-    whole = {"format": "ttno-v1", "tree": ttno.tree.to_json_dict(),
-             "tensors": {str(s): {"legs": [list(e) for e in t.legs],
-                                  "shape": list(t.elements.shape),
-                                  "re": t.elements.real.ravel().tolist(),
-                                  "im": t.elements.imag.ravel().tolist()}
-                         for s, t in ttno.tensors.items()}}
+    # one tensor filled densely, some entries -0.0, so that its index and
+    # entry lists span several encoding slices
+    big = max(ttno.tensors.values(), key=lambda t: t.elements.size)
+    rng = np.random.default_rng(3)
+    big.elements[...] = (rng.standard_normal(big.elements.shape)
+                         + 1j * rng.standard_normal(big.elements.shape))
+    big.elements.real[rng.random(big.elements.shape) < 0.1] = -0.0
+    assert math.prod(big.bond_dims) > _DUMP_CHUNK
+
+    def entry(t):
+        index = [i for i in np.ndindex(t.bond_dims)
+                 if t.elements[i].view(np.uint64).any()]
+        blocks = [t.elements[i].ravel() for i in index]
+        return {"legs": [list(e) for e in t.legs],
+                "shape": list(t.elements.shape),
+                "index": [list(i) for i in index],
+                "re": [x.real for b in blocks for x in b.tolist()],
+                "im": [x.imag for b in blocks for x in b.tolist()]}
+
+    whole = {"format": "ttno-v2", "tree": ttno.tree.to_json_dict(),
+             "tensors": {str(s): entry(t) for s, t in ttno.tensors.items()}}
     p = tmp_path / "star.json"
     write_ttno(ttno, str(p))
-    assert p.read_text() == json.dumps(whole)
+    same = p.read_text() == json.dumps(whole)  # no diff of MB-long strings
+    assert same
+
+
+def test_dump_size_bounded_by_stored_elements(tmp_path):
+    # bytes grow with the stored entries, not with the dense tensors: the
+    # dense ttno-v1 layout wrote 541,642 B for this star
+    ttno = emit_tensors(from_hamiltonian(
+        oqs_hamiltonian(OQSSpec(8, 4, boson_dim=4), "star")))
+    p = tmp_path / "star.json"
+    write_ttno(ttno, str(p))
+    assert (p.stat().st_size
+            <= 64 * element_count(ttno) + 256 * len(ttno.tensors))
+
+
+def _truncate(text):
+    return text[:len(text) // 2]
+
+
+def _edit(fn):
+    def apply(text):
+        data = json.loads(text)
+        fn(data)
+        return json.dumps(data)
+    return apply
+
+
+def _tensor(data, s):
+    return data["tensors"][str(s)]
+
+
+@pytest.mark.parametrize("corrupt, message", [
+    (_truncate, "not valid JSON"),
+    (_edit(lambda d: d.update(format="ttno-v1")),
+     "format 'ttno-v1' is not read.*rebuild"),
+    (_edit(lambda d: d["tensors"].pop("8")), "site 8: no tensor"),
+    (_edit(lambda d: d["tensors"].update({"9": _tensor(d, 8)})),
+     "tensor for '9', which is not a site"),
+    (_edit(lambda d: _tensor(d, 5).pop("index")), "site 5: .* no 'index'"),
+    (_edit(lambda d: _tensor(d, 5)["legs"].reverse()), "site 5: legs"),
+    (_edit(lambda d: _tensor(d, 5).update(shape=[3, 2, 2, 2])),
+     r"site 5: shape \[3, 2, 2, 2\] is not a list of 5"),
+    (_edit(lambda d: _tensor(d, 5).update(shape=[3, 2, 2, "2", 2])),
+     "site 5: shape"),
+    (_edit(lambda d: _tensor(d, 8).update(shape=[2, 3, 3])),
+     r"site 8: physical dimensions \[3, 3\] disagree with the tree's 2"),
+    (_edit(lambda d: _tensor(d, 5)["index"].__setitem__(0, [0, 2, 0])),
+     r"site 5: block index \[0, 2, 0\] is out of range"),
+    (_edit(lambda d: _tensor(d, 5)["index"].__setitem__(0, [0, -1, 0])),
+     "site 5: .* out of range"),
+    (_edit(lambda d: _tensor(d, 5)["index"].__setitem__(0, [0, 0.5, 0])),
+     "site 5: block index .* is not a list of 3 integers"),
+    (_edit(lambda d: _tensor(d, 5)["index"].append(_tensor(d, 5)["index"][1])),
+     "site 5: block index .* is listed twice"),
+    (_edit(lambda d: _tensor(d, 5)["re"].pop()),
+     "site 5: 're' holds 15 numbers, not 4 blocks x 4"),
+    (_edit(lambda d: _tensor(d, 5)["im"].append(0.0)),
+     "site 5: 'im' holds 17 numbers"),
+    (_edit(lambda d: _tensor(d, 5)["re"].__setitem__(0, "0.0")),
+     "site 5: 're' must be a flat list of numbers"),
+], ids=["truncated", "format_v1", "missing_site", "unknown_site",
+        "missing_field", "legs", "shape_length", "shape_type", "phys_dim",
+        "index_range", "index_negative", "index_type", "index_duplicate",
+        "re_length", "im_length", "re_type"])
+def test_read_rejects_malformed_dump(tmp_path, demo_hamiltonian, corrupt,
+                                     message):
+    p = tmp_path / "demo.json"
+    write_ttno(emit_tensors(from_hamiltonian(demo_hamiltonian)), str(p))
+    p.write_text(corrupt(p.read_text()))
+    with pytest.raises(ValidationError, match=message):
+        read_ttno(str(p))
 
 
 def test_read_parses_one_tensor_of_floats_at_a_time(tmp_path):
