@@ -8,7 +8,7 @@ from .operators import (DEFAULT_REGISTRY, Hamiltonian, OperatorRegistry,
                         ProductTerm, SiteOperator, fold_coefficient,
                         random_hamiltonian, to_dense)
 from .svdref import BenchRecord, BondReport, optimal_bond_dims, r_diff, run_bench
-from .tree import Route, TreeTopology, edge_key
+from .tree import TreeTopology, edge_key
 
 __all__ = [
     "TTNO", "TTNOTensor", "assign_indices", "contract_to_dense",
@@ -17,7 +17,7 @@ __all__ = [
     "DEFAULT_REGISTRY", "Hamiltonian", "OperatorRegistry", "ProductTerm",
     "SiteOperator", "fold_coefficient", "random_hamiltonian", "to_dense",
     "BenchRecord", "BondReport", "optimal_bond_dims", "r_diff", "run_bench",
-    "Route", "TreeTopology", "edge_key",
+    "TreeTopology", "edge_key",
 ]
 
 __version__ = "0.1.0"

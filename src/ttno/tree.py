@@ -7,9 +7,9 @@ Canonical iteration order is ascending site id everywhere.
 
 from __future__ import annotations
 
-import json
 from collections import deque
 from dataclasses import dataclass
+from functools import cached_property
 
 from .errors import ValidationError
 
@@ -27,6 +27,53 @@ class Route:
 
     nodes: tuple[int, ...]
     edges: tuple[Edge, ...]
+
+
+class LeafRooting:
+    """A tree rooted at its last leaf ``leaf = tree.leaves()[-1]``.
+
+    ``incident[s]`` is ``tree.incident_edges(s)``.  ``up[s]`` is the
+    neighbour of ``s`` toward ``leaf`` (None at ``leaf``) and ``kids[s]``
+    the other neighbours, in neighbour order; ``far[s]`` names each edge of
+    ``s``, in neighbour order, by its endpoint farther from ``leaf``.
+    ``up_slot[s]`` is the position of ``up[s]`` in ``neighbours(s)`` and
+    ``down_slot[s]`` that of ``s`` in ``neighbours(up[s])``.  ``order``
+    lists every site after its ``up``.  ``depth[s]`` counts the edges to
+    ``leaf``, and ``span[s]`` is the half-open preorder range of the sites
+    at or below ``s``, so ``a`` is ``b`` or lies toward ``leaf`` from it
+    exactly when ``span[a][0] <= span[b][0] < span[a][1]``.
+    """
+
+    def __init__(self, tree: "TreeTopology"):
+        self.leaf = leaf = tree.leaves()[-1]
+        nbrs = {s: tree.neighbours(s) for s in tree.nodes}
+        self.incident = {s: tree.incident_edges(s) for s in tree.nodes}
+        up: dict[int, int | None] = {leaf: None}
+        depth = {leaf: 0}
+        order = [leaf]
+        for s in order:
+            for n in nbrs[s]:
+                if n not in up:
+                    up[n] = s
+                    depth[n] = depth[s] + 1
+                    order.append(n)
+        self.up, self.depth, self.order = up, depth, tuple(order)
+        self.kids = {s: tuple(n for n in nbrs[s] if n != up[s])
+                     for s in order}
+        self.far = {s: tuple(s if n == up[s] else n for n in nbrs[s])
+                    for s in order}
+        self.up_slot = {s: nbrs[s].index(up[s]) for s in order[1:]}
+        self.down_slot = {s: nbrs[up[s]].index(s) for s in order[1:]}
+        size = {}
+        for s in reversed(order):
+            size[s] = 1 + sum(size[c] for c in self.kids[s])
+        first = {leaf: 0}
+        for s in order:
+            nxt = first[s] + 1
+            for c in self.kids[s]:
+                first[c] = nxt
+                nxt += size[c]
+        self.span = {s: (first[s], first[s] + size[s]) for s in order}
 
 
 class TreeTopology:
@@ -182,30 +229,6 @@ class TreeTopology:
     def distance(self, a: int, b: int) -> int:
         return len(self.route(a, b).edges)
 
-    def ball(self, center: int, radius: int) -> set[int]:
-        """All sites within ``radius`` of ``center``."""
-        self._check(center)
-        if radius < 0:
-            raise ValidationError("radius must be >= 0")
-        out = {center}
-        frontier = [center]
-        for _ in range(radius):
-            nxt = []
-            for s in frontier:
-                for n in self._adj[s]:
-                    if n not in out:
-                        out.add(n)
-                        nxt.append(n)
-            frontier = nxt
-        return out
-
-    def boundary(self, center: int, radius: int) -> set[int]:
-        """Sites at distance exactly ``radius`` from ``center``."""
-        if radius == 0:
-            self._check(center)
-            return {center}
-        return self.ball(center, radius) - self.ball(center, radius - 1)
-
     def subtree(self, s: int) -> set[int]:
         """Sites whose route to the root passes through ``s`` (incl. ``s``)."""
         self._check(s)
@@ -216,6 +239,11 @@ class TreeTopology:
             out.add(c)
             stack.extend(self._children[c])
         return out
+
+    @cached_property
+    def last_leaf_rooting(self) -> LeafRooting:
+        """This tree rooted at its last leaf, computed once per tree."""
+        return LeafRooting(self)
 
     # -- misc ----------------------------------------------------------------
 
@@ -277,10 +305,3 @@ class TreeTopology:
             nodes = [root]
         return cls(edges, root, phys, nodes=nodes)
 
-
-def tree_from_json(text: str) -> TreeTopology:
-    return TreeTopology.from_json_dict(json.loads(text))
-
-
-def tree_to_json(tree: TreeTopology) -> str:
-    return json.dumps(tree.to_json_dict(), indent=2, sort_keys=True)

@@ -1,3 +1,4 @@
+import json
 import sys
 from pathlib import Path
 
@@ -6,6 +7,7 @@ import pytest
 
 sys.path.insert(0, str(Path(__file__).parent))
 
+from ttno.errors import ValidationError
 from ttno.operators import Hamiltonian, ProductTerm, SiteOperator
 from ttno.tree import TreeTopology
 
@@ -14,6 +16,40 @@ DEMO_EDGES = [(1, 2), (2, 3), (2, 4), (1, 5), (5, 6), (5, 7), (7, 8)]
 
 def demo_tree(root=1):
     return TreeTopology(DEMO_EDGES, root=root)
+
+
+def ball(tree, center, radius):
+    """All sites within ``radius`` of ``center``."""
+    tree.neighbours(center)  # rejects an unknown site
+    if radius < 0:
+        raise ValidationError("radius must be >= 0")
+    out = {center}
+    frontier = [center]
+    for _ in range(radius):
+        nxt = []
+        for s in frontier:
+            for n in tree.neighbours(s):
+                if n not in out:
+                    out.add(n)
+                    nxt.append(n)
+        frontier = nxt
+    return out
+
+
+def boundary(tree, center, radius):
+    """Sites at distance exactly ``radius`` from ``center``."""
+    if radius == 0:
+        tree.neighbours(center)
+        return {center}
+    return ball(tree, center, radius) - ball(tree, center, radius - 1)
+
+
+def tree_from_json(text):
+    return TreeTopology.from_json_dict(json.loads(text))
+
+
+def tree_to_json(tree):
+    return json.dumps(tree.to_json_dict(), indent=2, sort_keys=True)
 
 
 def pauli_term(assignments):

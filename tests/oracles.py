@@ -2,15 +2,18 @@
 
 These deliberately avoid the package's own code paths: BFS on a raw edge
 list, an element-wise Kronecker sum, and a recursive-attachment random tree
-generator.  The one exception is the dense rank oracle, which builds on
-``to_dense`` (itself checked against the element-wise sum) and stands
-apart from the term-based ``optimal_bond_dims`` it checks.
+generator.  Two build on package code.  The dense rank oracle uses
+``to_dense`` (itself checked against the element-wise sum) and stands apart
+from the term-based ``optimal_bond_dims`` it checks.  The reference diagram
+construction uses the diagram's vertices, hyperedges and hash indexes but
+none of the support-local matching it checks.
 """
 
 from collections import deque
 
 import numpy as np
 
+from ttno.diagram import StateDiagram
 from ttno.operators import to_dense
 from ttno.svdref import RANK_REL_TOL
 
@@ -122,3 +125,56 @@ def dense_bond_dims(h, registry=None):
             rank = int(np.count_nonzero(sv > RANK_REL_TOL * sv[0]))
         out[e] = max(rank, 1)
     return out
+
+
+def reference_diagram(h, reuse=None, leaves=None):
+    """``from_hamiltonian(h)`` built by climbs from every leaf and a graft
+    over every site, the construction that support-local matching replaced.
+
+    Per term, a climb starts at each leaf in ``leaves`` order (default
+    ``tree.leaves()``) and passes a site that has exactly one unmarked edge,
+    marking it with the first vertex the site's open index offers that no
+    other hyperedge at the site shares; then every site, in site order,
+    gets fresh vertices on its unmarked edges and the path's hyperedge if it
+    is missing.  ``reuse[i]`` false skips the climbs for term i (the first
+    term has no climbs).  Only the diagram's indexes are used; its
+    identity-message caches go stale.
+    """
+    terms = h.folded_terms()
+    g = StateDiagram.from_single_term(h.tree, terms[0])
+    for i, term in enumerate(terms[1:], 1):
+        marked = {}
+        if reuse is None or reuse[i]:
+            for leaf in leaves or h.tree.leaves():
+                _climb(g, leaf, term, marked)
+        for s in h.tree.nodes:
+            incident = g._incident[s]
+            for e in incident:
+                if e not in marked:
+                    marked[e] = g._new_vertex(e)
+            want = g._want(term, s)
+            vs = tuple(marked[e] for e in incident)
+            if (want.op_id, *vs) not in g._full[s]:
+                g._new_hyperedge(s, want, vs)
+        g.terms.append(term)
+    return g
+
+
+def _climb(g, site, term, marked):
+    while True:
+        incident = g._incident[site]
+        unmarked = [i for i, e in enumerate(incident) if e not in marked]
+        if len(unmarked) != 1:
+            return
+        free = unmarked[0]
+        e = incident[free]
+        key = (g._want(term, site).op_id,
+               *(marked[f] for f in incident if f != e))
+        for y in g._open[site][free].get(key, ()):
+            v = y.connected[e]
+            if len(v.sides[site]) == 1:
+                marked[e] = v
+                site = e[0] if e[1] == site else e[1]
+                break
+        else:
+            return

@@ -1,4 +1,5 @@
 import hashlib
+import math
 from collections import Counter
 
 import numpy as np
@@ -13,7 +14,7 @@ from ttno.oqs import TOPOLOGIES, OQSSpec, oqs_hamiltonian
 from ttno.tree import TreeTopology
 
 from conftest import demo_terms, demo_tree, pauli_term
-from oracles import pick_nonleaf_root, random_tree_edges
+from oracles import pick_nonleaf_root, random_tree_edges, reference_diagram
 from test_svdref import user_matrix_system
 
 
@@ -160,7 +161,7 @@ def test_mergeability_exclusion_random_suite():
 
 def test_work_counter_bound_random_suite():
     # frozen constant: the max observed ratio is ~0.4 on the demo tree and
-    # ~1.7 across 300 random trees of 3-11 sites
+    # ~1.4 across 300 random trees of 3-11 sites
     C = 8
     rng = np.random.default_rng(77)
     tree = demo_tree()
@@ -175,8 +176,9 @@ def test_work_counter_bound_random_suite():
 
 def test_match_visits_scale_with_lookups():
     # 40-site random recursive tree, 1,200 Pauli terms of support <= 4: the
-    # climb examines ~2.1 index hits per term and leaf, where a scan of the
-    # hyperedges at each site examined ~108
+    # messages and cache refreshes examine ~0.6 index hits per term and
+    # leaf, where climbs from every leaf examined ~2.1 and a scan of the
+    # hyperedges at each site ~108
     rng = np.random.default_rng(1)
     edges = random_tree_edges(rng, 40)
     tree = TreeTopology(edges, pick_nonleaf_root(edges, 40))
@@ -208,10 +210,44 @@ def _refile_open(g):
     g._open[2][2][(-1, *key[1:])] = hits
 
 
+def _forget_up_message(g):
+    s = next(s for s, v in g._up_id.items() if v is not None)
+    g._up_id[s] = None
+
+
+def _swap_up_messages(g):
+    a, b = [s for s, v in g._up_id.items() if v is not None][:2]
+    g._up_id[a], g._up_id[b] = g._up_id[b], g._up_id[a]
+
+
+def _invent_down_message(g):
+    s = next(s for s, v in g._down_id.items() if v is None)
+    g._down_id[s] = g.w[next(iter(g.w))][0]
+
+
+def _file_above_broken(g):
+    # broken too, but not a lowest member
+    g._broken.add(g._rooting.up[next(iter(g._broken))])
+
+
+def _unfile_broken(g):
+    g._broken.pop()
+
+
+def _file_unbroken(g):
+    g._broken.add(next(s for s, v in g._up_id.items() if v is not None))
+
+
 @pytest.mark.parametrize("corrupt, message", [
     (_drop_full, "full index"), (_refile_full, "full index"),
     (_repeat_open, "open index"), (_drop_open, "open index"),
-    (_refile_open, "open index")])
+    (_refile_open, "open index"),
+    (_forget_up_message, "identity message on edge"),
+    (_swap_up_messages, "identity message on edge"),
+    (_invent_down_message, "identity message on edge"),
+    (_file_above_broken, "broken-channel index"),
+    (_unfile_broken, "broken-channel index"),
+    (_file_unbroken, "broken-channel index")])
 def test_validate_catches_index_drift(demo_hamiltonian, corrupt, message):
     g = from_hamiltonian(demo_hamiltonian)
     g.validate()
@@ -298,3 +334,144 @@ def test_dump_is_stable(demo_hamiltonian):
     b = from_hamiltonian(demo_hamiltonian).dump()
     assert a == b
     assert "w(1, 2):" in a and "eps[1]:" in a
+
+
+def build(h, reuse=None):
+    """``from_hamiltonian(h)``, or with ``reuse[i]`` passed to the i-th
+    ``add_term``, validating the diagram after every term."""
+    terms = h.folded_terms()
+    g = StateDiagram.from_single_term(h.tree, terms[0])
+    g.validate()
+    for i, term in enumerate(terms[1:], 1):
+        g.add_term(term, reuse=True if reuse is None else reuse[i])
+        g.validate()
+    return g
+
+
+def assert_matches_reference(h, reuse=None):
+    assert build(h, reuse).dump() == reference_diagram(h, reuse).dump()
+
+
+def oracle_suite():
+    """Random trees of 1-31 sites with random roots (degree-1 roots too),
+    support bounds None/2/3/4; every third system has scaled terms and an
+    unscaled factor-free term at a random position."""
+    rng = np.random.default_rng(6060)
+    for trial in range(320):
+        n = int(rng.integers(1, 32))
+        tree = TreeTopology(random_tree_edges(rng, n), int(rng.integers(n)),
+                            nodes=range(n))
+        support = (None, 2, 3, 4)[trial % 4]
+        k = n if support is None else min(support, n)
+        n_possible = sum(math.comb(n, j) * 3 ** j for j in range(1, k + 1))
+        h = random_hamiltonian(tree, min(int(rng.integers(1, 40)), n_possible),
+                               ("X", "Y", "Z"), support, seed=(6060, trial))
+        if trial % 3 == 0:
+            terms = [ProductTerm(complex(rng.choice([1, -2, 0.5j])), t.factors)
+                     for t in h.terms]
+            terms.insert(int(rng.integers(len(terms) + 1)),
+                         ProductTerm(1.0, {}))
+            h = Hamiltonian(tree, terms)
+        yield trial, h
+
+
+def assert_built_as_reference(h, label):
+    g = from_hamiltonian(h)
+    g.validate()
+    assert g.dump() == reference_diagram(h).dump(), label
+
+
+@pytest.mark.filterwarnings("ignore:root has a single neighbour")
+def test_matches_reference_construction_on_random_trees():
+    for trial, h in oracle_suite():
+        assert_built_as_reference(h, trial)
+
+
+def test_matches_reference_construction_on_oqs_and_random40():
+    for kind in TOPOLOGIES:
+        for spins, baths, boson_dim in ((2, 1, 2), (3, 2, 3), (5, 3, 2),
+                                        (8, 4, 4), (24, 6, 4)):
+            assert_built_as_reference(oqs_hamiltonian(
+                OQSSpec(spins, baths, g=0.3 - 0.8j, boson_dim=boson_dim),
+                kind), (kind, spins, baths))
+    rng = np.random.default_rng(1)
+    edges = random_tree_edges(rng, 40)
+    tree = TreeTopology(edges, pick_nonleaf_root(edges, 40))
+    for seed in (1, 2):
+        assert_built_as_reference(random_hamiltonian(
+            tree, 1200, ("X", "Y", "Z"), 4, seed=(seed, 1)), seed)
+
+
+X2, Y2, Z2 = (SiteOperator(label, 2) for label in "XYZ")
+
+
+@pytest.mark.parametrize("edges, root, terms", [
+    # the last leaf, 2, carries a factor: its own climb depends on the term
+    ([(0, 1), (1, 2)], 1, [{0: X2, 1: X2}, {2: Z2}]),
+    # the descent enters site 1, outside Steiner({2}), whose kid 0 sends
+    # the cached identity message
+    ([(0, 1), (1, 2), (2, 3)], 2,
+     [{0: Z2, 2: Z2}, {1: Z2, 2: Z2}, {2: Z2}]),
+    # a root with one neighbour never sends
+    ([(0, 1)], 1, [{0: X2}, {1: Z2}, {0: X2, 1: Z2}, {0: Z2}]),
+    ([(0, 1)], 0, [{0: X2}, {1: Z2}, {0: X2, 1: Z2}, {0: Z2}]),
+    # a single site
+    ([], 0, [{0: X2}, {0: Z2}, {}, (2.0, {0: Y2})]),
+    # factor-free terms, unscaled and scaled, first and later
+    ([(1, 2), (2, 3), (2, 4)], 2, [{}, {1: X2, 3: X2}, {3: X2}]),
+    ([(1, 2), (2, 3), (2, 4)], 2, [{3: X2}, {}, {1: Z2}, (-1.0, {})]),
+])
+def test_matches_reference_construction_on_edge_cases(edges, root, terms):
+    nodes = {s for e in edges for s in e} or {root}
+    tree = TreeTopology(edges, root, nodes=nodes)
+    h = Hamiltonian(tree, [ProductTerm(*t) if isinstance(t, tuple)
+                           else ProductTerm(1.0, t) for t in terms])
+    assert_matches_reference(h)
+
+
+def test_naive_terms_interleave_with_matched_ones():
+    # the identity-message caches follow what the naive graft adds
+    rng = np.random.default_rng(909)
+    for trial in range(60):
+        n = int(rng.integers(1, 12))
+        tree = TreeTopology(random_tree_edges(rng, n), int(rng.integers(n)),
+                            nodes=range(n))
+        h = random_hamiltonian(tree, min(int(rng.integers(2, 25)), 2 * n),
+                               ("X", "Z"), 2, seed=(909, trial))
+        reuse = [bool(b) for b in rng.integers(0, 2, len(h.terms))]
+        assert_matches_reference(h, reuse)
+
+
+def test_marks_depend_on_the_order_of_leaf_climbs():
+    # rooted at 2 the leaves are 1 and 3; the construction climbs from the
+    # last leaf last, so X@1 Z@3 reuses the Z@3 path, while climbing from 3
+    # first would reuse the X@1 path
+    tree = TreeTopology([(1, 2), (2, 3)], root=2)
+    h = Hamiltonian(tree, [pauli_term({1: "X"}), pauli_term({3: "Z"}),
+                           pauli_term({1: "X", 3: "Z"})])
+    dump = from_hamiltonian(h).dump()
+    assert dump == reference_diagram(h).dump() == (
+        "tree root=2 edges=[(1, 2), (2, 3)]\n"
+        "w(1, 2): v0 v2\n"
+        "w(2, 3): v1 v3\n"
+        "eps[1]: (1, X, v0)\n"
+        "eps[1]: (1, I, v2)\n"
+        "eps[2]: (2, I, v0 v1)\n"
+        "eps[2]: (2, I, v2 v3)\n"
+        "eps[3]: (3, I, v1)\n"
+        "eps[3]: (3, Z, v3)\n"
+        "eps[3]: (3, Z, v1)\n")
+    assert reference_diagram(h, leaves=(3, 1)).dump() != dump
+
+
+def test_match_visits_linear_on_chain():
+    # each term examines ~2 open-index hits: its own few sites, with the
+    # rest of the chain taken from the identity-message caches
+    n = 2000
+    chain = TreeTopology([(i, i + 1) for i in range(n - 1)], root=1)
+    h = Hamiltonian(chain, [ProductTerm(-1.0, {i: X2, i + 1: X2})
+                            for i in range(n - 1)]
+                    + [ProductTerm(0.5, {i: Z2}) for i in range(n)])
+    g = from_hamiltonian(h)
+    assert max(g.bond_dimensions().values()) == 3
+    assert g.match_visits <= 4 * len(h.terms)

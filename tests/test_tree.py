@@ -4,9 +4,10 @@ import numpy as np
 import pytest
 
 from ttno.errors import ValidationError
-from ttno.tree import TreeTopology, edge_key, tree_from_json, tree_to_json
+from ttno.tree import TreeTopology, edge_key
 
-from conftest import DEMO_EDGES, demo_tree
+from conftest import (DEMO_EDGES, ball, boundary, demo_tree, tree_from_json,
+                      tree_to_json)
 from oracles import bfs_distance, pick_nonleaf_root, random_tree_edges
 
 
@@ -37,19 +38,19 @@ def test_route_endpoints_and_length(tree):
 
 
 def test_ball_examples(tree):
-    assert tree.ball(1, 0) == {1}
-    assert tree.ball(1, 1) == {1, 2, 5}
-    assert tree.boundary(1, 2) == {3, 4, 6, 7}
+    assert ball(tree, 1, 0) == {1}
+    assert ball(tree, 1, 1) == {1, 2, 5}
+    assert boundary(tree, 1, 2) == {3, 4, 6, 7}
 
 
 def test_ball_covers_everything(tree):
     for s in tree.nodes:
         ecc = max(tree.distance(s, t) for t in tree.nodes)
-        assert tree.ball(s, ecc) == set(tree.nodes)
+        assert ball(tree, s, ecc) == set(tree.nodes)
         # boundary slices partition each ball
         union = set()
         for r in range(ecc + 1):
-            shell = tree.boundary(s, r)
+            shell = boundary(tree, s, r)
             assert not (union & shell)
             union |= shell
         assert union == set(tree.nodes)
@@ -90,7 +91,7 @@ def test_unknown_site_rejected(tree):
     with pytest.raises(ValidationError):
         tree.subtree(0)
     with pytest.raises(ValidationError):
-        tree.ball(42, 1)
+        ball(tree, 42, 1)
 
 
 def test_random_trees_match_bfs_oracle():
