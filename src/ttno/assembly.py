@@ -5,13 +5,16 @@ Leg convention: parent bond first, then child bonds by ascending child id,
 then the two physical legs (row = output, column = input).  The root has no
 parent leg; its trivial leg is dropped.
 
-Dump format ``ttno-v2`` is block-sparse: ``{"format": "ttno-v2", "tree":
-..., "tensors": {"<site>": {"legs", "shape", "index", "re", "im"}}}``.
-``index`` lists the bond multi-index of every stored d x d block in
-row-major order; ``re`` and ``im`` hold those blocks' entries, row-major and
-concatenated.  A block is stored when any of its entries has a non-zero bit
-pattern, so ``-0.0`` survives and a dump reads back bit-identical.  The
-dense ``ttno-v1`` format is not read: rebuild such a dump from its inputs.
+A tensor is held as its stored d x d blocks, in the layout of the dump:
+``index`` lists the bond multi-index of every stored block in row-major
+order and ``blocks`` holds those blocks.  A block is stored when any of its
+entries has a non-zero bit pattern, so ``-0.0`` survives and a dump reads
+back bit-identical.  The dense array is built only on request, to verify.
+
+Dump format ``ttno-v2``: ``{"format": "ttno-v2", "tree": ..., "tensors":
+{"<site>": {"legs", "shape", "index", "re", "im"}}}``, where ``re`` and
+``im`` hold the blocks' entries, row-major and concatenated.  The dense
+``ttno-v1`` format is not read: rebuild such a dump from its inputs.
 """
 
 from __future__ import annotations
@@ -47,28 +50,57 @@ def canonical_legs(tree: TreeTopology, site: int) -> tuple[Edge, ...]:
 
 @dataclass
 class TTNOTensor:
+    """One site's tensor of shape ``(*bond_dims, d, d)``, held as its stored
+    blocks: ``blocks[k]`` sits at bond multi-index ``index[k]``."""
     site: int
     legs: tuple[Edge, ...]
-    elements: np.ndarray  # shape (*bond_dims, d, d)
+    shape: tuple[int, ...]
+    index: np.ndarray  # (n_blocks, n_legs) int64, rows in row-major order
+    blocks: np.ndarray  # (n_blocks, d, d) complex
+
+    @classmethod
+    def from_blocks(cls, site: int, legs: tuple[Edge, ...],
+                    shape: tuple[int, ...], pairs) -> "TTNOTensor":
+        """The tensor holding the sums of ``(multi-index, d x d matrix)``
+        pairs: matrices on one multi-index add up in pair order, starting
+        from a block of ``+0.0``; sums whose entries are all ``+0.0`` are
+        not stored."""
+        d, zero = shape[-1], np.zeros(shape[-2:], dtype=complex)
+        sums: dict[tuple[int, ...], np.ndarray] = {}
+        for idx, matrix in pairs:
+            sums[idx] = sums.get(idx, zero) + matrix
+        keys = sorted(sums)
+        index = np.array(keys, dtype=np.int64).reshape(len(keys), len(legs))
+        blocks = np.array([sums[k] for k in keys], complex).reshape(-1, d, d)
+        kept = blocks.view(np.uint64).any(axis=(1, 2))
+        return cls(site, tuple(legs), tuple(shape), index[kept], blocks[kept])
 
     @property
     def bond_dims(self) -> tuple[int, ...]:
-        return self.elements.shape[:-2]
+        return self.shape[:-2]
 
     @property
     def phys_dim(self) -> int:
-        return self.elements.shape[-1]
+        return self.shape[-1]
 
-    def stored_blocks(self) -> np.ndarray:
-        """Boolean mask of shape ``bond_dims``: True where the d x d block
-        holds an entry whose bit pattern is not zero (so ``-0.0`` counts).
-        These are the blocks a dump stores."""
-        bits = np.ascontiguousarray(self.elements, dtype=complex)
-        bits = bits.view(np.uint64).reshape(self.bond_dims + (-1,))
-        return bits.any(axis=-1)
-
-    def nonzero_slices(self) -> int:
-        return int(np.count_nonzero(self.stored_blocks()))
+    @property
+    def elements(self) -> np.ndarray:
+        """The dense tensor, built read-only on each access; a tensor too
+        large to allocate raises DenseCapExceededError naming its site and
+        shape."""
+        try:
+            arr = np.zeros(self.shape, dtype=complex)
+        except (MemoryError, ValueError) as exc:
+            # ValueError: the byte count overflows the address space
+            gib = math.prod(self.shape) * np.dtype(complex).itemsize / 2 ** 30
+            raise DenseCapExceededError(
+                f"site {self.site}: the dense tensor of shape {self.shape} "
+                f"({gib:.2f} GiB) cannot be allocated; shrink the "
+                f"system") from exc
+        if len(self.blocks):  # arr[()] cannot take zero blocks
+            arr[tuple(self.index.T)] = self.blocks
+        arr.flags.writeable = False
+        return arr
 
 
 @dataclass
@@ -85,26 +117,10 @@ class TTNO:
         return dims
 
 
-def _zeros(site: int, shape: tuple[int, ...]) -> np.ndarray:
-    """The zero tensor of ``site``; DenseCapExceededError naming the site
-    and shape if it cannot be allocated."""
-    try:
-        return np.zeros(shape, dtype=complex)
-    except (MemoryError, ValueError) as exc:
-        # ValueError: the byte count overflows the address space
-        gib = math.prod(shape) * np.dtype(complex).itemsize / 2 ** 30
-        raise DenseCapExceededError(
-            f"site {site}: the dense tensor of shape {shape} ({gib:.2f} GiB) "
-            f"cannot be allocated; shrink the system") from exc
-
-
 def emit_tensors(diagram: StateDiagram,
                  registry: OperatorRegistry | None = None) -> TTNO:
-    """Dense tensors from the diagram; hyperedges on the same multi-index
-    accumulate additively (their label matrices sum into one element).
-
-    A tensor too large to allocate raises DenseCapExceededError naming its
-    site and shape."""
+    """Tensors from the diagram; hyperedges on the same multi-index
+    accumulate additively (their label matrices sum into one block)."""
     registry = registry or DEFAULT_REGISTRY
     index = assign_indices(diagram)
     tree = diagram.tree
@@ -112,12 +128,10 @@ def emit_tensors(diagram: StateDiagram,
     tensors: dict[int, TTNOTensor] = {}
     for s in tree.nodes:
         legs = canonical_legs(tree, s)
-        d = tree.phys_dim(s)
-        arr = _zeros(s, tuple(dims[e] for e in legs) + (d, d))
-        for y in diagram.eps[s]:
-            idx = tuple(index[e][y.connected[e].uid] for e in legs)
-            arr[idx] += registry.resolve(y.op)
-        tensors[s] = TTNOTensor(s, legs, arr)
+        shape = tuple(dims[e] for e in legs) + (tree.phys_dim(s),) * 2
+        pairs = ((tuple(index[e][y.connected[e].uid] for e in legs),
+                  registry.resolve(y.op)) for y in diagram.eps[s])
+        tensors[s] = TTNOTensor.from_blocks(s, legs, shape, pairs)
     return TTNO(tree, tensors)
 
 
@@ -131,60 +145,45 @@ def contract_to_dense(ttno: TTNO, ordering=None,
     """
     tree = ttno.tree
     ordering, total = dense_layout(tree, ordering, cap)
-
-    def sub(site: int) -> tuple[np.ndarray, list[int]]:
-        """Contract the subtree at ``site``.
-
-        Returns an array shaped (parent_dim, OUT, IN) -- parent axis omitted
-        at the root -- plus the site order of the flattened OUT/IN axes.
-        """
-        t = ttno.tensors[site]
-        arr = t.elements
-        kids = tree.children(site)
-        has_parent = tree.parent(site) is not None
-        # current axes: (parent?, child_1..child_k, d_out, d_in)
-        sites_order = [site]
-        # start with OUT/IN = this site's physical legs
-        n_child = len(kids)
-        for i, c in enumerate(kids):
-            carr, csites = sub(c)
-            child_axis = (1 if has_parent else 0)  # children consumed in order
-            # arr axes: (parent?, child_i..child_k, OUT, IN)
-            arr = np.tensordot(arr, carr, axes=([child_axis], [0]))
-            # new axes: (parent?, child_{i+1}..k, OUT, IN, OUT_c, IN_c)
-            base = (1 if has_parent else 0) + (n_child - i - 1)
-            out_dim = arr.shape[base]
-            in_dim = arr.shape[base + 1]
-            oc = arr.shape[base + 2]
-            ic = arr.shape[base + 3]
-            arr = np.moveaxis(arr, base + 2, base + 1)
-            # axes: (..., OUT, OUT_c, IN, IN_c)
-            new_shape = arr.shape[:base] + (out_dim * oc, in_dim * ic)
-            arr = arr.reshape(new_shape)
-            sites_order.extend(csites)
-        return arr, sites_order
-
-    arr, sites_order = sub(tree.root)
-    # arr has shape (OUT, IN) with the site order of "sites_order"
-    dims = [tree.phys_dim(s) for s in sites_order]
-    arr = arr.reshape(dims + dims)
-    pos = {s: i for i, s in enumerate(sites_order)}
-    n = len(sites_order)
-    perm = [pos[s] for s in ordering] + [pos[s] + n for s in ordering]
-    arr = arr.transpose(perm)
+    order = [tree.root]  # every site after its parent
+    for s in order:
+        order.extend(tree.children(s))
+    # per contracted subtree: an array shaped (parent_dim, OUT, IN) --
+    # parent axis omitted at the root -- and the sites of dimension > 1
+    # that the OUT/IN axes run over, slowest first
+    done: dict[int, tuple[np.ndarray, list[int]]] = {}
+    for site in reversed(order):
+        arr = ttno.tensors[site].elements
+        lead = 0 if tree.parent(site) is None else 1
+        sites = [site] if tree.phys_dim(site) > 1 else []
+        for c in tree.children(site):  # consumed in leg order
+            carr, csites = done.pop(c)
+            # (parent?, child_i..child_k, OUT, IN)
+            # -> (parent?, child_{i+1}..child_k, OUT, IN, OUT_c, IN_c)
+            arr = np.tensordot(arr, carr, axes=([lead], [0]))
+            *rest, out_dim, in_dim, oc, ic = arr.shape
+            # -> (..., OUT, OUT_c, IN, IN_c), merged pairwise
+            arr = np.moveaxis(arr, -2, -3).reshape(
+                tuple(rest) + (out_dim * oc, in_dim * ic))
+            sites += csites
+        done[site] = (arr, sites)
+    arr, sites = done[tree.root]
+    dims = [tree.phys_dim(s) for s in sites]
+    pos = {s: i for i, s in enumerate(sites)}
+    axes = [pos[s] for s in ordering if s in pos]
+    arr = arr.reshape(dims + dims).transpose(axes + [i + len(dims)
+                                                      for i in axes])
     return arr.reshape(total, total)
 
 
 def element_count(ttno: TTNO) -> int:
-    """Stored operator-valued entries: stored blocks (the non-zero bond
-    slices, see ``TTNOTensor.stored_blocks``) times d^2."""
-    return sum(t.nonzero_slices() * t.phys_dim ** 2
-               for t in ttno.tensors.values())
+    """Stored operator-valued entries: stored blocks times d^2."""
+    return sum(len(t.index) * t.phys_dim ** 2 for t in ttno.tensors.values())
 
 
 def dense_element_count(ttno: TTNO) -> int:
-    """Allocated entries: full bond-dimension products times d^2."""
-    return sum(t.elements.size for t in ttno.tensors.values())
+    """Entries of the dense tensors: bond-dimension products times d^2."""
+    return sum(math.prod(t.shape) for t in ttno.tensors.values())
 
 
 # -- dump format ------------------------------------------------------------
@@ -233,12 +232,11 @@ def write_ttno(ttno: TTNO, path: str) -> None:
         fh.write(json.dumps(ttno.tree.to_json_dict()))
         fh.write(', "tensors": {')
         for i, (s, t) in enumerate(ttno.tensors.items()):
-            stored = t.stored_blocks()
-            entries = t.elements[stored].reshape(-1)
+            entries = t.blocks.reshape(-1)
             fh.write(f'{", " if i else ""}"{s}": {{"legs": '
                      f'{json.dumps([list(e) for e in t.legs])}, "shape": '
-                     f'{json.dumps(list(t.elements.shape))}, "index": ')
-            _write_list(fh, np.argwhere(stored))
+                     f'{json.dumps(list(t.shape))}, "index": ')
+            _write_list(fh, t.index)
             fh.write(', "re": ')
             _write_list(fh, entries.real)
             fh.write(', "im": ')
@@ -248,8 +246,8 @@ def write_ttno(ttno: TTNO, path: str) -> None:
 
 
 def _read_tensor(tree: TreeTopology, s: int, td) -> TTNOTensor:
-    """Check one parsed tensor entry against the tree and scatter its
-    blocks into a zero tensor of its shape."""
+    """Check one parsed tensor entry against the tree and build its index
+    and blocks."""
     def bad(message: str) -> ValidationError:
         return ValidationError(f"ttno dump, site {s}: {message}")
 
@@ -270,10 +268,10 @@ def _read_tensor(tree: TreeTopology, s: int, td) -> TTNOTensor:
     if shape[-2:] != [d, d]:
         raise bad(f"physical dimensions {shape[-2:]} disagree with the "
                   f"tree's {d}")
-    bond, rows, seen = shape[:-2], td["index"], set()
+    bond, rows = shape[:-2], td["index"]
     if not isinstance(rows, list):
         raise bad("'index' must be a list of bond multi-indices")
-    for r in rows:
+    for k, r in enumerate(rows):
         if not (isinstance(r, list) and len(r) == len(bond)
                 and all(type(i) is int for i in r)):
             raise bad(f"block index {r!r} is not a list of {len(bond)} "
@@ -281,30 +279,32 @@ def _read_tensor(tree: TreeTopology, s: int, td) -> TTNOTensor:
         if not all(0 <= i < n for i, n in zip(r, bond)):
             raise bad(f"block index {r} is out of range for bond "
                       f"dimensions {bond}")
-        if tuple(r) in seen:
-            raise bad(f"block index {r} is listed twice")
-        seen.add(tuple(r))
+        if k and r <= rows[k - 1]:  # lists compare in row-major order
+            raise bad(f"block {k}: index {r} does not follow "
+                      f"{rows[k - 1]}; the index must be strictly "
+                      f"increasing in row-major order")
     for key in ("re", "im"):
         if not isinstance(td[key], np.ndarray):  # left so by the hook
             raise bad(f"{key!r} must be a flat list of numbers")
         if td[key].size != len(rows) * d * d:
             raise bad(f"{key!r} holds {td[key].size} numbers, not "
                       f"{len(rows)} blocks x {d * d}")
-    arr = _zeros(s, tuple(shape))
-    strides = [math.prod(bond[i + 1:]) for i in range(len(bond))]
-    flat = (np.array(rows, dtype=np.int64).reshape(len(rows), len(bond))
-            @ np.array(strides, dtype=np.int64))
-    blocks = arr.reshape(-1, d * d)
+    blocks = np.empty((len(rows), d, d), dtype=complex)
     # real and imaginary parts are set apart: re + 1j * im would turn an
     # imaginary -0.0 into +0.0
-    blocks.real[flat] = td["re"].reshape(-1, d * d)
-    blocks.imag[flat] = td["im"].reshape(-1, d * d)
-    return TTNOTensor(s, legs, arr)
+    blocks.real = td["re"].reshape(-1, d, d)
+    blocks.imag = td["im"].reshape(-1, d, d)
+    zero = np.flatnonzero(~blocks.view(np.uint64).any(axis=(1, 2)))
+    if len(zero):
+        raise bad(f"block {zero[0]} at index {rows[zero[0]]} holds only "
+                  f"+0.0 entries, which are not stored")
+    index = np.array(rows, dtype=np.int64).reshape(len(rows), len(bond))
+    return TTNOTensor(s, legs, tuple(shape), index, blocks)
 
 
 def read_ttno(path: str) -> TTNO:
-    """Read a ``ttno-v2`` dump back into dense tensors, bit-identical to
-    the ones written.  Malformed or inconsistent content raises
+    """Read a ``ttno-v2`` dump back into tensors bit-identical to the ones
+    written.  Malformed or inconsistent content raises
     ValidationError naming the site or field at fault; a ``ttno-v1`` dump
     must be rebuilt from its inputs."""
     try:

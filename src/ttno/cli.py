@@ -2,9 +2,9 @@
 
 Exit codes: 0 success, 2 parse error, 3 validation error, 4 verification
 mismatch, 5 dense build too large (dense cap exceeded, or a TTNO tensor
-that cannot be allocated).  CSVs carry a header row; floats are printed
-with 17 significant digits.  Seeds are mandatory for benchmarks and seed 0
-is refused.
+that ``build --verify`` cannot allocate densely).  CSVs carry a header
+row; floats are printed with 17 significant digits.  Seeds are mandatory
+for benchmarks and seed 0 is refused.
 """
 
 from __future__ import annotations

@@ -101,7 +101,7 @@ def nn_ttno(tree: TreeTopology, interaction: NNInteraction,
         legs = canonical_legs(tree, s)
         d = tree.phys_dim(s)
         shape = tuple(dims[e] for e in legs) + (d, d)
-        arr = np.zeros(shape, dtype=complex)
+        pairs = []
         eye = np.eye(d, dtype=complex)
         parent = tree.parent(s)
         p_axis = 0 if parent is not None else None
@@ -112,7 +112,7 @@ def nn_ttno(tree: TreeTopology, interaction: NNInteraction,
             idx = [0] * len(legs)
             for axis, val in index_map.items():
                 idx[axis] = val
-            arr[tuple(idx)] += matrix
+            pairs.append((tuple(idx), matrix))
 
         if parent is not None:
             put({}, eye)  # trivial everywhere at and below this site
@@ -129,7 +129,7 @@ def nn_ttno(tree: TreeTopology, interaction: NNInteraction,
         if s in interaction.single_site:
             z = registry.resolve(interaction.single_site[s])
             put({} if parent is None else {p_axis: 2}, z)
-        tensors[s] = TTNOTensor(s, legs, arr)
+        tensors[s] = TTNOTensor.from_blocks(s, legs, shape, pairs)
     return TTNO(tree, tensors)
 
 

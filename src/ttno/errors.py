@@ -15,7 +15,7 @@ class UnknownOperatorError(ValidationError):
 
 class DenseCapExceededError(RuntimeError):
     """A dense build is too large: the total physical dimension exceeds the
-    dense-matrix cap, or a TTNO tensor cannot be allocated."""
+    dense-matrix cap, or a TTNO tensor's dense array cannot be allocated."""
 
 
 class PathCapExceededError(RuntimeError):

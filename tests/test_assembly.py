@@ -1,13 +1,18 @@
+import hashlib
 import json
 import math
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from ttno.assembly import (_DUMP_CHUNK, assign_indices, canonical_legs,
-                           contract_to_dense, dense_element_count,
-                           element_count, emit_tensors, read_ttno, write_ttno)
+from ttno.assembly import (_DUMP_CHUNK, TTNOTensor, assign_indices,
+                           canonical_legs, contract_to_dense,
+                           dense_element_count, element_count, emit_tensors,
+                           read_ttno, write_ttno)
+from ttno.closedform import (CayleyTreeSpec, cayley_tree, nn_ttno,
+                             uniform_nn_interaction)
 from ttno.diagram import StateDiagram, from_hamiltonian
 from ttno.errors import DenseCapExceededError, ValidationError
 from ttno.operators import (Hamiltonian, OperatorRegistry, ProductTerm,
@@ -17,6 +22,7 @@ from ttno.tree import TreeTopology
 
 from conftest import demo_tree, pauli_term, refuse_allocation
 from oracles import pick_nonleaf_root, random_tree_edges
+from test_diagram import pinned_systems
 
 
 def test_assign_indices_single_term(tree):
@@ -48,10 +54,29 @@ def test_single_term_tensors_have_one_slice_each(tree):
     g = StateDiagram.from_single_term(tree, term)
     ttno = emit_tensors(g)
     for t in ttno.tensors.values():
-        assert t.nonzero_slices() == 1
+        assert len(t.index) == 1
         assert t.bond_dims == (1,) * len(t.legs)
     assert element_count(ttno) == 8 * 4
     assert dense_element_count(ttno) == 8 * 4
+
+
+def test_from_blocks_sums_pairs_and_drops_zero_sums():
+    x = np.array([[0, 1], [1, 0]], dtype=complex)
+    z = np.array([[1, 0], [0, -1]], dtype=complex)
+    t = TTNOTensor.from_blocks(7, ((7, 8), (7, 9)), (2, 3, 2, 2), [
+        ((1, 2), x), ((0, 1), z), ((1, 2), 0.5 * z), ((1, 0), x),
+        ((1, 0), -x), ((0, 0), np.full((2, 2), -0.0))])
+    # sorted in row-major order; X - X and +0.0 + (-0.0) are +0.0, dropped
+    assert t.index.tolist() == [[0, 1], [1, 2]]
+    assert t.index.dtype == np.int64 and t.blocks.dtype == complex
+    assert np.array_equal(t.blocks, [z, x + 0.5 * z])
+    assert t.shape == (2, 3, 2, 2) and t.bond_dims == (2, 3)
+    dense = t.elements
+    assert np.array_equal(dense[1, 2], x + 0.5 * z)
+    assert np.count_nonzero(dense) == 6
+    with pytest.raises(ValueError, match="read-only"):
+        dense[0, 0] = x
+    assert not t.elements.any(axis=(2, 3))[0, 0]  # rebuilt from the blocks
 
 
 def test_single_term_contraction_is_kron(tree):
@@ -82,6 +107,30 @@ def test_contraction_respects_ordering(demo_hamiltonian):
     assert np.allclose(got, want, atol=1e-12)
 
 
+@pytest.mark.parametrize("n", [40, 1500])
+def test_contraction_of_long_chain_with_trivial_sites(n):
+    # sites of dimension 1 get no axes: 40 of them gave 80 axes (numpy
+    # allows 64), and 1,500 overflowed the recursion
+    mid = n // 2
+    dims = {s: 1 for s in range(n)}
+    dims.update({3: 2, mid: 3, n - 2: 2})
+    chain = TreeTopology([(i, i + 1) for i in range(n - 1)], root=1,
+                         phys_dims=dims)
+    x2, z2 = SiteOperator("X", 2), SiteOperator("Z", 2)
+    h = Hamiltonian(chain, [
+        ProductTerm(1.0, {3: x2, mid: SiteOperator("B", 3)}),
+        ProductTerm(0.5j, {mid: SiteOperator("N", 3), n - 2: x2}),
+        ProductTerm(-2.0, {n - 2: z2}),
+        ProductTerm(1.5, {3: z2, n - 2: z2})])
+    ttno = emit_tensors(from_hamiltonian(h))
+    shuffled = [int(s) for s in np.random.default_rng(n).permutation(n)]
+    for ordering in (None, shuffled):
+        got = contract_to_dense(ttno, ordering=ordering)
+        assert got.shape == (12, 12)
+        assert np.allclose(got, to_dense(h, ordering=ordering),
+                           atol=1e-12, rtol=0.0)
+
+
 def test_contraction_linear_in_terms(demo_hamiltonian):
     tree = demo_hamiltonian.tree
     t1, t2 = demo_hamiltonian.terms[:2], demo_hamiltonian.terms[2:]
@@ -96,15 +145,15 @@ def test_sparsity_matches_hyperedge_count_when_collision_free(demo_hamiltonian):
     a = assign_indices(g)
     ttno = emit_tensors(g)
     for s, t in ttno.tensors.items():
-        # non-zero slices never exceed the hyperedge count ...
-        assert t.nonzero_slices() <= len(g.eps[s])
+        # stored blocks never exceed the hyperedge count ...
+        assert len(t.index) <= len(g.eps[s])
         # ... and match it exactly when no two hyperedges share a multi-index
         combos = {tuple(a[e][y.connected[e].uid] for e in t.legs)
                   for y in g.eps[s]}
         if len(combos) == len(g.eps[s]):
-            assert t.nonzero_slices() == len(g.eps[s])
+            assert len(t.index) == len(g.eps[s])
     # the demo system is collision-free everywhere
-    assert all(t.nonzero_slices() == len(g.eps[s])
+    assert all(len(t.index) == len(g.eps[s])
                for s, t in ttno.tensors.items())
 
 
@@ -183,11 +232,11 @@ def test_contract_cap():
 
 def test_unallocatable_tensor_names_site_and_shape(monkeypatch,
                                                    demo_hamiltonian):
-    g = from_hamiltonian(demo_hamiltonian)
     refuse_allocation(monkeypatch, (3, 2, 2, 2, 2))
+    ttno = emit_tensors(from_hamiltonian(demo_hamiltonian))
     with pytest.raises(DenseCapExceededError,
                        match=r"site 2: .* shape \(3, 2, 2, 2, 2\)"):
-        emit_tensors(g)
+        ttno.tensors[2].elements
 
 
 def test_tensor_beyond_address_space():
@@ -197,9 +246,10 @@ def test_tensor_beyond_address_space():
     star = TreeTopology([(0, i) for i in range(1, n + 1)], root=0)
     h = Hamiltonian(star, [pauli_term({i: "Z"}) for i in range(1, n + 1)]
                     + [pauli_term({i: "X", i + 1: "X"}) for i in range(1, n)])
-    g = from_hamiltonian(h)
+    ttno = emit_tensors(from_hamiltonian(h))
+    assert dense_element_count(ttno) > 3 ** n
     with pytest.raises(DenseCapExceededError, match=r"site 0: .* \(3, 3, "):
-        emit_tensors(g)
+        ttno.tensors[0].elements
 
 
 def test_dump_round_trip_bit_exact(tmp_path, demo_hamiltonian):
@@ -207,11 +257,18 @@ def test_dump_round_trip_bit_exact(tmp_path, demo_hamiltonian):
     # a block of only -0.0 entries, and a tensor with no stored block
     edited = emit_tensors(from_hamiltonian(demo_hamiltonian))
     t5 = edited.tensors[5]
-    zero_block = tuple(np.argwhere(~t5.stored_blocks())[0])
-    t5.elements[zero_block] = complex(-0.0, -0.0)
-    assert t5.nonzero_slices() == 5
-    edited.tensors[8].elements[...] = 0
-    assert edited.tensors[8].nonzero_slices() == 0
+    stored = [tuple(i) for i in t5.index.tolist()]
+    zero_block = next(i for i in np.ndindex(t5.bond_dims)
+                      if i not in stored)
+    at = sum(i < zero_block for i in stored)
+    edited.tensors[5] = replace(
+        t5, index=np.insert(t5.index, at, zero_block, axis=0),
+        blocks=np.insert(t5.blocks, at, complex(-0.0, -0.0), axis=0))
+    assert len(edited.tensors[5].index) == 5
+    assert np.signbit(edited.tensors[5].elements[zero_block].view(
+        float)).all()
+    t8 = edited.tensors[8]
+    edited.tensors[8] = replace(t8, index=t8.index[:0], blocks=t8.blocks[:0])
     # a single-site tree: a tensor without bond legs
     lone = TreeTopology([], root=0, nodes=[0])
     single = emit_tensors(from_hamiltonian(Hamiltonian(lone, [ProductTerm(
@@ -225,7 +282,9 @@ def test_dump_round_trip_bit_exact(tmp_path, demo_hamiltonian):
             ttno.tensors)
         for s, t in ttno.tensors.items():
             assert back.tensors[s].legs == t.legs
-            assert back.tensors[s].elements.shape == t.elements.shape
+            assert back.tensors[s].shape == t.shape
+            assert np.array_equal(back.tensors[s].index, t.index)
+            assert back.tensors[s].blocks.tobytes() == t.blocks.tobytes()
             assert back.tensors[s].elements.tobytes() == t.elements.tobytes()
         # write -> read -> write is byte-stable
         p2 = tmp_path / f"{name}.again.ttno.json"
@@ -254,12 +313,14 @@ def test_dump_bytes_equal_whole_object_json_dump(tmp_path):
     ttno = emit_tensors(from_hamiltonian(h))
     # one tensor filled densely, some entries -0.0, so that its index and
     # entry lists span several encoding slices
-    big = max(ttno.tensors.values(), key=lambda t: t.elements.size)
+    big = max(ttno.tensors.values(), key=lambda t: math.prod(t.shape))
     rng = np.random.default_rng(3)
-    big.elements[...] = (rng.standard_normal(big.elements.shape)
-                         + 1j * rng.standard_normal(big.elements.shape))
-    big.elements.real[rng.random(big.elements.shape) < 0.1] = -0.0
-    assert math.prod(big.bond_dims) > _DUMP_CHUNK
+    index = np.array(list(np.ndindex(big.bond_dims)), dtype=np.int64)
+    blocks = (rng.standard_normal((len(index),) + big.shape[-2:])
+              + 1j * rng.standard_normal((len(index),) + big.shape[-2:]))
+    blocks.real[rng.random(blocks.shape) < 0.1] = -0.0
+    ttno.tensors[big.site] = replace(big, index=index, blocks=blocks)
+    assert len(index) > _DUMP_CHUNK
 
     def entry(t):
         index = [i for i in np.ndindex(t.bond_dims)
@@ -328,7 +389,13 @@ def _tensor(data, s):
     (_edit(lambda d: _tensor(d, 5)["index"].__setitem__(0, [0, 0.5, 0])),
      "site 5: block index .* is not a list of 3 integers"),
     (_edit(lambda d: _tensor(d, 5)["index"].append(_tensor(d, 5)["index"][1])),
-     "site 5: block index .* is listed twice"),
+     r"site 5: block 4: index \[1, 0, 0\] does not follow \[2, 0, 1\]"),
+    (_edit(lambda d: _tensor(d, 5)["index"].reverse()),
+     r"site 5: block 1: index .* does not follow .* strictly increasing"),
+    (_edit(lambda d: _tensor(d, 5).update(
+        re=[0.0] * 4 + _tensor(d, 5)["re"][4:],
+        im=[0.0] * 4 + _tensor(d, 5)["im"][4:])),
+     r"site 5: block 0 at index \[0, 0, 0\] holds only \+0.0 entries"),
     (_edit(lambda d: _tensor(d, 5)["re"].pop()),
      "site 5: 're' holds 15 numbers, not 4 blocks x 4"),
     (_edit(lambda d: _tensor(d, 5)["im"].append(0.0)),
@@ -338,7 +405,7 @@ def _tensor(data, s):
 ], ids=["truncated", "format_v1", "missing_site", "unknown_site",
         "missing_field", "legs", "shape_length", "shape_type", "phys_dim",
         "index_range", "index_negative", "index_type", "index_duplicate",
-        "re_length", "im_length", "re_type"])
+        "index_order", "zero_block", "re_length", "im_length", "re_type"])
 def test_read_rejects_malformed_dump(tmp_path, demo_hamiltonian, corrupt,
                                      message):
     p = tmp_path / "demo.json"
@@ -360,4 +427,30 @@ def test_read_parses_one_tensor_of_floats_at_a_time(tmp_path):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 3 * sum(t.elements.nbytes for t in back.tensors.values())
+    assert peak <= 3 * 16 * dense_element_count(back)
+
+
+def pinned_ttnos():
+    """TTNOs whose dump bytes are pinned: the diagram-pinned systems, and
+    the closed-form nearest-neighbour TTNO with and without a field."""
+    for h, registry in pinned_systems():
+        yield emit_tensors(from_hamiltonian(h), registry=registry)
+    for spec in (CayleyTreeSpec(3, 2), CayleyTreeSpec(2, 3)):
+        tree = cayley_tree(spec)
+        for field in (None, "Z"):
+            yield nn_ttno(tree, uniform_nn_interaction(tree, "X", field))
+
+
+# SHA-256 of the concatenated ttno-v2 dumps, computed with the emission
+# that allocated dense tensors and the writer that scanned them for blocks
+PINNED_TTNO_DIGEST = ("86558eb7a07977c0004f46768a0313bc"
+                      "cc3d4df41614d45a8c2d51cf1733cafd")
+
+
+def test_ttno_dumps_pinned(tmp_path):
+    digest = hashlib.sha256()
+    p = tmp_path / "pinned.json"
+    for ttno in pinned_ttnos():
+        write_ttno(ttno, str(p))
+        digest.update(p.read_bytes())
+    assert digest.hexdigest() == PINNED_TTNO_DIGEST

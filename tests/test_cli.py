@@ -3,12 +3,15 @@ import json
 import numpy as np
 import pytest
 
-from ttno.assembly import read_ttno, write_ttno
+from ttno.assembly import (dense_element_count, element_count, read_ttno,
+                           write_ttno)
 from ttno.cli import (EXIT_CAP, EXIT_OK, EXIT_PARSE, EXIT_VALIDATION,
                       load_hamiltonian, main, verify_dump_against)
+from ttno.operators import random_hamiltonian
 from ttno.tree import TreeTopology
 
 from conftest import DEMO_EDGES, refuse_allocation
+from oracles import pick_nonleaf_root, random_tree_edges
 
 TREE_JSON = {"root": 1, "edges": [list(e) for e in DEMO_EDGES]}
 HAM_JSON = {"terms": [
@@ -99,14 +102,40 @@ def test_build_cap_exceeded(files, monkeypatch, capsys):
 
 
 def test_build_unallocatable_tensor(files, monkeypatch, capsys):
+    # only the verification builds dense tensors
     tmp, tree, ham = files
     refuse_allocation(monkeypatch, (3, 2, 2, 2, 2))
-    rc = main(["build", tree, ham, "--out", str(tmp / "o.json")])
+    assert main(["build", tree, ham, "--out", str(tmp / "o.json")]) == EXIT_OK
+    capsys.readouterr()
+    rc = main(["build", tree, ham, "--out", str(tmp / "o.json"), "--verify"])
     assert rc == EXIT_CAP
     err = capsys.readouterr().err
-    assert "site 2" in err and "(3, 2, 2, 2, 2)" in err
-    # the cap does not govern emission, so the hint must not name it
+    # sites 2 and 5 share the shape; the contraction, children first,
+    # reaches 5 first
+    assert "site 5" in err and "(3, 2, 2, 2, 2)" in err
+    # the cap does not govern the tensors, so the hint must not name it
     assert "TTNO_DENSE_CAP" not in err
+
+
+def test_build_random40_without_dense_tensors(tmp_path):
+    # the dense tensor at site 3 alone would take 48 GiB
+    rng = np.random.default_rng(1)
+    edges = random_tree_edges(rng, 40)
+    tree = TreeTopology(edges, pick_nonleaf_root(edges, 40))
+    h = random_hamiltonian(tree, 1200, ("X", "Y", "Z"), 4, seed=[1, 1])
+    ham = {"terms": [{"coeff": [t.coefficient.real, t.coefficient.imag],
+                      "factors": {str(s): op.label
+                                  for s, op in t.factors.items()}}
+                     for t in h.terms]}
+    (tmp_path / "tree.json").write_text(json.dumps(tree.to_json_dict()))
+    (tmp_path / "ham.json").write_text(json.dumps(ham))
+    out = tmp_path / "out.json"
+    assert main(["build", str(tmp_path / "tree.json"),
+                 str(tmp_path / "ham.json"), "--out", str(out)]) == EXIT_OK
+    back = read_ttno(str(out))
+    assert dense_element_count(back) > 3 * 10 ** 9
+    assert (out.stat().st_size
+            <= 64 * element_count(back) + 256 * len(tree.nodes))
 
 
 def test_verification_rejects_any_corruption(files):
@@ -122,7 +151,7 @@ def test_verification_rejects_any_corruption(files):
     corrupted = str(tmp / "bad.json")
     n_mutations = 0
     for s, t in ttno.tensors.items():
-        flat = t.elements.reshape(-1)
+        flat = t.blocks.reshape(-1)
         for idx in np.flatnonzero(flat != 0):
             original = flat[idx]
             flat[idx] = original + 1.0

@@ -8,8 +8,8 @@ import pytest
 from ttno.diagram import StateDiagram, from_hamiltonian
 from ttno.errors import (DuplicateTermError, PathCapExceededError,
                          ValidationError)
-from ttno.operators import (Hamiltonian, ProductTerm, SiteOperator,
-                            random_hamiltonian)
+from ttno.operators import (Hamiltonian, OperatorRegistry, ProductTerm,
+                            SiteOperator, random_hamiltonian)
 from ttno.oqs import TOPOLOGIES, OQSSpec, oqs_hamiltonian
 from ttno.tree import TreeTopology
 
@@ -256,8 +256,9 @@ def test_validate_catches_index_drift(demo_hamiltonian, corrupt, message):
         g.validate()
 
 
-def pinned_suite():
-    """Hamiltonians whose diagram dumps are pinned by digest."""
+def pinned_systems():
+    """(Hamiltonian, operator registry or None) pairs whose diagram dumps
+    and TTNO dumps are pinned by digest."""
     rng = np.random.default_rng(4242)
     for trial in range(200):
         n = int(rng.integers(3, 31))
@@ -265,18 +266,20 @@ def pinned_suite():
         tree = TreeTopology(edges, pick_nonleaf_root(edges, n))
         yield random_hamiltonian(tree, int(rng.integers(1, 37)),
                                  ("X", "Y", "Z"), int(rng.integers(2, 5)),
-                                 seed=(4242, trial))
+                                 seed=(4242, trial)), None
     for kind in TOPOLOGIES:
         for spins, baths, boson_dim in ((2, 1, 2), (3, 2, 3), (5, 3, 2)):
             yield oqs_hamiltonian(OQSSpec(spins, baths, g=0.3 - 0.8j,
-                                          boson_dim=boson_dim), kind)
+                                          boson_dim=boson_dim), kind), None
     rng = np.random.default_rng(8086)
     for _ in range(10):
-        yield user_matrix_system(rng)[0]
+        yield user_matrix_system(rng)
     x = SiteOperator("X", 2)
+    registry = OperatorRegistry()
+    registry.register("2*X", np.diag([1.0, -1.0]))
     yield Hamiltonian(TreeTopology([(1, 2), (2, 3)], root=2), [
         ProductTerm(2.0, {1: x, 2: x}),
-        ProductTerm(1.0, {1: SiteOperator("2*X", 2), 3: x})])
+        ProductTerm(1.0, {1: SiteOperator("2*X", 2), 3: x})]), registry
 
 
 # SHA-256 of the concatenated dumps, computed with the list-scanning
@@ -287,7 +290,7 @@ PINNED_DUMP_DIGEST = ("9b9153a78047f5bfa2c40194228f44dc"
 
 def test_dumps_pinned():
     digest = hashlib.sha256()
-    for h in pinned_suite():
+    for h, _ in pinned_systems():
         digest.update(from_hamiltonian(h).dump().encode())
     assert digest.hexdigest() == PINNED_DUMP_DIGEST
 
