@@ -48,10 +48,11 @@ def canonical_legs(tree: TreeTopology, site: int) -> tuple[Edge, ...]:
     return tuple(legs)
 
 
-@dataclass
+@dataclass(eq=False)
 class TTNOTensor:
     """One site's tensor of shape ``(*bond_dims, d, d)``, held as its stored
-    blocks: ``blocks[k]`` sits at bond multi-index ``index[k]``."""
+    blocks: ``blocks[k]`` sits at bond multi-index ``index[k]``.  ``==`` is
+    identity; compare ``shape``, ``index`` and ``blocks`` for content."""
     site: int
     legs: tuple[Edge, ...]
     shape: tuple[int, ...]
@@ -74,6 +75,10 @@ class TTNOTensor:
         blocks = np.array([sums[k] for k in keys], complex).reshape(-1, d, d)
         kept = blocks.view(np.uint64).any(axis=(1, 2))
         return cls(site, tuple(legs), tuple(shape), index[kept], blocks[kept])
+
+    def __repr__(self):
+        return (f"TTNOTensor(site={self.site}, shape={self.shape}, "
+                f"blocks={len(self.index)})")
 
     @property
     def bond_dims(self) -> tuple[int, ...]:
@@ -103,10 +108,13 @@ class TTNOTensor:
         return arr
 
 
-@dataclass
+@dataclass(eq=False)
 class TTNO:
     tree: TreeTopology
     tensors: dict[int, TTNOTensor]
+
+    def __repr__(self):
+        return f"TTNO({self.tree!r}, tensors={len(self.tensors)})"
 
     def bond_dimensions(self) -> dict[Edge, int]:
         dims: dict[Edge, int] = {}

@@ -145,11 +145,13 @@ class OperatorRegistry:
 
     Ships Pauli X/Y/Z (dim 2), the identity for any dimension, and truncated
     bosonic annihilation/creation/number operators B, Bdag, N for any
-    dimension.
+    dimension.  A factory operator is built once per (label, dimension) and
+    handed out read-only; a label registered for that dimension wins.
     """
 
     def __init__(self):
         self._fixed: dict[tuple[str, int], np.ndarray] = {}
+        self._built: dict[tuple[str, int], np.ndarray] = {}
         self._factories: dict[str, callable] = {}
         self._factories[IDENTITY_LABEL] = lambda d: np.eye(d, dtype=complex)
         self._factories["B"] = _boson_annihilation
@@ -169,9 +171,14 @@ class OperatorRegistry:
         key = (label, dim)
         if key in self._fixed:
             return self._fixed[key]
-        if label in self._factories:
-            return self._factories[label](dim)
-        raise UnknownOperatorError(f"no matrix for label {label!r} at dim {dim}")
+        if key not in self._built:
+            if label not in self._factories:
+                raise UnknownOperatorError(
+                    f"no matrix for label {label!r} at dim {dim}")
+            m = self._factories[label](dim)
+            m.flags.writeable = False
+            self._built[key] = m
+        return self._built[key]
 
     def resolve(self, op: SiteOperator) -> np.ndarray:
         """Dense matrix of ``op``, honouring attached matrices and scales."""

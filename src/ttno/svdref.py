@@ -10,12 +10,32 @@ Per site, the operators used there are expanded by Gram-Schmidt in an
 orthonormal basis of their span under the normalised Hilbert-Schmidt
 product tr(A^dag B) / d, with the identity as basis element 0; the per-site
 Gram matrices are resolved through the registry, so bosons and user
-matrices (also linearly dependent ones) are handled.  Products of these
-basis elements are orthonormal, so H becomes one sparse coefficient vector
-over basis strings, and cutting every string at an edge turns it into a
-matrix C whose singular values are those of the dense matricization times
-one common factor.  Identity sites carry basis element 0 and drop out, so
-the work follows the term supports.
+matrices (also linearly dependent ones) are handled.  An expansion depends
+only on the site dimension and the bytes of the operators' matrices in
+first-seen order, so it is memoised (a bounded LRU cache) under exactly that
+key: a study that draws many Hamiltonians from one operator alphabet expands
+each site once, and two registries that give one label different matrices
+never share an entry.  Products of these basis elements are orthonormal, so
+H becomes one sparse coefficient vector over basis strings, and cutting
+every string at an edge turns it into a matrix C whose singular values are
+those of the dense matricization times one common factor.  Identity sites
+carry basis element 0 and drop out.
+
+The cut is support-local.  Sites are named by their preorder position on
+the tree rooted at its last leaf (``tree.last_leaf_rooting``), so the sites
+below an edge hold one range of positions and the part of a string below
+it is one slice, found by bisection.  A string enters only the edges it
+crosses, those of the Steiner tree of its support.  A string wholly on one
+side of an edge is a row (or column) of C with one entry, at the identity
+of the other side.  It enters C only where a crossing string has the same
+part on that side, found by a dict lookup per crossing row and column; the
+others fold into one row and one column, a unitary that keeps the singular
+values.  The folded norms come from the sum of |c|^2 over the strings wholly
+below the edge (a subtree sum, accumulated at the lowest common ancestor of
+each support) or wholly above it, less the matched strings.  These sums are
+exact, integer multiples of 2^-1074: in floats, a fold whose strings are all
+matched leaves a residue of ~1e-16 where the true value is 0, and its square
+root is a singular value far above the rank tolerance.
 """
 
 from __future__ import annotations
@@ -23,14 +43,16 @@ from __future__ import annotations
 import csv
 import io
 import math
+from bisect import bisect_left
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
 from . import diagram as sd
 from .errors import ValidationError
 from .operators import (DEFAULT_REGISTRY, Hamiltonian, OperatorRegistry,
-                        random_hamiltonian)
+                        SiteOperator, random_hamiltonian)
 from .tree import Edge, TreeTopology
 
 RANK_REL_TOL = 1e-10
@@ -39,55 +61,80 @@ RANK_REL_TOL = 1e-10
 # a combination of the earlier ones, and what is dropped moves singular
 # values far less than RANK_REL_TOL
 GRAM_REL_TOL = 1e-12
+# every finite float is a whole multiple of 2**-1074, so squared norms held
+# as integer multiples of it add and subtract exactly
+_FIX = 1074
+_FIX_ONE = 1 << _FIX
 
-BasisString = tuple[tuple[int, int], ...]  # (site, basis index >= 1) pairs
+# (preorder position on tree.last_leaf_rooting, basis index >= 1) pairs,
+# ascending in position
+BasisString = tuple[tuple[int, int], ...]
+
+
+@lru_cache(maxsize=256)
+def _gram_schmidt(d: int, matrices: tuple[bytes, ...]
+                  ) -> tuple[tuple[tuple[int, complex], ...], ...]:
+    """[(basis index, coefficient)] of each d x d matrix (raw complex bytes,
+    row-major) in a Gram-Schmidt basis of the identity and the matrices, in
+    the given order; index 0 is the identity."""
+    # unscaled vectors and vdot / d: the identity has unit norm and
+    # orthogonal Paulis or bosonic ladders give exact zeros
+    basis = [np.eye(d, dtype=complex).ravel()]
+    out = []
+    for raw in matrices:
+        resid = np.frombuffer(raw, dtype=complex)
+        cut = GRAM_REL_TOL * math.sqrt(np.vdot(resid, resid).real / d)
+        coeffs = []
+        for b in basis:
+            c = np.vdot(b, resid) / d
+            resid = resid - c * b
+            coeffs.append(c)
+        norm = math.sqrt(np.vdot(resid, resid).real / d)
+        if norm > cut:
+            basis.append(resid / norm)
+            coeffs.append(norm)
+        out.append(tuple((m, complex(c)) for m, c in enumerate(coeffs)
+                         if abs(c) > cut))
+    return tuple(out)
 
 
 def _site_expansions(h: Hamiltonian, registry: OperatorRegistry
-                     ) -> dict[int, dict[int, list[tuple[int, complex]]]]:
-    """Per site, op_id -> [(basis index, coefficient)] of the operator in a
-    Gram-Schmidt basis of the site's operators (index 0 is the identity)."""
-    bases: dict[int, list[np.ndarray]] = {}
-    out: dict[int, dict[int, list[tuple[int, complex]]]] = {}
+                     ) -> dict[int, dict[int, tuple[tuple[int, complex], ...]]]:
+    """Per site, op_id -> expansion of the operator in the Gram-Schmidt
+    basis of the site's operators, taken in first-seen order."""
+    seen: dict[int, dict[int, SiteOperator]] = {}
     for term in h.terms:
         for s, op in term.factors.items():
-            known = out.setdefault(s, {})
-            if op.op_id in known:
-                continue
-            d = op.dim
-            # unscaled vectors and vdot / d: the identity has unit norm and
-            # orthogonal Paulis or bosonic ladders give exact zeros
-            basis = bases.setdefault(s, [np.eye(d, dtype=complex).ravel()])
-            resid = registry.resolve(op).ravel()
-            cut = GRAM_REL_TOL * math.sqrt(np.vdot(resid, resid).real / d)
-            coeffs = []
-            for b in basis:
-                c = np.vdot(b, resid) / d
-                resid = resid - c * b
-                coeffs.append(c)
-            norm = math.sqrt(np.vdot(resid, resid).real / d)
-            if norm > cut:
-                basis.append(resid / norm)
-                coeffs.append(norm)
-            known[op.op_id] = [(m, c) for m, c in enumerate(coeffs)
-                               if abs(c) > cut]
-    return out
+            seen.setdefault(s, {}).setdefault(op.op_id, op)
+    return {s: dict(zip(ops, _gram_schmidt(
+                h.tree.phys_dim(s),
+                tuple(registry.resolve(op).tobytes() for op in ops.values()))))
+            for s, ops in seen.items()}
 
 
-def _basis_coefficients(h: Hamiltonian, registry: OperatorRegistry
-                        ) -> dict[BasisString, complex]:
-    """H as coefficients over orthonormal product basis strings."""
+def _basis_coefficients(h: Hamiltonian, registry: OperatorRegistry,
+                        pos: dict[int, int]) -> dict[BasisString, complex]:
+    """H as coefficients over orthonormal product basis strings, sites
+    named by ``pos``."""
     expansions = _site_expansions(h, registry)
     out: dict[BasisString, complex] = {}
     for term in h.terms:
         strings = [((), term.coefficient)]
         for s, op in sorted(term.factors.items()):
-            strings = [(key + ((s, m),) if m else key, c * k)
+            p = pos[s]
+            strings = [(key + ((p, m),) if m else key, c * k)
                        for key, c in strings
                        for m, k in expansions[s][op.op_id]]
         for key, c in strings:
+            key = tuple(sorted(key))
             out[key] = out.get(key, 0.0) + c
     return out
+
+
+def _fixed(c: complex) -> int:
+    """|c|^2 in units of 2**-_FIX, exactly."""
+    n, d = (abs(c) ** 2).as_integer_ratio()
+    return n << (_FIX + 1 - d.bit_length())
 
 
 def _fold_single_entry_rows(rows) -> list[dict]:
@@ -127,16 +174,75 @@ def optimal_bond_dims(h: Hamiltonian,
                       ) -> dict[Edge, int]:
     """Operator Schmidt rank of ``h`` across every tree edge (at least 1)."""
     tree = h.tree
-    coeffs = _basis_coefficients(h, registry or DEFAULT_REGISTRY)
+    r = tree.last_leaf_rooting
+    up, span = r.up, r.span
+    pos = {s: span[s][0] for s in r.order}
+    site_at = sorted(r.order, key=pos.__getitem__)
+    coeffs = _basis_coefficients(h, registry or DEFAULT_REGISTRY, pos)
+    c0 = coeffs.pop((), 0.0)
+    # edges are named by their endpoint t away from the last leaf; the
+    # sites below edge t hold the positions span[t]
+    crossing: dict[int, dict[BasisString, dict[BasisString, complex]]] = {}
+    crossing_w: dict[int, int] = {}
+    lca_w = dict.fromkeys(r.order, 0)
+    total = 0
+    for key, c in coeffs.items():
+        w = _fixed(c)
+        total += w
+        ps = [p for p, _ in key]
+        # climb from the first site to the support's lowest common
+        # ancestor, the first site whose span reaches the last position
+        t, last = site_at[ps[0]], ps[-1]
+        steiner = []
+        while span[t][1] <= last:
+            steiner.append(t)
+            t = up[t]
+        lca = t
+        lca_w[lca] += w
+        seen = set(steiner)
+        for p in ps[1:]:
+            t = site_at[p]
+            while t != lca and t not in seen:
+                seen.add(t)
+                steiner.append(t)
+                t = up[t]
+        for t in steiner:
+            a, b = span[t]
+            i = bisect_left(ps, a)
+            j = bisect_left(ps, b, i)
+            crossing.setdefault(t, {}).setdefault(
+                key[i:j], {})[key[:i] + key[j:]] = c
+            crossing_w[t] = crossing_w.get(t, 0) + w
+    # below[t]: |c|^2 of the strings wholly below edge t
+    below = {}
+    for t in reversed(r.order):
+        below[t] = lca_w[t] + sum(below[k] for k in r.kids[t])
+
     out: dict[Edge, int] = {}
     for e in tree.edges:
-        side = tree.component_without_edge(e, e[0])
-        rows: dict[BasisString, dict[BasisString, complex]] = {}
-        for key, c in coeffs.items():
-            left = tuple(x for x in key if x[0] in side)
-            right = tuple(x for x in key if x[0] not in side)
-            rows.setdefault(left, {})[right] = c
-        out[e] = max(_schmidt_rank(rows.values()), 1)
+        t = e[0] if up[e[0]] == e[1] else e[1]
+        rows = crossing.get(t, {})
+        fold_below = below[t]
+        fold_above = total - below[t] - crossing_w.get(t, 0)
+        # the row of the strings with nothing below the cut: the identity
+        # and the one-sided strings above that a crossing column matches
+        top = {(): c0}
+        for row in rows.values():
+            for key in row:
+                if key in coeffs and key not in top:
+                    top[key] = coeffs[key]
+                    fold_above -= _fixed(coeffs[key])
+        for key, row in rows.items():
+            if key in coeffs:
+                row[()] = coeffs[key]
+                fold_below -= _fixed(coeffs[key])
+        matrix = [*rows.values(), top]
+        if fold_below:
+            matrix.append({(): math.sqrt(fold_below / _FIX_ONE)})
+        if fold_above:
+            # their own column: no basis string is None
+            top[None] = math.sqrt(fold_above / _FIX_ONE)
+        out[e] = max(_schmidt_rank(matrix), 1)
     return out
 
 

@@ -253,20 +253,6 @@ class TreeTopology:
         return TreeTopology(self.edges, new_root, dict(self.phys_dims),
                             nodes=self.nodes)
 
-    def component_without_edge(self, edge: Edge, anchor: int) -> set[int]:
-        """Sites reachable from ``anchor`` without crossing ``edge``."""
-        e = edge_key(*edge)
-        seen = {anchor}
-        stack = [anchor]
-        while stack:
-            s = stack.pop()
-            for n in self._adj[s]:
-                if edge_key(s, n) == e or n in seen:
-                    continue
-                seen.add(n)
-                stack.append(n)
-        return seen
-
     def __eq__(self, other):
         return (isinstance(other, TreeTopology)
                 and self.edges == other.edges

@@ -9,7 +9,7 @@ sys.path.insert(0, str(Path(__file__).parent))
 
 from ttno.errors import ValidationError
 from ttno.operators import Hamiltonian, ProductTerm, SiteOperator
-from ttno.tree import TreeTopology
+from ttno.tree import TreeTopology, edge_key
 
 DEMO_EDGES = [(1, 2), (2, 3), (2, 4), (1, 5), (5, 6), (5, 7), (7, 8)]
 
@@ -42,6 +42,21 @@ def boundary(tree, center, radius):
         tree.neighbours(center)
         return {center}
     return ball(tree, center, radius) - ball(tree, center, radius - 1)
+
+
+def component_without_edge(tree, edge, anchor):
+    """Sites reachable from ``anchor`` without crossing ``edge``."""
+    e = edge_key(*edge)
+    seen = {anchor}
+    stack = [anchor]
+    while stack:
+        s = stack.pop()
+        for n in tree.neighbours(s):
+            if edge_key(s, n) == e or n in seen:
+                continue
+            seen.add(n)
+            stack.append(n)
+    return seen
 
 
 def tree_from_json(text):

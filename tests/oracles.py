@@ -17,6 +17,8 @@ from ttno.diagram import StateDiagram
 from ttno.operators import to_dense
 from ttno.svdref import RANK_REL_TOL
 
+from conftest import component_without_edge
+
 
 def bfs_distance(edges, a, b):
     """Shortest-path length on an undirected edge list."""
@@ -111,7 +113,7 @@ def dense_bond_dims(h, registry=None):
     pos = {s: i for i, s in enumerate(sites)}
     out = {}
     for e in tree.edges:
-        side = tree.component_without_edge(e, e[0])
+        side = component_without_edge(tree, e, e[0])
         axes_a = [pos[s] for s in sites if s in side]
         axes_b = [pos[s] for s in sites if s not in side]
         perm = (axes_a + [a + n for a in axes_a]

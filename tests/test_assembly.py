@@ -7,8 +7,8 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from ttno.assembly import (_DUMP_CHUNK, TTNOTensor, assign_indices,
-                           canonical_legs, contract_to_dense,
+from ttno.assembly import (_DUMP_CHUNK, TTNO, TTNOTensor,
+                           assign_indices, canonical_legs, contract_to_dense,
                            dense_element_count, element_count, emit_tensors,
                            read_ttno, write_ttno)
 from ttno.closedform import (CayleyTreeSpec, cayley_tree, nn_ttno,
@@ -77,6 +77,17 @@ def test_from_blocks_sums_pairs_and_drops_zero_sums():
     with pytest.raises(ValueError, match="read-only"):
         dense[0, 0] = x
     assert not t.elements.any(axis=(2, 3))[0, 0]  # rebuilt from the blocks
+
+
+def test_tensors_compare_by_identity_and_print_briefly(tree):
+    z = np.array([[1, 0], [0, -1]], dtype=complex)
+    a, b = (TTNOTensor.from_blocks(3, ((2, 3),), (2, 2, 2), [((1,), z)])
+            for _ in range(2))
+    assert a == a and a != b  # no elementwise comparison of the arrays
+    assert repr(a) == "TTNOTensor(site=3, shape=(2, 2, 2), blocks=1)"
+    op, other = (TTNO(tree, {3: t}) for t in (a, b))
+    assert op == op and op != other
+    assert repr(op) == f"TTNO({tree!r}, tensors=1)"
 
 
 def test_single_term_contraction_is_kron(tree):

@@ -27,6 +27,21 @@ def test_registry_defaults():
         DEFAULT_REGISTRY.lookup("Q", 2)
 
 
+def test_registry_builds_factory_operators_once():
+    registry = OperatorRegistry()
+    b = registry.lookup("B", 4)
+    assert registry.lookup("B", 4) is b
+    assert registry.resolve(SiteOperator("B", 4)) is b
+    with pytest.raises(ValueError, match="read-only"):
+        b[0, 1] = 2.0
+    assert registry.lookup("N", 3) is registry.lookup("N", 3)
+    # a label registered later shadows the factory, also once built
+    registry.register("N", np.eye(3))
+    assert np.array_equal(registry.lookup("N", 3), np.eye(3))
+    assert np.allclose(registry.lookup("N", 4), np.diag([0, 1, 2, 3]))
+    assert OperatorRegistry().lookup("B", 4) is not b
+
+
 def test_site_operator_symbolic_equality():
     a = SiteOperator("X", 2)
     b = SiteOperator("X", 2, matrix=X)

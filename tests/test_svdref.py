@@ -15,7 +15,7 @@ from ttno.svdref import (BenchRecord, BondReport, detail_csv,
                          summary_csv)
 from ttno.tree import TreeTopology
 
-from conftest import demo_tree, pauli_term
+from conftest import component_without_edge, demo_tree, pauli_term
 from oracles import dense_bond_dims, pick_nonleaf_root, random_tree_edges
 
 
@@ -49,7 +49,7 @@ def test_rank_symmetric_under_transposed_bipartition(demo_hamiltonian):
     pos = {s: i for i, s in enumerate(sites)}
     base = optimal_bond_dims(demo_hamiltonian)
     for e in tree.edges:
-        side = tree.component_without_edge(e, e[1])  # opposite anchor
+        side = component_without_edge(tree, e, e[1])  # opposite anchor
         axes_a = [pos[s] for s in sites if s in side]
         axes_b = [pos[s] for s in sites if s not in side]
         perm = (axes_a + [a + n for a in axes_a]
@@ -149,6 +149,54 @@ def test_transverse_field_chain_beyond_dense_cap():
     print(f"\n200-site transverse-field chain oracle: "
           f"{time.perf_counter() - t0:.2f}s")
     assert dims == {e: 3 for e in tree.edges}
+
+
+def test_transverse_field_chain_5000_sites():
+    n = 5000
+    tree = TreeTopology([(i, i + 1) for i in range(n - 1)], root=1)
+    x, z = SiteOperator("X", 2), SiteOperator("Z", 2)
+    h = Hamiltonian(tree, [ProductTerm(-1.0, {i: x, i + 1: x})
+                           for i in range(n - 1)]
+                    + [ProductTerm(0.5, {i: z}) for i in range(n)])
+    t0 = time.perf_counter()
+    dims = optimal_bond_dims(h)
+    elapsed = time.perf_counter() - t0
+    print(f"\n5,000-site transverse-field chain oracle: {elapsed:.2f}s")
+    assert dims == {e: 3 for e in tree.edges}
+    assert elapsed < 1.0
+
+
+def test_fully_matched_one_sided_strings_fold_to_exact_zero():
+    # across 0-1 each string wholly on site 0 matches the crossing row of
+    # its Pauli, so the folded norm is exactly 0; in floats, sum-then-
+    # subtract of these squares leaves 5.6e-17, and its square root would
+    # be a fourth singular value
+    pair = TreeTopology([(0, 1), (1, 2)], root=1)
+    op = {lbl: SiteOperator(lbl, 2) for lbl in "XYZ"}
+    h = Hamiltonian(pair, [ProductTerm(1.0, {0: op[a], 1: op[a]})
+                           for a in "XYZ"]
+                    + [ProductTerm(c, {0: op[a]})
+                       for c, a in zip((0.1, 1.1, 0.7), "XYZ")])
+    assert optimal_bond_dims(h) == dense_bond_dims(h) == {(0, 1): 3,
+                                                          (1, 2): 1}
+
+
+@pytest.mark.parametrize("first", [0, 1])
+def test_oracle_memo_keyed_by_matrix_content(first):
+    # one label, two matrices: a memo keyed by label or op_id would hand
+    # the second registry the first one's expansion
+    pair = TreeTopology([(0, 1)], root=0)
+    a, x = SiteOperator("A", 2), SiteOperator("X", 2)
+    h = Hamiltonian(pair, [ProductTerm(1.0, {0: a, 1: a}),
+                           ProductTerm(1.0, {0: x, 1: x})])
+    registries = []
+    for matrix in (X_MATRIX, np.diag([1.0, -1.0])):
+        registries.append(OperatorRegistry())
+        registries[-1].register("A", matrix)
+    order = registries[first:] + registries[:first]
+    assert [optimal_bond_dims(h, r) for r in order] == [
+        dense_bond_dims(h, r) for r in order]
+    assert [optimal_bond_dims(h, r)[(0, 1)] for r in registries] == [1, 2]
 
 
 def test_dominance_over_random_suite(tree):
