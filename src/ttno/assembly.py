@@ -153,14 +153,11 @@ def contract_to_dense(ttno: TTNO, ordering=None,
     """
     tree = ttno.tree
     ordering, total = dense_layout(tree, ordering, cap)
-    order = [tree.root]  # every site after its parent
-    for s in order:
-        order.extend(tree.children(s))
     # per contracted subtree: an array shaped (parent_dim, OUT, IN) --
     # parent axis omitted at the root -- and the sites of dimension > 1
     # that the OUT/IN axes run over, slowest first
     done: dict[int, tuple[np.ndarray, list[int]]] = {}
-    for site in reversed(order):
+    for site in reversed(tree.rooting.order):
         arr = ttno.tensors[site].elements
         lead = 0 if tree.parent(site) is None else 1
         sites = [site] if tree.phys_dim(site) > 1 else []

@@ -10,6 +10,7 @@ for benchmarks and seed 0 is refused.
 from __future__ import annotations
 
 import argparse
+import cmath
 import csv
 import json
 import sys
@@ -72,6 +73,9 @@ def load_hamiltonian(tree: TreeTopology, data: dict) -> tuple[Hamiltonian,
         if len(flat) != dim * dim:
             raise ValidationError(
                 f"matrix for {label!r} must hold {dim * dim} row-major entries")
+        if not np.isfinite(mat).all():
+            raise ValidationError(f"operator {label!r}: matrix entries must "
+                                  f"be finite")
         registry.register(label, mat.reshape(dim, dim))
     terms = []
     for i, raw in enumerate(raw_terms):
@@ -84,6 +88,9 @@ def load_hamiltonian(tree: TreeTopology, data: dict) -> tuple[Hamiltonian,
         except (TypeError, ValueError) as exc:
             raise ValidationError(
                 f"term {i}: 'coeff' must be a [re, im] pair") from exc
+        if not cmath.isfinite(coeff):
+            raise ValidationError(f"term {i}: 'coeff' [{re}, {im}] is not "
+                                  f"finite")
         factors = {}
         for site_str, label in raw_factors.items():
             try:

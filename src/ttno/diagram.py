@@ -137,7 +137,7 @@ class StateDiagram:
         # a root with one neighbour is no leaf, starts no climb and so
         # never sends
         root = tree.root
-        self._mute = (root if root != self._rooting.leaf
+        self._mute = (root if root != self._rooting.root
                       and len(self._incident[root]) == 1 else None)
         # per site: (op_id, *vertices in incident-edge order) -> hyperedge
         self._full: dict[int, dict[tuple, HyperEdge]] = {
@@ -242,34 +242,15 @@ class StateDiagram:
         message.  Every site not returned sends a message over its one
         unmarked edge, so the path's hyperedge there exists already."""
         r = self._rooting
-        up_of, kids, depth, leaf = r.up, r.kids, r.depth, r.leaf
+        up_of, kids, depth, leaf = r.up, r.kids, r.depth, r.root
         factors = term.factors
         ident = self._identity
         cached = self._up_id
         # marks[s]: the mark of the edge from s toward the leaf, or None;
         # first the sites of Steiner(S), with its top t
-        marks: dict[int, Vertex | None] = {}
-        t = None
-        for s in factors or (leaf,):
-            if t is None:
-                marks[s] = None
-                t = s
-                continue
-            if s in marks:
-                continue
-            marks[s] = None
-            x = s
-            while True:
-                if depth[x] > depth[t]:
-                    x = up_of[x]
-                    if x in marks:
-                        break
-                    marks[x] = None
-                else:
-                    t = up_of[t]
-                    if t in marks:
-                        break
-                    marks[t] = None
+        marks: dict[int, Vertex | None]
+        marks, t = r.steiner(factors or (leaf,))
+        marks[t] = None
         # messages toward the leaf, deepest first (so a site's kids in
         # Steiner(S) hold theirs), then on from t until the first miss
         mute, up_slot = self._mute, r.up_slot
@@ -390,7 +371,7 @@ class StateDiagram:
         """Recompute the identity messages sent from the ``dirty`` sites and
         pass every change on: first toward the leaf, then away from it."""
         r = self._rooting
-        up_of, kids, leaf = r.up, r.kids, r.leaf
+        up_of, kids, leaf = r.up, r.kids, r.root
         ups, downs = self._up_id, self._down_id
         touched = {}
         stack = list(dirty)
@@ -417,7 +398,7 @@ class StateDiagram:
     def _is_broken(self, site: int, ups: dict) -> bool:
         """Whether ``site`` sends no identity message toward the leaf while
         all its kids do, given the messages ``ups``."""
-        return (site != self._rooting.leaf and ups[site] is None
+        return (site != self._rooting.root and ups[site] is None
                 and None not in map(ups.__getitem__, self._rooting.kids[site]))
 
     def _file_broken(self, site: int) -> None:
@@ -482,16 +463,9 @@ class StateDiagram:
 
     def single_paths(self, cap: int = DEFAULT_PATH_CAP) -> list[SinglePath]:
         """All single paths through the diagram."""
-        tree = self.tree
-        root = tree.root
-        # pre-order site list, children ascending
-        order: list[int] = []
-        stack = [root]
-        while stack:
-            s = stack.pop()
-            order.append(s)
-            stack.extend(reversed(tree.children(s)))
-
+        # sites in preorder, children ascending
+        r = self.tree.rooting
+        root, order, up, kids = r.root, r.order, r.up, r.kids
         # below[v.uid]: sub-paths of the subtree under v's child site that
         # pass through v; children are counted before their parents
         below: dict[int, int] = {}
@@ -500,13 +474,13 @@ class StateDiagram:
             total = 0
             for y in cands:
                 n = 1
-                for c in tree.children(site):
+                for c in kids[site]:
                     n *= below[y.connected[edge_key(site, c)].uid]
                 total += n
             return total
 
         for site in reversed(order[1:]):
-            for v in self.w[edge_key(tree.parent(site), site)]:
+            for v in self.w[edge_key(up[site], site)]:
                 below[v.uid] = count(site, v.sides[site])
         total = count(root, self.eps[root])
         if total > cap:
@@ -530,7 +504,7 @@ class StateDiagram:
                 paths.append(SinglePath(dict(chosen)))
                 continue
             site = order[idx + 1]
-            parent = tree.parent(site)
+            parent = up[site]
             v_in = chosen[parent].connected[edge_key(parent, site)]
             candidates.append(iter(v_in.sides[site]))
         return paths

@@ -71,17 +71,15 @@ _OPERATOR_IDS: dict[tuple[str, int, complex], int] = {}
 class SiteOperator:
     """A labelled single-site operator.
 
-    ``matrix`` may be attached directly; otherwise the operator resolves as
-    ``scale * registry[base_label]`` (``base_label`` defaults to ``label``).
-    Equality and hashing are symbolic: two operators are the same iff base
-    label, dimension and scale agree.  ``op_id`` is that identity as one
-    int; ``label`` is for display only, so a user label such as ``2*X``
-    never matches the derived label of ``X`` scaled by 2.
+    It resolves as ``scale * registry[base_label]`` (``base_label`` defaults
+    to ``label``).  Equality and hashing are symbolic: two operators are the
+    same iff base label, dimension and scale agree.  ``op_id`` is that
+    identity as one int; ``label`` is for display only, so a user label such
+    as ``2*X`` never matches the derived label of ``X`` scaled by 2.
     """
 
     label: str
     dim: int
-    matrix: np.ndarray | None = None
     scale: complex = 1.0
     base_label: str | None = None
     op_id: int = field(init=False)
@@ -91,14 +89,6 @@ class SiteOperator:
             raise ValidationError("operator label must be non-empty")
         if self.dim < 1:
             raise ValidationError("operator dimension must be >= 1")
-        if self.matrix is not None:
-            m = np.asarray(self.matrix, dtype=complex)
-            if m.shape != (self.dim, self.dim):
-                raise ValidationError(
-                    f"matrix for {self.label!r} must be {self.dim}x{self.dim}")
-            if self.label == IDENTITY_LABEL and not np.allclose(m, np.eye(self.dim)):
-                raise ValidationError("label 'I' is reserved for the identity")
-            self.matrix = m
         if self.base_label is None:
             self.base_label = self.label
         # numbers hash and compare equal across int/float/complex, so the
@@ -116,10 +106,6 @@ class SiteOperator:
             return self
         total = c * self.scale
         base = self.base_label
-        if self.matrix is not None:
-            return SiteOperator(f"{format_scalar(c)}*{self.label}", self.dim,
-                                matrix=c * self.matrix, scale=total,
-                                base_label=base)
         if total == 1.0:
             label = base
         else:
@@ -165,6 +151,10 @@ class OperatorRegistry:
         m = np.asarray(matrix, dtype=complex)
         if m.ndim != 2 or m.shape[0] != m.shape[1]:
             raise ValidationError(f"matrix for {label!r} must be square")
+        if label == IDENTITY_LABEL and not np.array_equal(
+                m, np.eye(m.shape[0])):
+            raise ValidationError(
+                f"operator {label!r}: the label is reserved for the identity")
         self._fixed[(label, m.shape[0])] = m
 
     def lookup(self, label: str, dim: int) -> np.ndarray:
@@ -181,9 +171,8 @@ class OperatorRegistry:
         return self._built[key]
 
     def resolve(self, op: SiteOperator) -> np.ndarray:
-        """Dense matrix of ``op``, honouring attached matrices and scales."""
-        if op.matrix is not None:
-            return op.matrix
+        """Dense matrix of ``op``: its base label's matrix times its
+        scale."""
         m = self.lookup(op.base_label, op.dim)
         if op.scale != 1.0:
             return op.scale * m
@@ -215,13 +204,6 @@ class ProductTerm:
             if op.is_identity():
                 raise ValidationError(
                     f"identity factor at site {s}: identities are implicit")
-
-    @property
-    def support(self) -> tuple[int, ...]:
-        return tuple(sorted(self.factors))
-
-    def op_at(self, site: int, dim: int) -> SiteOperator:
-        return self.factors.get(site) or identity(dim)
 
     def key(self) -> tuple:
         """Canonical symbolic identity, independent of factor-map order."""
@@ -303,8 +285,8 @@ def to_dense(h: Hamiltonian, ordering=None,
     for term in h.terms:
         block = np.array([[term.coefficient]], dtype=complex)
         for s in ordering:
-            m = registry.resolve(term.op_at(s, tree.phys_dim(s)))
-            block = np.kron(block, m)
+            op = term.factors.get(s) or identity(tree.phys_dim(s))
+            block = np.kron(block, registry.resolve(op))
         out += block
     return out
 

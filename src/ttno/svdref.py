@@ -25,9 +25,9 @@ The cut is support-local.  Sites are named by their preorder position on
 the tree rooted at its last leaf (``tree.last_leaf_rooting``), so the sites
 below an edge hold one range of positions and the part of a string below
 it is one slice, found by bisection.  A string enters only the edges it
-crosses, those of the Steiner tree of its support.  A string wholly on one
-side of an edge is a row (or column) of C with one entry, at the identity
-of the other side.  It enters C only where a crossing string has the same
+crosses, those of the Steiner tree of its support (``Rooting.steiner``).
+A string wholly on one side of an edge is a row (or column) of C with one
+entry, at the identity of the other side.  It enters C only where a crossing string has the same
 part on that side, found by a dict lookup per crossing row and column; the
 others fold into one row and one column, a unitary that keeps the singular
 values.  The folded norms come from the sum of |c|^2 over the strings wholly
@@ -175,37 +175,22 @@ def optimal_bond_dims(h: Hamiltonian,
     """Operator Schmidt rank of ``h`` across every tree edge (at least 1)."""
     tree = h.tree
     r = tree.last_leaf_rooting
-    up, span = r.up, r.span
-    pos = {s: span[s][0] for s in r.order}
-    site_at = sorted(r.order, key=pos.__getitem__)
+    up, span, order = r.up, r.span, r.order
+    pos = {s: i for i, s in enumerate(order)}
     coeffs = _basis_coefficients(h, registry or DEFAULT_REGISTRY, pos)
     c0 = coeffs.pop((), 0.0)
     # edges are named by their endpoint t away from the last leaf; the
     # sites below edge t hold the positions span[t]
     crossing: dict[int, dict[BasisString, dict[BasisString, complex]]] = {}
     crossing_w: dict[int, int] = {}
-    lca_w = dict.fromkeys(r.order, 0)
+    lca_w = dict.fromkeys(order, 0)
     total = 0
     for key, c in coeffs.items():
         w = _fixed(c)
         total += w
         ps = [p for p, _ in key]
-        # climb from the first site to the support's lowest common
-        # ancestor, the first site whose span reaches the last position
-        t, last = site_at[ps[0]], ps[-1]
-        steiner = []
-        while span[t][1] <= last:
-            steiner.append(t)
-            t = up[t]
-        lca = t
+        steiner, lca = r.steiner(order[p] for p in ps)
         lca_w[lca] += w
-        seen = set(steiner)
-        for p in ps[1:]:
-            t = site_at[p]
-            while t != lca and t not in seen:
-                seen.add(t)
-                steiner.append(t)
-                t = up[t]
         for t in steiner:
             a, b = span[t]
             i = bisect_left(ps, a)
@@ -215,7 +200,7 @@ def optimal_bond_dims(h: Hamiltonian,
             crossing_w[t] = crossing_w.get(t, 0) + w
     # below[t]: |c|^2 of the strings wholly below edge t
     below = {}
-    for t in reversed(r.order):
+    for t in reversed(order):
         below[t] = lca_w[t] + sum(below[k] for k in r.kids[t])
 
     out: dict[Edge, int] = {}

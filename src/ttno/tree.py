@@ -3,11 +3,16 @@
 Sites are opaque non-negative integers.  The tree is stored undirected with
 the root recorded separately, so re-rooting is a cheap pure function.
 Canonical iteration order is ascending site id everywhere.
+
+Every rooted view of a tree is a :class:`Rooting`.  ``TreeTopology.rooting``,
+at the chosen root, answers the parent, child, leaf, depth, route and
+subtree queries; ``TreeTopology.last_leaf_rooting`` is the view that diagram
+construction and the rank oracle share, and ``Rooting.steiner`` gives both
+the Steiner tree of a support.
 """
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -29,51 +34,96 @@ class Route:
     edges: tuple[Edge, ...]
 
 
-class LeafRooting:
-    """A tree rooted at its last leaf ``leaf = tree.leaves()[-1]``.
+class Rooting:
+    """The tree with neighbour lists ``nbrs`` rooted at ``root``.
 
-    ``incident[s]`` is ``tree.incident_edges(s)``.  ``up[s]`` is the
-    neighbour of ``s`` toward ``leaf`` (None at ``leaf``) and ``kids[s]``
-    the other neighbours, in neighbour order; ``far[s]`` names each edge of
-    ``s``, in neighbour order, by its endpoint farther from ``leaf``.
-    ``up_slot[s]`` is the position of ``up[s]`` in ``neighbours(s)`` and
-    ``down_slot[s]`` that of ``s`` in ``neighbours(up[s])``.  ``order``
-    lists every site after its ``up``.  ``depth[s]`` counts the edges to
-    ``leaf``, and ``span[s]`` is the half-open preorder range of the sites
-    at or below ``s``, so ``a`` is ``b`` or lies toward ``leaf`` from it
-    exactly when ``span[a][0] <= span[b][0] < span[a][1]``.
+    One depth-first walk, kids in neighbour order, gives ``up[s]``, the
+    neighbour of ``s`` toward ``root`` (None at ``root``), ``kids[s]``, the
+    other neighbours, ``depth[s]``, the number of edges to ``root``, and
+    ``order``, the sites in preorder.  Only the sites reachable from
+    ``root`` are rooted.
+
+    Computed on first use: ``span[s]``, the half-open range of positions in
+    ``order`` of the sites at or below ``s``, so ``a`` is ``b`` or lies
+    toward ``root`` from it exactly when
+    ``span[a][0] <= span[b][0] < span[a][1]``; ``incident[s]``, the edges of
+    ``s`` in neighbour order; ``far[s]``, each edge of ``s`` named by its
+    endpoint farther from ``root``; ``up_slot[s]``, the position of
+    ``up[s]`` in ``nbrs[s]``; and ``down_slot[s]``, that of ``s`` in
+    ``nbrs[up[s]]``.
     """
 
-    def __init__(self, tree: "TreeTopology"):
-        self.leaf = leaf = tree.leaves()[-1]
-        nbrs = {s: tree.neighbours(s) for s in tree.nodes}
-        self.incident = {s: tree.incident_edges(s) for s in tree.nodes}
-        up: dict[int, int | None] = {leaf: None}
-        depth = {leaf: 0}
-        order = [leaf]
-        for s in order:
-            for n in nbrs[s]:
-                if n not in up:
-                    up[n] = s
-                    depth[n] = depth[s] + 1
-                    order.append(n)
-        self.up, self.depth, self.order = up, depth, tuple(order)
-        self.kids = {s: tuple(n for n in nbrs[s] if n != up[s])
-                     for s in order}
-        self.far = {s: tuple(s if n == up[s] else n for n in nbrs[s])
-                    for s in order}
-        self.up_slot = {s: nbrs[s].index(up[s]) for s in order[1:]}
-        self.down_slot = {s: nbrs[up[s]].index(s) for s in order[1:]}
-        size = {}
-        for s in reversed(order):
-            size[s] = 1 + sum(size[c] for c in self.kids[s])
-        first = {leaf: 0}
-        for s in order:
-            nxt = first[s] + 1
-            for c in self.kids[s]:
-                first[c] = nxt
-                nxt += size[c]
-        self.span = {s: (first[s], first[s] + size[s]) for s in order}
+    def __init__(self, nbrs: dict[int, tuple[int, ...]], root: int):
+        self.nbrs, self.root = nbrs, root
+        up: dict[int, int | None] = {root: None}
+        depth = {root: 0}
+        kids: dict[int, tuple[int, ...]] = {}
+        order = []
+        stack = [root]
+        while stack:
+            s = stack.pop()
+            order.append(s)
+            d = depth[s] + 1
+            # testing ``up``, not the parent, ends the walk on a cycle too
+            kids[s] = below = tuple([n for n in nbrs[s] if n not in up])
+            for n in below:
+                up[n] = s
+                depth[n] = d
+            stack.extend(below[::-1])
+        self.up, self.kids, self.depth = up, kids, depth
+        self.order = tuple(order)
+
+    @cached_property
+    def span(self) -> dict[int, tuple[int, int]]:
+        # a subtree ends where the subtree of its last kid ends
+        order, kids = self.order, self.kids
+        end: dict[int, int] = {}
+        for i in range(len(order) - 1, -1, -1):
+            s = order[i]
+            k = kids[s]
+            end[s] = end[k[-1]] if k else i + 1
+        return {s: (i, end[s]) for i, s in enumerate(order)}
+
+    def steiner(self, sites) -> tuple[dict[int, None], int]:
+        """The Steiner tree of ``sites``, a non-empty iterable in any order:
+        its sites other than its top, as the keys of a new dict (values
+        None), and its top, the lowest common ancestor of ``sites``."""
+        up, depth = self.up, self.depth
+        below: dict[int, None] = {}
+        top = None
+        for s in sites:
+            if top is None:
+                top = s
+                continue
+            # climb from s and from the top, the deeper first, until s
+            # meets the tree so far
+            while s not in below and s != top:
+                if depth[s] > depth[top]:
+                    below[s] = None
+                    s = up[s]
+                else:
+                    below[top] = None
+                    top = up[top]
+        return below, top
+
+    @cached_property
+    def incident(self) -> dict[int, tuple[Edge, ...]]:
+        return {s: tuple(edge_key(s, n) for n in self.nbrs[s])
+                for s in self.order}
+
+    @cached_property
+    def far(self) -> dict[int, tuple[int, ...]]:
+        up = self.up
+        return {s: tuple(s if n == up[s] else n for n in self.nbrs[s])
+                for s in self.order}
+
+    @cached_property
+    def up_slot(self) -> dict[int, int]:
+        return {s: self.nbrs[s].index(self.up[s]) for s in self.order[1:]}
+
+    @cached_property
+    def down_slot(self) -> dict[int, int]:
+        return {s: self.nbrs[self.up[s]].index(s) for s in self.order[1:]}
 
 
 class TreeTopology:
@@ -153,32 +203,15 @@ class TreeTopology:
                     raise ValidationError(f"phys_dim {d} at site {s} must be >= 1")
                 self.phys_dims[s] = d
 
-        # Rooted structure via BFS from the root; also checks connectivity.
-        parent: dict[int, int | None] = {root: None}
-        depth: dict[int, int] = {root: 0}
-        queue = deque([root])
-        while queue:
-            s = queue.popleft()
-            for n in self._adj[s]:
-                if n not in parent:
-                    parent[n] = s
-                    depth[n] = depth[s] + 1
-                    queue.append(n)
-        if len(parent) != len(self.nodes):
+        # also the connectivity check
+        self.rooting = Rooting(self._adj, root)
+        if len(self.rooting.order) != len(self.nodes):
             raise ValidationError("tree is not connected")
-        self._parent = parent
-        self._depth_of = depth
-        children: dict[int, list[int]] = {s: [] for s in self.nodes}
-        for s in self.nodes:
-            p = parent[s]
-            if p is not None:
-                children[p].append(s)
-        self._children = {s: tuple(sorted(c)) for s, c in children.items()}
 
     # -- structure queries -------------------------------------------------
 
     def _check(self, s: int) -> int:
-        if s not in self._parent:
+        if s not in self._adj:
             raise ValidationError(f"unknown site {s}")
         return s
 
@@ -186,19 +219,20 @@ class TreeTopology:
         return self._adj[self._check(s)]
 
     def parent(self, s: int) -> int | None:
-        return self._parent[self._check(s)]
+        return self.rooting.up[self._check(s)]
 
     def children(self, s: int) -> tuple[int, ...]:
-        return self._children[self._check(s)]
+        return self.rooting.kids[self._check(s)]
 
     def leaves(self) -> tuple[int, ...]:
-        return tuple(s for s in self.nodes if not self._children[s])
+        kids = self.rooting.kids
+        return tuple(s for s in self.nodes if not kids[s])
 
     def is_leaf(self, s: int) -> bool:
-        return not self._children[self._check(s)]
+        return not self.rooting.kids[self._check(s)]
 
     def depth(self) -> int:
-        return max(self._depth_of.values())
+        return max(self.rooting.depth.values())
 
     def phys_dim(self, s: int) -> int:
         return self.phys_dims[self._check(s)]
@@ -213,14 +247,15 @@ class TreeTopology:
         self._check(a)
         self._check(b)
         # climb to the common ancestor using root depths
+        up, depth = self.rooting.up, self.rooting.depth
         left, right = [a], [b]
         x, y = a, b
         while x != y:
-            if self._depth_of[x] >= self._depth_of[y]:
-                x = self._parent[x]
+            if depth[x] >= depth[y]:
+                x = up[x]
                 left.append(x)
             else:
-                y = self._parent[y]
+                y = up[y]
                 right.append(y)
         nodes = tuple(left + right[-2::-1])
         edges = tuple(edge_key(u, v) for u, v in zip(nodes, nodes[1:]))
@@ -231,19 +266,14 @@ class TreeTopology:
 
     def subtree(self, s: int) -> set[int]:
         """Sites whose route to the root passes through ``s`` (incl. ``s``)."""
-        self._check(s)
-        out = {s}
-        stack = list(self._children[s])
-        while stack:
-            c = stack.pop()
-            out.add(c)
-            stack.extend(self._children[c])
-        return out
+        a, b = self.rooting.span[self._check(s)]
+        return set(self.rooting.order[a:b])
 
     @cached_property
-    def last_leaf_rooting(self) -> LeafRooting:
-        """This tree rooted at its last leaf, computed once per tree."""
-        return LeafRooting(self)
+    def last_leaf_rooting(self) -> Rooting:
+        """This tree rooted at its last leaf, ``leaves()[-1]``, computed
+        once per tree."""
+        return Rooting(self._adj, self.leaves()[-1])
 
     # -- misc ----------------------------------------------------------------
 

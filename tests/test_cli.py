@@ -73,6 +73,17 @@ PAIR_TERM = {"coeff": [1, 0], "factors": {"1": "X", "2": "X"}}
     (TREE_JSON, {"terms": 3}, "'terms' must be"),
     (TREE_JSON, {"operators": [{"dim": 2}], "terms": [PAIR_TERM]},
      "'operators' must be"),
+    (TREE_JSON, {"operators": {"I": {"dim": 2, "matrix": [
+        [0, 0], [1, 0], [1, 0], [0, 0]]}}, "terms": [PAIR_TERM]},
+     "operator 'I'"),
+    (TREE_JSON, {"terms": [PAIR_TERM, {"coeff": [float("nan"), 0],
+                                       "factors": {"1": "Y"}}]},
+     "term 1: 'coeff' [nan, 0] is not finite"),
+    (TREE_JSON, {"terms": [{"coeff": [float("inf"), 0], "factors": {}}]},
+     "term 0: 'coeff' [inf, 0] is not finite"),
+    (TREE_JSON, {"operators": {"Q": {"dim": 2, "matrix": [
+        [float("nan"), 0], [1, 0], [1, 0], [0, 0]]}}, "terms": [PAIR_TERM]},
+     "operator 'Q': matrix entries must be finite"),
 ])
 def test_build_malformed_fields(tmp_path, capsys, tree_json, ham_json,
                                 message):

@@ -44,17 +44,22 @@ def test_registry_builds_factory_operators_once():
 
 def test_site_operator_symbolic_equality():
     a = SiteOperator("X", 2)
-    b = SiteOperator("X", 2, matrix=X)
-    assert a == b  # label + dim, matrices are not compared
+    assert a == SiteOperator("X", 2)
     assert a != SiteOperator("X", 3)
     assert a != SiteOperator("Y", 2)
 
 
 def test_identity_label_guard():
     with pytest.raises(ValidationError):
-        SiteOperator("I", 2, matrix=X)
-    with pytest.raises(ValidationError):
         ProductTerm(1.0, {0: SiteOperator("I", 2)})
+
+
+def test_registry_reserves_identity_label():
+    registry = OperatorRegistry()
+    with pytest.raises(ValidationError, match="'I'"):
+        registry.register("I", X)
+    assert np.array_equal(registry.resolve(SiteOperator("I", 2)), np.eye(2))
+    registry.register("I", np.eye(3))  # the identity itself may be given
 
 
 def test_fold_unit_coefficient_is_noop():

@@ -6,8 +6,8 @@ import pytest
 from ttno.errors import ValidationError
 from ttno.tree import TreeTopology, edge_key
 
-from conftest import (DEMO_EDGES, ball, boundary, demo_tree, tree_from_json,
-                      tree_to_json)
+from conftest import (DEMO_EDGES, ball, boundary, component_without_edge,
+                      demo_tree, tree_from_json, tree_to_json)
 from oracles import bfs_distance, pick_nonleaf_root, random_tree_edges
 
 
@@ -105,6 +105,73 @@ def test_random_trees_match_bfs_oracle():
             assert t.distance(a, b) == bfs_distance(edges, a, b)
 
 
+def _random_rooted_trees(seed, count):
+    """Seeded random trees of 1-31 sites, each under a random root; every
+    fourth tree is rooted at a site with one neighbour."""
+    rng = np.random.default_rng(seed)
+    for k in range(count):
+        n = int(rng.integers(1, 32))
+        edges = random_tree_edges(rng, n)
+        degree = np.bincount(np.array(edges, dtype=int).reshape(-1),
+                             minlength=n)
+        ends = np.flatnonzero(degree == 1)
+        root = (int(rng.choice(ends)) if k % 4 == 0 and len(ends)
+                else int(rng.integers(n)))
+        yield rng, edges, TreeTopology(edges, root, nodes=range(n))
+
+
+def _preorder(edges, root):
+    """Preorder of the edge list's tree from ``root``, children ascending."""
+    adj = {root: []}
+    for a, b in edges:
+        adj.setdefault(a, []).append(b)
+        adj.setdefault(b, []).append(a)
+    out, stack = [], [(root, None)]
+    while stack:
+        s, parent = stack.pop()
+        out.append(s)
+        stack.extend((n, s) for n in sorted(adj[s], reverse=True)
+                     if n != parent)
+    return tuple(out)
+
+
+def test_rooting_is_a_preorder_with_ascending_children():
+    assert demo_tree().rooting.order == (1, 2, 3, 4, 5, 6, 7, 8)
+    assert demo_tree().last_leaf_rooting.order == (8, 7, 5, 1, 2, 3, 4, 6)
+    for _, edges, tree in _random_rooted_trees(11, 60):
+        for r in (tree.rooting, tree.last_leaf_rooting):
+            assert r.order == _preorder(edges, r.root)
+            for s in r.order:
+                assert r.depth[s] == bfs_distance(edges, s, r.root)
+                a, b = r.span[s]
+                assert r.order[a] == s
+                below = (set(tree.nodes) if s == r.root else
+                         component_without_edge(tree, (s, r.up[s]), s))
+                assert set(r.order[a:b]) == below
+
+
+def test_steiner_matches_cut_oracle():
+    for rng, edges, tree in _random_rooted_trees(5, 120):
+        n = len(tree.nodes)
+        for r in (tree.rooting, tree.last_leaf_rooting):
+            for k in (1, 2, 3, n):
+                support = {int(x) for x in rng.choice(n, min(k, n), False)}
+                if k == 3:
+                    support.add(r.root)
+                below, top = r.steiner(
+                    [int(x) for x in rng.permutation(sorted(support))])
+                assert set(below) == {
+                    x for x in r.order[1:] if 0 < len(support & (
+                        component_without_edge(tree, (x, r.up[x]), x)))
+                    < len(support)}
+                # the top is a Steiner site with no member of the support
+                # toward the root
+                sides = {m: support & component_without_edge(tree, (top, m), m)
+                         for m in tree.neighbours(top)}
+                assert top in support or sum(map(bool, sides.values())) >= 2
+                assert not sides.get(r.up[top])
+
+
 def test_re_root_preserves_edges(tree):
     t5 = tree.re_root(5)
     assert t5.edges == tree.edges
@@ -121,6 +188,8 @@ def test_invariant_violations_rejected():
         TreeTopology([(0, 1), (1, 2), (2, 0)], root=0)  # cycle
     with pytest.raises(ValidationError):
         TreeTopology([(0, 1), (2, 3)], root=0)  # disconnected
+    with pytest.raises(ValidationError):  # disconnected, root on a cycle
+        TreeTopology([(0, 1), (2, 3), (3, 4), (4, 2)], root=2)
     with pytest.raises(ValidationError):
         TreeTopology([(0, 0)], root=0)  # self-loop
     with pytest.raises(ValidationError):
