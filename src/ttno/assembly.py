@@ -132,19 +132,23 @@ def emit_tensors(diagram: StateDiagram,
     registry = registry or DEFAULT_REGISTRY
     index = assign_indices(diagram)
     tree = diagram.tree
+    r = tree.rooting
     dims = diagram.bond_dimensions()
     tensors: dict[int, TTNOTensor] = {}
     for s in tree.nodes:
         legs = canonical_legs(tree, s)
+        # where each leg's vertex sits in a hyperedge's ``vs``
+        slots = [r.down_slot[c] for c in r.kids[s]]
+        if s != r.root:
+            slots.insert(0, r.up_slot[s])
         shape = tuple(dims[e] for e in legs) + (tree.phys_dim(s),) * 2
-        pairs = ((tuple(index[e][y.connected[e].uid] for e in legs),
+        pairs = ((tuple(index[e][y.vs[i].uid] for e, i in zip(legs, slots)),
                   registry.resolve(y.op)) for y in diagram.eps[s])
         tensors[s] = TTNOTensor.from_blocks(s, legs, shape, pairs)
     return TTNO(tree, tensors)
 
 
-def contract_to_dense(ttno: TTNO, ordering=None,
-                      cap: int | None = None) -> np.ndarray:
+def contract_to_dense(ttno: TTNO, ordering=None) -> np.ndarray:
     """Full contraction over all bond legs, as a dense matrix.
 
     The output row/column indices run over the physical spaces in the given
@@ -152,7 +156,7 @@ def contract_to_dense(ttno: TTNO, ordering=None,
     :func:`ttno.operators.to_dense`.
     """
     tree = ttno.tree
-    ordering, total = dense_layout(tree, ordering, cap)
+    ordering, total = dense_layout(tree, ordering)
     # per contracted subtree: an array shaped (parent_dim, OUT, IN) --
     # parent axis omitted at the root -- and the sites of dimension > 1
     # that the OUT/IN axes run over, slowest first

@@ -39,7 +39,7 @@ def _load_json(path: str):
     except json.JSONDecodeError as exc:
         raise _ParseFailure(
             f"{path}: line {exc.lineno} column {exc.colno}: {exc.msg}") from exc
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise _ParseFailure(f"{path}: {exc}") from exc
 
 
@@ -70,12 +70,12 @@ def load_hamiltonian(tree: TreeTopology, data: dict) -> tuple[Hamiltonian,
         except (KeyError, TypeError, ValueError) as exc:
             raise ValidationError(f"operator {label!r}: needs an integer "
                                   f"'dim' and a [re, im] 'matrix'") from exc
+        if dim < 1:
+            raise ValidationError(f"operator {label!r}: 'dim' {dim} must be "
+                                  f">= 1")
         if len(flat) != dim * dim:
             raise ValidationError(
                 f"matrix for {label!r} must hold {dim * dim} row-major entries")
-        if not np.isfinite(mat).all():
-            raise ValidationError(f"operator {label!r}: matrix entries must "
-                                  f"be finite")
         registry.register(label, mat.reshape(dim, dim))
     terms = []
     for i, raw in enumerate(raw_terms):
@@ -228,7 +228,7 @@ def cmd_plotdata(args) -> int:
     try:
         with open(args.csv) as fh:
             rows = list(csv.DictReader(fh))
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise _ParseFailure(f"{args.csv}: {exc}") from exc
     if not rows:
         raise _ParseFailure(f"{args.csv}: empty or header-only CSV")

@@ -8,11 +8,12 @@ hyperedge per site, consistently across shared vertices; the label product
 of a path is one product term, and the multiset of all paths is the
 operator the diagram represents.
 
-Construction is incremental: a first term gives a diagram with one vertex
-per edge, and every further term is grafted on.  The new term's path
-shares a *marked* vertex with the diagram on some edges; everything left
-unmarked gets fresh vertices and hyperedges, so per term exactly one new
-single path appears.
+Construction is incremental: a diagram starts empty and every term is
+grafted on.  The new term's path shares a *marked* vertex with the diagram
+on some edges; everything left unmarked gets fresh vertices and
+hyperedges, so per term exactly one new single path appears.  On the empty
+diagram nothing is marked, so the first term gets one vertex per edge and
+one hyperedge per site.
 
 Marks are messages on the tree rooted at its last leaf L, the last of
 ``tree.leaves()``.  A site whose other edges are all marked sends a message
@@ -76,22 +77,24 @@ class Vertex:
 
 
 class HyperEdge:
-    """A labelled tensor element at one site."""
+    """A labelled tensor element at one site: ``vs`` holds one vertex per
+    incident edge of the site, in neighbour order, which is also ascending
+    edge order."""
 
-    __slots__ = ("uid", "site", "op", "connected")
+    __slots__ = ("uid", "site", "op", "vs")
 
     def __init__(self, uid: int, site: int, op: SiteOperator,
-                 connected: dict[Edge, Vertex]):
+                 vs: tuple[Vertex, ...]):
         self.uid = uid
         self.site = site
         self.op = op
-        self.connected = connected
+        self.vs = vs
 
     def vertex_set(self) -> frozenset:
-        return frozenset(v.uid for v in self.connected.values())
+        return frozenset(v.uid for v in self.vs)
 
     def __repr__(self):
-        vs = " ".join(f"v{v.uid}" for v in self.connected.values())
+        vs = " ".join(f"v{v.uid}" for v in self.vs)
         return f"y{self.uid}({self.op.label}@{self.site}; {vs})"
 
 
@@ -109,11 +112,14 @@ class SinglePath:
         return ProductTerm(1.0, factors)
 
     def validate(self, tree: TreeTopology) -> None:
-        for a, b in tree.edges:
-            e = edge_key(a, b)
-            if self.chosen[a].connected[e] is not self.chosen[b].connected[e]:
+        r = tree.rooting
+        for s in r.order[1:]:
+            p = r.up[s]
+            if (self.chosen[s].vs[r.up_slot[s]]
+                    is not self.chosen[p].vs[r.down_slot[s]]):
                 raise ValidationError(
-                    f"path hyperedges disagree on the vertex of edge {e}")
+                    f"path hyperedges disagree on the vertex of edge "
+                    f"{edge_key(s, p)}")
 
 
 class StateDiagram:
@@ -124,6 +130,7 @@ class StateDiagram:
     """
 
     def __init__(self, tree: TreeTopology):
+        """The empty diagram on ``tree``: no vertices, no hyperedges."""
         self.tree = tree
         self.w: dict[Edge, list[Vertex]] = {e: [] for e in tree.edges}
         self.eps: dict[int, list[HyperEdge]] = {s: [] for s in tree.nodes}
@@ -132,12 +139,13 @@ class StateDiagram:
         self._next_vertex = 0
         self._next_hyperedge = 0
         self._identity = {s: identity(tree.phys_dim(s)) for s in tree.nodes}
-        self._rooting = tree.last_leaf_rooting
-        self._incident = self._rooting.incident
+        r = self._rooting = tree.last_leaf_rooting
+        self._incident, self._far, self._span = r.incident, r.far, r.span
+        self._up_slot, self._down_slot = r.up_slot, r.down_slot
         # a root with one neighbour is no leaf, starts no climb and so
         # never sends
         root = tree.root
-        self._mute = (root if root != self._rooting.root
+        self._mute = (root if root != r.root
                       and len(self._incident[root]) == 1 else None)
         # per site: (op_id, *vertices in incident-edge order) -> hyperedge
         self._full: dict[int, dict[tuple, HyperEdge]] = {
@@ -146,15 +154,13 @@ class StateDiagram:
         # edges) -> hyperedges in creation order
         self._open: dict[int, list[dict[tuple, list[HyperEdge]]]] = {
             s: [{} for _ in self._incident[s]] for s in tree.nodes}
-        # identity messages of every site s but the rooting's leaf: the one
-        # s sends toward the leaf and the one it receives from there, None
-        # where undefined; _broken holds the lowest sites that send none
-        self._up_id: dict[int, Vertex | None] = {}
-        self._down_id: dict[int, Vertex | None] = {}
-        self._broken: set[int] = set()
         # open-index hits examined by the term messages and the identity
         # message caches (runtime-bound probe)
         self.match_visits = 0
+        # identity messages of every site s but the rooting's leaf: the one
+        # s sends toward the leaf and the one it receives from there, None
+        # where undefined; _broken holds the lowest sites that send none
+        self._up_id, self._down_id, self._broken = self._identity_messages()
 
     # -- construction ------------------------------------------------------
 
@@ -172,8 +178,7 @@ class StateDiagram:
                        vs: tuple[Vertex, ...]) -> HyperEdge:
         """A hyperedge at ``site`` on the vertices ``vs``, one per incident
         edge in incident-edge order, filed in the indexes."""
-        y = HyperEdge(self._next_hyperedge, site, op,
-                      dict(zip(self._incident[site], vs)))
+        y = HyperEdge(self._next_hyperedge, site, op, vs)
         self._next_hyperedge += 1
         self.eps[site].append(y)
         full, opens = _index_keys(op.op_id, vs)
@@ -183,24 +188,11 @@ class StateDiagram:
             index.setdefault(key, []).append(y)
         return y
 
-    def _want(self, term: ProductTerm, site: int) -> SiteOperator:
-        return term.factors.get(site) or self._identity[site]
-
     @classmethod
     def from_single_term(cls, tree: TreeTopology,
                          term: ProductTerm) -> "StateDiagram":
         """One vertex per edge, one hyperedge per site."""
-        diagram = cls(tree)
-        term = diagram._fold(term)
-        vertices = {e: diagram._new_vertex(e) for e in tree.edges}
-        for s in tree.nodes:
-            vs = tuple([vertices[e] for e in diagram._incident[s]])
-            diagram._new_hyperedge(s, diagram._want(term, s), vs)
-        diagram.terms.append(term)
-        diagram._term_keys.add(term.key())
-        (diagram._up_id, diagram._down_id,
-         diagram._broken) = diagram._identity_messages()
-        return diagram
+        return cls(tree).add_term(term)
 
     def add_term(self, term: ProductTerm, reuse: bool = True) -> "StateDiagram":
         """Graft one more product term onto the diagram (in place).
@@ -226,10 +218,9 @@ class StateDiagram:
         edges.  That is the free vertex of the first hyperedge filed under
         ``key`` that no other hyperedge at ``site`` shares (a shared vertex
         would drag extra hyperedges into the path)."""
-        e = self._incident[site][free]
         for y in self._open[site][free].get(key, ()):
             self.match_visits += 1
-            v = y.connected[e]
+            v = y.vs[free]
             if len(v.sides[site]) == 1:
                 return v
         return None
@@ -253,7 +244,7 @@ class StateDiagram:
         marks[t] = None
         # messages toward the leaf, deepest first (so a site's kids in
         # Steiner(S) hold theirs), then on from t until the first miss
-        mute, up_slot = self._mute, r.up_slot
+        mute, up_slot = self._mute, self._up_slot
         cands: set[int] = set()
         order = sorted(marks, key=depth.__getitem__, reverse=True)
         for a in order:
@@ -298,7 +289,7 @@ class StateDiagram:
                 a = head
         # a site passes the descent on while exactly one of its edges is
         # unmarked, and is then no graft site
-        far = r.far
+        far = self._far
         while a is not None:
             key = [(factors.get(a) or ident[a]).op_id]
             free = None
@@ -322,7 +313,7 @@ class StateDiagram:
             cands.add(a)
         # each broken identity channel runs from a lowest member toward the
         # leaf until it meets a site marked above or an ancestor of t
-        span = r.span
+        span = self._span
         top = span[t][0]
         for x in self._broken:
             while (x not in marks and x not in cands
@@ -337,7 +328,7 @@ class StateDiagram:
         the identity messages the new hyperedges can change.  ``marks``
         maps an edge's endpoint away from the leaf to its mark, None for
         none; edges it does not name take the cached identity message."""
-        far_of = self._rooting.far
+        far_of = self._far
         incident = self._incident
         ups, downs = self._up_id, self._down_id
         factors = term.factors
@@ -416,23 +407,22 @@ class StateDiagram:
                *map(ups.__getitem__, self._rooting.kids[site]))
         if None in key:
             return None
-        return self._lookup(site, self._rooting.up_slot[site], key)
+        return self._lookup(site, self._up_slot[site], key)
 
     def _identity_down(self, site: int, ups: dict,
                        downs: dict) -> Vertex | None:
         """The identity message ``site`` receives from the leaf's side: its
         neighbour p toward the leaf sends it once p has received one
         (``downs``) and every other kid of p has sent one (``ups``)."""
-        r = self._rooting
-        p = r.up[site]
+        p = self._rooting.up[site]
         key = [self._identity[p].op_id]
-        for c in r.far[p]:
+        for c in self._far[p]:
             if c != site:
                 v = downs[p] if c == p else ups[c]
                 if v is None:
                     return None
                 key.append(v)
-        return self._lookup(p, r.down_slot[site], tuple(key))
+        return self._lookup(p, self._down_slot[site], tuple(key))
 
     def _identity_messages(self) -> tuple[dict, dict, set]:
         """Every identity message computed afresh: the caches ``_up_id``,
@@ -466,6 +456,7 @@ class StateDiagram:
         # sites in preorder, children ascending
         r = self.tree.rooting
         root, order, up, kids = r.root, r.order, r.up, r.kids
+        down_slot = r.down_slot
         # below[v.uid]: sub-paths of the subtree under v's child site that
         # pass through v; children are counted before their parents
         below: dict[int, int] = {}
@@ -475,7 +466,7 @@ class StateDiagram:
             for y in cands:
                 n = 1
                 for c in kids[site]:
-                    n *= below[y.connected[edge_key(site, c)].uid]
+                    n *= below[y.vs[down_slot[c]].uid]
                 total += n
             return total
 
@@ -504,8 +495,7 @@ class StateDiagram:
                 paths.append(SinglePath(dict(chosen)))
                 continue
             site = order[idx + 1]
-            parent = up[site]
-            v_in = chosen[parent].connected[edge_key(parent, site)]
+            v_in = chosen[up[site]].vs[down_slot[site]]
             candidates.append(iter(v_in.sides[site]))
         return paths
 
@@ -536,11 +526,10 @@ class StateDiagram:
                 seen_y.add(y.uid)
                 if y.site != s:
                     raise ValidationError(f"hyperedge {y.uid} misfiled")
-                incident = set(self.tree.incident_edges(s))
-                if set(y.connected) != incident:
+                if len(y.vs) != len(self._incident[s]):
                     raise ValidationError(
                         f"hyperedge {y.uid} does not touch every incident edge")
-                for e, v in y.connected.items():
+                for e, v in zip(self._incident[s], y.vs):
                     if v.edge != e:
                         raise ValidationError(
                             f"hyperedge {y.uid} touches a vertex of another edge")
@@ -550,8 +539,7 @@ class StateDiagram:
                         f"mergeable duplicate hyperedges at site {s}: "
                         f"{y.op.label} on {sorted(combo[1])}")
                 combos.add(combo)
-            keys = [_index_keys(y.op.op_id, tuple(
-                y.connected[e] for e in self._incident[s])) for y in ys]
+            keys = [_index_keys(y.op.op_id, y.vs) for y in ys]
             full = self._full[s]
             if len(full) != len(ys) or any(
                     full.get(k) is not y for y, (k, _) in zip(ys, keys)):
@@ -591,8 +579,7 @@ class StateDiagram:
             lines.append(f"w{e}: {ids}")
         for s in self.tree.nodes:
             for y in self.eps[s]:
-                vs = " ".join(
-                    f"v{y.connected[e].uid}" for e in sorted(y.connected))
+                vs = " ".join(f"v{v.uid}" for v in y.vs)
                 lines.append(f"eps[{s}]: ({s}, {y.op.label}, {vs})")
         return "\n".join(lines) + "\n"
 
@@ -619,8 +606,7 @@ def from_hamiltonian(h: Hamiltonian, reuse: bool = True) -> StateDiagram:
             "root has a single neighbour; bond dimensions will generally "
             "be worse than for an interior root",
             stacklevel=2)
-    terms = h.folded_terms()
-    diagram = StateDiagram.from_single_term(h.tree, terms[0])
-    for term in terms[1:]:
+    diagram = StateDiagram(h.tree)
+    for term in h.folded_terms():
         diagram.add_term(term, reuse=reuse)
     return diagram

@@ -23,10 +23,9 @@ IDENTITY_LABEL = "I"
 DEFAULT_DENSE_CAP = 4096
 
 
-def dense_layout(tree: TreeTopology, ordering=None,
-                 cap: int | None = None) -> tuple[list[int], int]:
+def dense_layout(tree: TreeTopology, ordering=None) -> tuple[list[int], int]:
     """Site ordering (default ascending) and total dimension of a dense
-    build, after checking the ordering and the dense cap (``cap``, else the
+    build, after checking the ordering and the dense cap (the
     TTNO_DENSE_CAP env var, else the default)."""
     if ordering is None:
         ordering = list(tree.nodes)
@@ -37,9 +36,12 @@ def dense_layout(tree: TreeTopology, ordering=None,
     total = 1
     for s in ordering:
         total *= tree.phys_dim(s)
-    if cap is None:
-        cap = os.environ.get("TTNO_DENSE_CAP", DEFAULT_DENSE_CAP)
-    limit = int(cap)
+    cap = os.environ.get("TTNO_DENSE_CAP", DEFAULT_DENSE_CAP)
+    try:
+        limit = int(cap)
+    except ValueError as exc:
+        raise ValidationError(
+            f"TTNO_DENSE_CAP {cap!r} is not an integer") from exc
     if total > limit:
         raise DenseCapExceededError(
             f"total dimension {total} exceeds cap {limit}; raise "
@@ -151,6 +153,9 @@ class OperatorRegistry:
         m = np.asarray(matrix, dtype=complex)
         if m.ndim != 2 or m.shape[0] != m.shape[1]:
             raise ValidationError(f"matrix for {label!r} must be square")
+        if not np.isfinite(m).all():
+            raise ValidationError(f"operator {label!r}: matrix entries must "
+                                  f"be finite")
         if label == IDENTITY_LABEL and not np.array_equal(
                 m, np.eye(m.shape[0])):
             raise ValidationError(
@@ -197,9 +202,11 @@ class ProductTerm:
     factors: dict[int, SiteOperator] = field(default_factory=dict)
 
     def __post_init__(self):
-        self.coefficient = complex(self.coefficient)
-        if self.coefficient == 0:
+        c = self.coefficient = complex(self.coefficient)
+        if c == 0:
             raise ValidationError("term coefficient must be non-zero")
+        if not (math.isfinite(c.real) and math.isfinite(c.imag)):
+            raise ValidationError(f"term coefficient {c!r} is not finite")
         for s, op in self.factors.items():
             if op.is_identity():
                 raise ValidationError(
@@ -275,12 +282,11 @@ class Hamiltonian:
 
 
 def to_dense(h: Hamiltonian, ordering=None,
-             registry: OperatorRegistry | None = None,
-             cap: int | None = None) -> np.ndarray:
+             registry: OperatorRegistry | None = None) -> np.ndarray:
     """Dense matrix of ``h``, Kronecker factors in the given site ordering."""
     registry = registry or DEFAULT_REGISTRY
     tree = h.tree
-    ordering, total = dense_layout(tree, ordering, cap)
+    ordering, total = dense_layout(tree, ordering)
     out = np.zeros((total, total), dtype=complex)
     for term in h.terms:
         block = np.array([[term.coefficient]], dtype=complex)

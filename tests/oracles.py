@@ -133,18 +133,17 @@ def reference_diagram(h, reuse=None, leaves=None):
     """``from_hamiltonian(h)`` built by climbs from every leaf and a graft
     over every site, the construction that support-local matching replaced.
 
-    Per term, a climb starts at each leaf in ``leaves`` order (default
-    ``tree.leaves()``) and passes a site that has exactly one unmarked edge,
-    marking it with the first vertex the site's open index offers that no
-    other hyperedge at the site shares; then every site, in site order,
-    gets fresh vertices on its unmarked edges and the path's hyperedge if it
-    is missing.  ``reuse[i]`` false skips the climbs for term i (the first
-    term has no climbs).  Only the diagram's indexes are used; its
-    identity-message caches go stale.
+    Starting from the empty diagram, per term a climb starts at each leaf in
+    ``leaves`` order (default ``tree.leaves()``) and passes a site that has
+    exactly one unmarked edge, marking it with the first vertex the site's
+    open index offers that no other hyperedge at the site shares; then
+    every site, in site order, gets fresh vertices on its unmarked edges and
+    the path's hyperedge if it is missing.  ``reuse[i]`` false skips the
+    climbs for term i (on the empty diagram they mark nothing).  Only the
+    diagram's indexes are used; its identity-message caches go stale.
     """
-    terms = h.folded_terms()
-    g = StateDiagram.from_single_term(h.tree, terms[0])
-    for i, term in enumerate(terms[1:], 1):
+    g = StateDiagram(h.tree)
+    for i, term in enumerate(h.folded_terms()):
         marked = {}
         if reuse is None or reuse[i]:
             for leaf in leaves or h.tree.leaves():
@@ -154,7 +153,7 @@ def reference_diagram(h, reuse=None, leaves=None):
             for e in incident:
                 if e not in marked:
                     marked[e] = g._new_vertex(e)
-            want = g._want(term, s)
+            want = term.factors.get(s) or g._identity[s]
             vs = tuple(marked[e] for e in incident)
             if (want.op_id, *vs) not in g._full[s]:
                 g._new_hyperedge(s, want, vs)
@@ -170,10 +169,10 @@ def _climb(g, site, term, marked):
             return
         free = unmarked[0]
         e = incident[free]
-        key = (g._want(term, site).op_id,
-               *(marked[f] for f in incident if f != e))
+        want = term.factors.get(site) or g._identity[site]
+        key = (want.op_id, *(marked[f] for f in incident if f != e))
         for y in g._open[site][free].get(key, ()):
-            v = y.connected[e]
+            v = y.vs[free]
             if len(v.sides[site]) == 1:
                 marked[e] = v
                 site = e[0] if e[1] == site else e[1]

@@ -159,8 +159,7 @@ def test_sparsity_matches_hyperedge_count_when_collision_free(demo_hamiltonian):
         # stored blocks never exceed the hyperedge count ...
         assert len(t.index) <= len(g.eps[s])
         # ... and match it exactly when no two hyperedges share a multi-index
-        combos = {tuple(a[e][y.connected[e].uid] for e in t.legs)
-                  for y in g.eps[s]}
+        combos = {tuple(a[v.edge][v.uid] for v in y.vs) for y in g.eps[s]}
         if len(combos) == len(g.eps[s]):
             assert len(t.index) == len(g.eps[s])
     # the demo system is collision-free everywhere
@@ -233,12 +232,13 @@ def test_mixed_physical_dimensions():
     assert np.allclose(contract_to_dense(ttno), to_dense(h), atol=1e-12)
 
 
-def test_contract_cap():
+def test_contract_cap(monkeypatch):
     tree = demo_tree()
     h = Hamiltonian(tree, [pauli_term({1: "X"})])
     ttno = emit_tensors(from_hamiltonian(h))
+    monkeypatch.setenv("TTNO_DENSE_CAP", "16")
     with pytest.raises(DenseCapExceededError):
-        contract_to_dense(ttno, cap=16)
+        contract_to_dense(ttno)
 
 
 def test_unallocatable_tensor_names_site_and_shape(monkeypatch,

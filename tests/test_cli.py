@@ -84,6 +84,9 @@ PAIR_TERM = {"coeff": [1, 0], "factors": {"1": "X", "2": "X"}}
     (TREE_JSON, {"operators": {"Q": {"dim": 2, "matrix": [
         [float("nan"), 0], [1, 0], [1, 0], [0, 0]]}}, "terms": [PAIR_TERM]},
      "operator 'Q': matrix entries must be finite"),
+    (TREE_JSON, {"operators": {"Q": {"dim": -2, "matrix": [
+        [0, 0], [1, 0], [1, 0], [0, 0]]}}, "terms": [PAIR_TERM]},
+     "operator 'Q': 'dim' -2 must be >= 1"),
 ])
 def test_build_malformed_fields(tmp_path, capsys, tree_json, ham_json,
                                 message):
@@ -110,6 +113,28 @@ def test_build_cap_exceeded(files, monkeypatch, capsys):
     rc = main(["build", tree, ham, "--out", str(tmp / "o.json"), "--verify"])
     assert rc == EXIT_CAP
     assert "TTNO_DENSE_CAP" in capsys.readouterr().err
+
+
+def test_build_dense_cap_not_an_integer(files, monkeypatch, capsys):
+    tmp, tree, ham = files
+    monkeypatch.setenv("TTNO_DENSE_CAP", "abc")
+    rc = main(["build", tree, ham, "--out", str(tmp / "o.json"), "--verify"])
+    assert rc == EXIT_VALIDATION
+    assert "TTNO_DENSE_CAP 'abc' is not an integer" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["tree", "hamiltonian", "plotdata"])
+def test_input_not_utf8_is_a_parse_error(files, capsys, command):
+    tmp, tree, ham = files
+    bad = str(tmp / "bad.bin")
+    (tmp / "bad.bin").write_bytes(b"\xff\xfe{}")
+    out = str(tmp / "o.json")
+    argv = {"tree": ["build", bad, ham, "--out", out],
+            "hamiltonian": ["build", tree, bad, "--out", out],
+            "plotdata": ["plotdata", bad, "--out-prefix", str(tmp / "p")],
+            }[command]
+    assert main(argv) == EXIT_PARSE
+    assert bad in capsys.readouterr().err
 
 
 def test_build_unallocatable_tensor(files, monkeypatch, capsys):

