@@ -1,9 +1,9 @@
 """Tree tensor network operators from sum-of-products Hamiltonians."""
 
-from .assembly import (TTNO, TTNOTensor, assign_indices, contract_to_dense,
+from .assembly import (TTNO, TTNOTensor, contract_to_dense,
                        dense_element_count, element_count, emit_tensors,
                        read_ttno, write_ttno)
-from .diagram import SinglePath, StateDiagram, from_hamiltonian
+from .diagram import StateDiagram, from_hamiltonian
 from .operators import (DEFAULT_REGISTRY, Hamiltonian, OperatorRegistry,
                         ProductTerm, SiteOperator, fold_coefficient,
                         random_hamiltonian, to_dense)
@@ -11,9 +11,9 @@ from .svdref import BenchRecord, BondReport, optimal_bond_dims, r_diff, run_benc
 from .tree import TreeTopology, edge_key
 
 __all__ = [
-    "TTNO", "TTNOTensor", "assign_indices", "contract_to_dense",
+    "TTNO", "TTNOTensor", "contract_to_dense",
     "dense_element_count", "element_count", "emit_tensors", "read_ttno",
-    "write_ttno", "SinglePath", "StateDiagram", "from_hamiltonian",
+    "write_ttno", "StateDiagram", "from_hamiltonian",
     "DEFAULT_REGISTRY", "Hamiltonian", "OperatorRegistry", "ProductTerm",
     "SiteOperator", "fold_coefficient", "random_hamiltonian", "to_dense",
     "BenchRecord", "BondReport", "optimal_bond_dims", "r_diff", "run_bench",

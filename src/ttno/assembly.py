@@ -31,13 +31,6 @@ from .operators import DEFAULT_REGISTRY, OperatorRegistry, dense_layout
 from .tree import Edge, TreeTopology, edge_key
 
 
-def assign_indices(diagram: StateDiagram) -> dict[Edge, dict[int, int]]:
-    """Per edge, vertex uid -> bond index, numbered by insertion order
-    within each edge collection."""
-    return {e: {v.uid: i for i, v in enumerate(vs)}
-            for e, vs in diagram.w.items()}
-
-
 def canonical_legs(tree: TreeTopology, site: int) -> tuple[Edge, ...]:
     """Bond-leg order at a site: parent edge first, then children ascending."""
     legs = []
@@ -127,23 +120,31 @@ class TTNO:
 
 def emit_tensors(diagram: StateDiagram,
                  registry: OperatorRegistry | None = None) -> TTNO:
-    """Tensors from the diagram; hyperedges on the same multi-index
-    accumulate additively (their label matrices sum into one block)."""
+    """Tensors from the diagram.  A vertex's bond index is its position in
+    its edge's collection; a hyperedge ``(op_id, *uids)`` puts the matrix of
+    ``op_id``, resolved once per emission, at the bond indices of its
+    vertices in leg order.  Hyperedges on the same multi-index accumulate
+    additively (their matrices sum into one block)."""
     registry = registry or DEFAULT_REGISTRY
-    index = assign_indices(diagram)
     tree = diagram.tree
     r = tree.rooting
+    # uid -> bond index
+    index = [0] * diagram.n_vertices()
+    for vs in diagram.w.values():
+        for i, v in enumerate(vs):
+            index[v] = i
+    matrices = {k: registry.resolve(op) for k, op in diagram.ops.items()}
     dims = diagram.bond_dimensions()
     tensors: dict[int, TTNOTensor] = {}
     for s in tree.nodes:
         legs = canonical_legs(tree, s)
-        # where each leg's vertex sits in a hyperedge's ``vs``
-        slots = [r.down_slot[c] for c in r.kids[s]]
+        # where each leg's vertex sits in a hyperedge key, after its op_id
+        slots = [r.down_slot[c] + 1 for c in r.kids[s]]
         if s != r.root:
-            slots.insert(0, r.up_slot[s])
+            slots.insert(0, r.up_slot[s] + 1)
         shape = tuple(dims[e] for e in legs) + (tree.phys_dim(s),) * 2
-        pairs = ((tuple(index[e][y.vs[i].uid] for e, i in zip(legs, slots)),
-                  registry.resolve(y.op)) for y in diagram.eps[s])
+        pairs = ((tuple(index[y[i]] for i in slots), matrices[y[0]])
+                 for y in diagram.eps[s])
         tensors[s] = TTNOTensor.from_blocks(s, legs, shape, pairs)
     return TTNO(tree, tensors)
 

@@ -91,13 +91,18 @@ def load_hamiltonian(tree: TreeTopology, data: dict) -> tuple[Hamiltonian,
         if not cmath.isfinite(coeff):
             raise ValidationError(f"term {i}: 'coeff' [{re}, {im}] is not "
                                   f"finite")
-        factors = {}
+        factors, keys = {}, {}
         for site_str, label in raw_factors.items():
             try:
                 site = int(site_str)
             except ValueError as exc:
                 raise ValidationError(f"term {i}: 'factors' site {site_str!r} "
                                       f"is not an integer") from exc
+            if site in keys:
+                raise ValidationError(
+                    f"term {i}: 'factors' keys {keys[site]!r} and "
+                    f"{site_str!r} both name site {site}")
+            keys[site] = site_str
             if site not in tree.phys_dims:
                 raise ValidationError(
                     f"term {i}: factor on unknown site {site}")
@@ -116,9 +121,19 @@ def load_hamiltonian(tree: TreeTopology, data: dict) -> tuple[Hamiltonian,
 def _write(path: str | None, text: str) -> None:
     if path is None or path == "-":
         sys.stdout.write(text)
-    else:
+        return
+    try:
         with open(path, "w") as fh:
             fh.write(text)
+    except OSError as exc:
+        raise _ParseFailure(f"{path}: {exc}") from exc
+
+
+def _write_ttno(ttno: assembly.TTNO, path: str) -> None:
+    try:
+        assembly.write_ttno(ttno, path)
+    except OSError as exc:
+        raise _ParseFailure(f"{path}: {exc}") from exc
 
 
 def _edge_rows(dims: dict) -> list[list]:
@@ -139,7 +154,7 @@ def cmd_build(args) -> int:
     h, registry = load_hamiltonian(tree, _load_json(args.hamiltonian))
     g = diagram.from_hamiltonian(h)
     ttno = assembly.emit_tensors(g, registry=registry)
-    assembly.write_ttno(ttno, args.out)
+    _write_ttno(ttno, args.out)
     dims = g.bond_dimensions()
     if args.report:
         _write(args.report,
@@ -158,12 +173,18 @@ def cmd_build(args) -> int:
 def cmd_bench(args) -> int:
     if args.seed == 0:
         raise ValidationError("seed 0 is refused; pick an explicit seed")
+    if args.seed < 0:
+        raise ValidationError(f"--seed {args.seed} must be positive")
     tree = TreeTopology.from_json_dict(_load_json(args.tree))
     if args.root_at_leaf:
         leaves = [s for s in tree.nodes
                   if len(tree.neighbours(s)) == 1]
         tree = tree.re_root(min(leaves))
-    term_counts = [int(x) for x in args.terms.split(",") if x]
+    try:
+        term_counts = [int(x) for x in args.terms.split(",") if x]
+    except ValueError as exc:
+        raise ValidationError(f"--terms {args.terms} must list integers "
+                              f"separated by commas") from exc
     if not term_counts:
         raise ValidationError("--terms must list at least one term count")
     labels = [x for x in args.labels.split(",") if x]
@@ -203,6 +224,11 @@ def cmd_cayley(args) -> int:
 
 
 def cmd_oqs(args) -> int:
+    for flag in ("coupling", "g_re", "g_im", "omega"):
+        value = getattr(args, flag)
+        if not cmath.isfinite(value):
+            raise ValidationError(
+                f"--{flag.replace('_', '-')} {value} is not finite")
     g_val = complex(args.g_re, args.g_im)
     spec = oqs.OQSSpec(args.spins, args.baths, coupling=args.coupling,
                        g=g_val, omega=args.omega, boson_dim=args.boson_dim)
@@ -210,7 +236,7 @@ def cmd_oqs(args) -> int:
     g = diagram.from_hamiltonian(h)
     ttno = assembly.emit_tensors(g)
     if args.out:
-        assembly.write_ttno(ttno, args.out)
+        _write_ttno(ttno, args.out)
     dims = g.bond_dimensions()
     if args.report:
         rows = _edge_rows(dims)

@@ -166,22 +166,6 @@ def cayley_tree(spec: CayleyTreeSpec) -> TreeTopology:
     return TreeTopology(edges, root=0)
 
 
-def cayley_site_count(spec: CayleyTreeSpec) -> int:
-    """Node count of the constructed tree: 1 + sum_k degree*(degree-1)^(k-1)."""
-    kappa = spec.degree
-    return 1 + sum(kappa * (kappa - 1) ** (k - 1)
-                   for k in range(1, spec.depth + 1))
-
-
-def cayley_shell_count(spec: CayleyTreeSpec, radius: int) -> int:
-    """Sites of one child subtree at distance exactly ``radius`` from the root."""
-    if radius < 1:
-        raise ValidationError("radius must be >= 1")
-    if radius > spec.depth:
-        return 0
-    return (spec.degree - 1) ** (radius - 1)
-
-
 def _cross_subtree_pairs(spec: CayleyTreeSpec, chi: int) -> int:
     """Pairs (c, c') at distance ``chi`` through the root with c, c' in two
     fixed distinct child subtrees: one term per shell split."""
@@ -250,27 +234,3 @@ def all_to_all_bound(spec: CayleyTreeSpec) -> int:
 def brute_force_all_to_all_bond(spec: CayleyTreeSpec) -> int:
     chi_max = 2 * spec.depth - 1
     return _max_root_crossing(spec, lambda dist: 1 <= dist <= chi_max)
-
-
-def _pair_interaction_terms(tree: TreeTopology, pairs) -> list[ProductTerm]:
-    """Two-site terms with operators pairwise distinct across all terms."""
-    terms = []
-    for a, b in pairs:
-        terms.append(ProductTerm(1.0, {
-            a: SiteOperator(f"A[{a};{a}-{b}]", tree.phys_dim(a)),
-            b: SiteOperator(f"A[{b};{a}-{b}]", tree.phys_dim(b)),
-        }))
-    return terms
-
-
-def fixed_range_hamiltonian(tree: TreeTopology, chi: int) -> Hamiltonian:
-    """All pairs at distance exactly chi, each with its own operator pair."""
-    pairs = _site_pairs(tree, lambda dist: dist == chi)
-    if not pairs:
-        raise ValidationError(f"no site pairs at distance {chi}")
-    return Hamiltonian(tree, _pair_interaction_terms(tree, pairs))
-
-
-def all_to_all_hamiltonian(tree: TreeTopology, chi_max: int) -> Hamiltonian:
-    pairs = _site_pairs(tree, lambda dist: 1 <= dist <= chi_max)
-    return Hamiltonian(tree, _pair_interaction_terms(tree, pairs))

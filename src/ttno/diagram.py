@@ -8,6 +8,20 @@ hyperedge per site, consistently across shared vertices; the label product
 of a path is one product term, and the multiset of all paths is the
 operator the diagram represents.
 
+The diagram is held in plain integers, as a finite automaton holds its
+states and transitions.  A vertex is its uid, numbered from 0 in creation
+order over all edges, so ``w[e]`` is a list of uids.  A hyperedge at site
+``s`` is its own key, the int tuple ``(op_id, *vertex uids)`` with one
+vertex per incident edge of ``s`` in neighbour order, which is also
+ascending edge order.  ``eps[s]`` is a dict of those keys in creation
+order, and ``ops`` maps each ``op_id`` to the operator whose label the dump
+prints.  Two flat lists indexed by uid count the hyperedges on each vertex
+at either endpoint of its edge.  So once the garbage collector has run, no
+container per vertex, hyperedge or index key is left for it to walk.  Two
+rules come with int vertices: compare them with ``==`` and ``!=``, never
+``is`` (CPython shares only the ints up to 256), and never test one for
+truth, since uid 0 is a vertex; None stands for no vertex.
+
 Construction is incremental: a diagram starts empty and every term is
 grafted on.  The new term's path shares a *marked* vertex with the diagram
 on some edges; everything left unmarked gets fresh vertices and
@@ -36,15 +50,14 @@ one, and the caches are refreshed from those sites.  A term with support S
 therefore costs work on Steiner(S), on the climb from its top toward L up
 to the first missing message, on one descent and on the broken channels;
 the graft visits only the sites that send nothing, in site order, so
-vertex and hyperedge uids are those of a graft over every site.
+vertex uids and hyperedge order are those of a graft over every site.
 
-Messages are looked up in per-site hash indexes instead of scans.  The
-*full* index of a site maps ``(op_id, vertex per incident edge)`` to its
-hyperedge, so the graft asks once whether the new path's hyperedge exists.
-The *open* index of a site's i-th incident edge maps ``(op_id, vertices on
-the other edges)`` to the hyperedges with that key in creation order (at a
-leaf the key is the operator alone): the candidates of the message the site
-sends over edge i.
+Messages are looked up in per-site hash indexes instead of scans.
+``eps[s]`` is the full index of site ``s``, so the graft asks once whether
+the new path's hyperedge exists.  The *open* index of a site's i-th incident
+edge maps ``(op_id, vertices on the other edges)`` to the tuple of
+hyperedges with that key in creation order (at a leaf the key is the
+operator alone): the candidates of the message the site sends over edge i.
 """
 
 from __future__ import annotations
@@ -60,68 +73,6 @@ from .tree import Edge, TreeTopology, edge_key
 DEFAULT_PATH_CAP = 10 ** 6
 
 
-class Vertex:
-    """A bond-index value on one tree edge."""
-
-    __slots__ = ("uid", "edge", "sides")
-
-    def __init__(self, uid: int, edge: Edge):
-        self.uid = uid
-        self.edge = edge
-        # hyperedges touching this vertex, keyed by which endpoint's site
-        # collection they belong to
-        self.sides: dict[int, list[HyperEdge]] = {edge[0]: [], edge[1]: []}
-
-    def __repr__(self):
-        return f"v{self.uid}{self.edge}"
-
-
-class HyperEdge:
-    """A labelled tensor element at one site: ``vs`` holds one vertex per
-    incident edge of the site, in neighbour order, which is also ascending
-    edge order."""
-
-    __slots__ = ("uid", "site", "op", "vs")
-
-    def __init__(self, uid: int, site: int, op: SiteOperator,
-                 vs: tuple[Vertex, ...]):
-        self.uid = uid
-        self.site = site
-        self.op = op
-        self.vs = vs
-
-    def vertex_set(self) -> frozenset:
-        return frozenset(v.uid for v in self.vs)
-
-    def __repr__(self):
-        vs = " ".join(f"v{v.uid}" for v in self.vs)
-        return f"y{self.uid}({self.op.label}@{self.site}; {vs})"
-
-
-class SinglePath:
-    """One hyperedge per site, consistent across shared vertices."""
-
-    __slots__ = ("chosen",)
-
-    def __init__(self, chosen: dict[int, HyperEdge]):
-        self.chosen = chosen
-
-    def term(self) -> ProductTerm:
-        factors = {s: y.op for s, y in self.chosen.items()
-                   if not y.op.is_identity()}
-        return ProductTerm(1.0, factors)
-
-    def validate(self, tree: TreeTopology) -> None:
-        r = tree.rooting
-        for s in r.order[1:]:
-            p = r.up[s]
-            if (self.chosen[s].vs[r.up_slot[s]]
-                    is not self.chosen[p].vs[r.down_slot[s]]):
-                raise ValidationError(
-                    f"path hyperedges disagree on the vertex of edge "
-                    f"{edge_key(s, p)}")
-
-
 class StateDiagram:
     """Vertex and hyperedge collections over a tree, built term by term.
 
@@ -132,12 +83,11 @@ class StateDiagram:
     def __init__(self, tree: TreeTopology):
         """The empty diagram on ``tree``: no vertices, no hyperedges."""
         self.tree = tree
-        self.w: dict[Edge, list[Vertex]] = {e: [] for e in tree.edges}
-        self.eps: dict[int, list[HyperEdge]] = {s: [] for s in tree.nodes}
+        self.w: dict[Edge, list[int]] = {e: [] for e in tree.edges}
+        self.eps: dict[int, dict[tuple, None]] = {s: {} for s in tree.nodes}
+        self.ops: dict[int, SiteOperator] = {}
         self.terms: list[ProductTerm] = []
         self._term_keys: set = set()
-        self._next_vertex = 0
-        self._next_hyperedge = 0
         self._identity = {s: identity(tree.phys_dim(s)) for s in tree.nodes}
         r = self._rooting = tree.last_leaf_rooting
         self._incident, self._far, self._span = r.incident, r.far, r.span
@@ -147,12 +97,16 @@ class StateDiagram:
         root = tree.root
         self._mute = (root if root != r.root
                       and len(self._incident[root]) == 1 else None)
-        # per site: (op_id, *vertices in incident-edge order) -> hyperedge
-        self._full: dict[int, dict[tuple, HyperEdge]] = {
-            s: {} for s in tree.nodes}
+        # _degree[k][v]: how many hyperedges touch vertex v at endpoint k of
+        # its edge; _degree_at[s][i] is the list that counts them at site s
+        # for the vertices of its i-th incident edge
+        self._degree: tuple[list[int], list[int]] = ([], [])
+        self._degree_at = {s: tuple(self._degree[e[1] == s]
+                                    for e in self._incident[s])
+                           for s in tree.nodes}
         # per site and incident edge i: (op_id, *vertices on the other
         # edges) -> hyperedges in creation order
-        self._open: dict[int, list[dict[tuple, list[HyperEdge]]]] = {
+        self._open: dict[int, list[dict[tuple, tuple]]] = {
             s: [{} for _ in self._incident[s]] for s in tree.nodes}
         # open-index hits examined by the term messages and the identity
         # message caches (runtime-bound probe)
@@ -168,24 +122,25 @@ class StateDiagram:
         root = self.tree.root
         return fold_coefficient(term, root, self.tree.phys_dim(root))
 
-    def _new_vertex(self, edge: Edge) -> Vertex:
-        v = Vertex(self._next_vertex, edge)
-        self._next_vertex += 1
+    def _new_vertex(self, edge: Edge) -> int:
+        v = len(self._degree[0])
+        for counts in self._degree:
+            counts.append(0)
         self.w[edge].append(v)
         return v
 
     def _new_hyperedge(self, site: int, op: SiteOperator,
-                       vs: tuple[Vertex, ...]) -> HyperEdge:
-        """A hyperedge at ``site`` on the vertices ``vs``, one per incident
-        edge in incident-edge order, filed in the indexes."""
-        y = HyperEdge(self._next_hyperedge, site, op, vs)
-        self._next_hyperedge += 1
-        self.eps[site].append(y)
-        full, opens = _index_keys(op.op_id, vs)
-        self._full[site][full] = y
-        for v, index, key in zip(vs, self._open[site], opens):
-            v.sides[site].append(y)
-            index.setdefault(key, []).append(y)
+                       vs: tuple[int, ...]) -> tuple[int, ...]:
+        """The hyperedge of ``op`` at ``site`` on the vertices ``vs``, one
+        per incident edge in incident-edge order, filed in the indexes."""
+        y = (op.op_id, *vs)
+        self.eps[site][y] = None
+        self.ops.setdefault(op.op_id, op)
+        for i, (counts, index) in enumerate(zip(self._degree_at[site],
+                                                self._open[site])):
+            counts[vs[i]] += 1
+            key = y[:i + 1] + y[i + 2:]
+            index[key] = index.get(key, ()) + (y,)
         return y
 
     @classmethod
@@ -212,16 +167,17 @@ class StateDiagram:
         self._term_keys.add(key)
         return self
 
-    def _lookup(self, site: int, free: int, key: tuple) -> Vertex | None:
+    def _lookup(self, site: int, free: int, key: tuple) -> int | None:
         """The message ``site`` sends over its incident edge number
         ``free``, given ``key``: its operator and the marks on its other
         edges.  That is the free vertex of the first hyperedge filed under
         ``key`` that no other hyperedge at ``site`` shares (a shared vertex
         would drag extra hyperedges into the path)."""
+        counts = self._degree_at[site][free]
         for y in self._open[site][free].get(key, ()):
             self.match_visits += 1
-            v = y.vs[free]
-            if len(v.sides[site]) == 1:
+            v = y[free + 1]
+            if counts[v] == 1:
                 return v
         return None
 
@@ -239,7 +195,7 @@ class StateDiagram:
         cached = self._up_id
         # marks[s]: the mark of the edge from s toward the leaf, or None;
         # first the sites of Steiner(S), with its top t
-        marks: dict[int, Vertex | None]
+        marks: dict[int, int | None]
         marks, t = r.steiner(factors or (leaf,))
         marks[t] = None
         # messages toward the leaf, deepest first (so a site's kids in
@@ -343,7 +299,7 @@ class StateDiagram:
                 vs.append(v)
             vs = tuple(vs)
             want = factors.get(s) or self._identity[s]
-            if (want.op_id, *vs) in self._full[s]:
+            if (want.op_id, *vs) in self.eps[s]:
                 continue
             self._new_hyperedge(s, want, vs)
             # an identity can become a message of s, and a vertex that is
@@ -352,7 +308,7 @@ class StateDiagram:
                 dirty.append(s)
                 continue
             for v, c in zip(vs, far):
-                if v is (ups[s] if c == s else downs[c]):
+                if v == (ups[s] if c == s else downs[c]):
                     dirty.append(s)
                     break
         if dirty:
@@ -372,7 +328,7 @@ class StateDiagram:
             if s == leaf:
                 continue
             v = self._identity_up(s, ups)
-            if v is not ups[s]:
+            if v != ups[s]:
                 was, ups[s] = ups[s], v
                 if (was is None) != (v is None):
                     self._file_broken(s)
@@ -382,7 +338,7 @@ class StateDiagram:
         while stack:
             c = stack.pop()
             v = self._identity_down(c, ups, downs)
-            if v is not downs[c]:
+            if v != downs[c]:
                 downs[c] = v
                 stack.extend(kids[c])
 
@@ -398,7 +354,7 @@ class StateDiagram:
         else:
             self._broken.discard(site)
 
-    def _identity_up(self, site: int, ups: dict) -> Vertex | None:
+    def _identity_up(self, site: int, ups: dict) -> int | None:
         """The identity message ``site`` sends toward the leaf once its
         kids have sent theirs, ``ups``."""
         if site == self._mute:
@@ -410,7 +366,7 @@ class StateDiagram:
         return self._lookup(site, self._up_slot[site], key)
 
     def _identity_down(self, site: int, ups: dict,
-                       downs: dict) -> Vertex | None:
+                       downs: dict) -> int | None:
         """The identity message ``site`` receives from the leaf's side: its
         neighbour p toward the leaf sends it once p has received one
         (``downs``) and every other kid of p has sent one (``ups``)."""
@@ -428,8 +384,8 @@ class StateDiagram:
         """Every identity message computed afresh: the caches ``_up_id``,
         ``_down_id`` and ``_broken`` as they should be."""
         r = self._rooting
-        ups: dict[int, Vertex | None] = {}
-        downs: dict[int, Vertex | None] = {}
+        ups: dict[int, int | None] = {}
+        downs: dict[int, int | None] = {}
         for s in reversed(r.order[1:]):
             ups[s] = self._identity_up(s, ups)
         for s in r.order[1:]:
@@ -442,37 +398,49 @@ class StateDiagram:
         return {e: len(vs) for e, vs in self.w.items()}
 
     def n_vertices(self) -> int:
-        return sum(len(vs) for vs in self.w.values())
+        return len(self._degree[0])
 
     def n_hyperedges(self) -> int:
         return sum(len(ys) for ys in self.eps.values())
 
     def enumerate_single_paths(self, cap: int = DEFAULT_PATH_CAP) -> list[ProductTerm]:
         """All single paths as coefficient-folded product terms."""
-        return [p.term() for p in self.single_paths(cap=cap)]
+        ops = self.ops
+        return [ProductTerm(1.0, {s: ops[y[0]] for s, y in path.items()
+                                  if not ops[y[0]].is_identity()})
+                for path in self.single_paths(cap=cap)]
 
-    def single_paths(self, cap: int = DEFAULT_PATH_CAP) -> list[SinglePath]:
-        """All single paths through the diagram."""
+    def single_paths(self, cap: int = DEFAULT_PATH_CAP) -> list[dict[int, tuple]]:
+        """All single paths through the diagram, each a dict from site to
+        its hyperedge."""
         # sites in preorder, children ascending
         r = self.tree.rooting
         root, order, up, kids = r.root, r.order, r.up, r.kids
         down_slot = r.down_slot
-        # below[v.uid]: sub-paths of the subtree under v's child site that
-        # pass through v; children are counted before their parents
-        below: dict[int, int] = {}
+        # on[s][v]: the hyperedges at s on the vertex v of its edge toward
+        # the root, in creation order
+        on: dict[int, dict[int, list[tuple]]] = {}
+        for s in order[1:]:
+            on[s] = groups = {}
+            i = r.up_slot[s] + 1
+            for y in self.eps[s]:
+                groups.setdefault(y[i], []).append(y)
+        # below[v]: sub-paths of the subtree under v's child site that pass
+        # through v; children are counted before their parents
+        below = [0] * self.n_vertices()
 
         def count(site: int, cands) -> int:
             total = 0
             for y in cands:
                 n = 1
                 for c in kids[site]:
-                    n *= below[y.vs[down_slot[c]].uid]
+                    n *= below[y[down_slot[c] + 1]]
                 total += n
             return total
 
         for site in reversed(order[1:]):
-            for v in self.w[edge_key(up[site], site)]:
-                below[v.uid] = count(site, v.sides[site])
+            for v, ys in on[site].items():
+                below[v] = count(site, ys)
         total = count(root, self.eps[root])
         if total > cap:
             raise PathCapExceededError(
@@ -481,8 +449,8 @@ class StateDiagram:
         # depth-first over ``order``: candidates[i] iterates the hyperedges
         # of order[i] on the vertex its parent's chosen hyperedge put on
         # their shared edge
-        paths: list[SinglePath] = []
-        chosen: dict[int, HyperEdge] = {}
+        paths: list[dict[int, tuple]] = []
+        chosen: dict[int, tuple] = {}
         candidates = [iter(self.eps[root])]
         while candidates:
             y = next(candidates[-1], None)
@@ -492,66 +460,64 @@ class StateDiagram:
             idx = len(candidates) - 1
             chosen[order[idx]] = y
             if idx + 1 == len(order):
-                paths.append(SinglePath(dict(chosen)))
+                paths.append(dict(chosen))
                 continue
             site = order[idx + 1]
-            v_in = chosen[up[site]].vs[down_slot[site]]
-            candidates.append(iter(v_in.sides[site]))
+            v_in = chosen[up[site]][down_slot[site] + 1]
+            candidates.append(iter(on[site].get(v_in, ())))
         return paths
 
     # -- consistency ---------------------------------------------------------
 
     def validate(self) -> None:
-        """Check the structural invariants; raise ValidationError if broken."""
-        seen_v = set()
+        """Check the structural invariants; raise ValidationError if broken.
+
+        Hyperedges at a site are the keys of one dict and touch one vertex
+        of each incident edge, so no two of them can merge."""
+        edge_of: dict[int, Edge] = {}
         for e, vs in self.w.items():
             if e not in self.tree.edges:
                 raise ValidationError(f"vertex collection for unknown edge {e}")
             for v in vs:
-                if v.uid in seen_v:
-                    raise ValidationError(f"vertex {v.uid} in two collections")
-                seen_v.add(v.uid)
-                if v.edge != e:
-                    raise ValidationError(f"vertex {v.uid} misfiled")
-                for side in e:
-                    if len(v.sides[side]) < 1:
-                        raise ValidationError(
-                            f"vertex {v.uid} unconnected on side {side}")
-        seen_y = set()
+                if v in edge_of:
+                    raise ValidationError(f"vertex {v} in two collections")
+                edge_of[v] = e
+        n = self.n_vertices()
+        if edge_of.keys() != set(range(n)) or len(self._degree[1]) != n:
+            raise ValidationError(
+                f"vertex collections do not hold the uids 0 to {n - 1}")
+        degree = ([0] * n, [0] * n)
         for s, ys in self.eps.items():
-            combos = set()
+            incident = self._incident[s]
+            opens: list[dict[tuple, tuple]] = [{} for _ in incident]
             for y in ys:
-                if y.uid in seen_y:
-                    raise ValidationError(f"hyperedge {y.uid} in two collections")
-                seen_y.add(y.uid)
-                if y.site != s:
-                    raise ValidationError(f"hyperedge {y.uid} misfiled")
-                if len(y.vs) != len(self._incident[s]):
+                if y[0] not in self.ops or len(y) != len(incident) + 1:
                     raise ValidationError(
-                        f"hyperedge {y.uid} does not touch every incident edge")
-                for e, v in zip(self._incident[s], y.vs):
-                    if v.edge != e:
+                        f"hyperedge {y} at site {s} needs a known operator "
+                        f"and one vertex per incident edge")
+                for i, (e, index) in enumerate(zip(incident, opens)):
+                    v = y[i + 1]
+                    if edge_of.get(v) != e:
                         raise ValidationError(
-                            f"hyperedge {y.uid} touches a vertex of another edge")
-                combo = (y.op.op_id, y.vertex_set())
-                if combo in combos:
+                            f"hyperedge {y} at site {s} touches a vertex of "
+                            f"another edge")
+                    degree[e[1] == s][v] += 1
+                    key = y[:i + 1] + y[i + 2:]
+                    index[key] = index.get(key, ()) + (y,)
+            for e, index, want in zip(incident, self._open[s], opens):
+                if index != want:
                     raise ValidationError(
-                        f"mergeable duplicate hyperedges at site {s}: "
-                        f"{y.op.label} on {sorted(combo[1])}")
-                combos.add(combo)
-            keys = [_index_keys(y.op.op_id, y.vs) for y in ys]
-            full = self._full[s]
-            if len(full) != len(ys) or any(
-                    full.get(k) is not y for y, (k, _) in zip(ys, keys)):
-                raise ValidationError(
-                    f"full index of site {s} disagrees with its hyperedges")
-            for i, index in enumerate(self._open[s]):
-                filed = [(k, y) for k, hits in index.items() for y in hits]
-                if (len(filed) != len(ys) or set(filed)
-                        != {(k[i], y) for y, (_, k) in zip(ys, keys)}):
+                        f"open index of edge {e} at site {s} disagrees with "
+                        f"its hyperedges")
+        for k, (counts, cached) in enumerate(zip(degree, self._degree)):
+            for v, (c, c_cached) in enumerate(zip(counts, cached)):
+                if c < 1:
                     raise ValidationError(
-                        f"open index of edge {self._incident[s][i]} at site "
-                        f"{s} disagrees with its hyperedges")
+                        f"vertex {v} unconnected on side {edge_of[v][k]}")
+                if c != c_cached:
+                    raise ValidationError(
+                        f"hyperedge count of vertex {v} on side "
+                        f"{edge_of[v][k]} is {c_cached}, not {c}")
         visits = self.match_visits
         ups, downs, broken = self._identity_messages()
         self.match_visits = visits
@@ -560,7 +526,7 @@ class StateDiagram:
             p = r.up[s]
             for v, cached, a, b in ((ups[s], self._up_id.get(s), s, p),
                                     (downs[s], self._down_id.get(s), p, s)):
-                if v is not cached:
+                if v != cached:
                     raise ValidationError(
                         f"identity message on edge {edge_key(s, p)} from "
                         f"site {a} to site {b} is stale in the cache")
@@ -575,26 +541,16 @@ class StateDiagram:
         """Stable line-oriented text rendering."""
         lines = [f"tree root={self.tree.root} edges={list(self.tree.edges)}"]
         for e in self.tree.edges:
-            ids = " ".join(f"v{v.uid}" for v in self.w[e])
+            ids = " ".join(f"v{v}" for v in self.w[e])
             lines.append(f"w{e}: {ids}")
         for s in self.tree.nodes:
             for y in self.eps[s]:
-                vs = " ".join(f"v{v.uid}" for v in y.vs)
-                lines.append(f"eps[{s}]: ({s}, {y.op.label}, {vs})")
+                vs = " ".join(f"v{v}" for v in y[1:])
+                lines.append(f"eps[{s}]: ({s}, {self.ops[y[0]].label}, {vs})")
         return "\n".join(lines) + "\n"
 
 
 # -- module-level operations ---------------------------------------------
-
-
-def _index_keys(op_id: int,
-                vs: tuple[Vertex, ...]) -> tuple[tuple, list[tuple]]:
-    """Key of a hyperedge with operator ``op_id`` on the vertices ``vs``
-    (incident-edge order) in its site's full index, and in the open index of
-    each incident edge."""
-    return ((op_id, *vs),
-            [(op_id, *vs[:i], *vs[i + 1:]) for i in range(len(vs))])
-
 
 
 def from_hamiltonian(h: Hamiltonian, reuse: bool = True) -> StateDiagram:

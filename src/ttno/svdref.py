@@ -270,14 +270,6 @@ def r_diff(records: list[BenchRecord]) -> float:
     return total / (len(records) * n_bonds)
 
 
-def r_diff_stderr(records: list[BenchRecord]) -> float:
-    """Standard error of the per-sample mean excess."""
-    vals = np.array([r.report.excess() / r.report.n_bonds() for r in records])
-    if len(vals) < 2:
-        return 0.0
-    return float(vals.std(ddof=1) / np.sqrt(len(vals)))
-
-
 def run_bench(tree: TreeTopology, term_counts, n_samples: int, seed: int,
               op_labels=("X", "Y", "Z"),
               max_support: int | None = None) -> dict[int, list[BenchRecord]]:

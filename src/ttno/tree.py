@@ -237,9 +237,6 @@ class TreeTopology:
     def phys_dim(self, s: int) -> int:
         return self.phys_dims[self._check(s)]
 
-    def incident_edges(self, s: int) -> tuple[Edge, ...]:
-        return tuple(edge_key(s, n) for n in self.neighbours(s))
-
     # -- metric ------------------------------------------------------------
 
     def route(self, a: int, b: int) -> Route:

@@ -44,6 +44,11 @@ def boundary(tree, center, radius):
     return ball(tree, center, radius) - ball(tree, center, radius - 1)
 
 
+def incident_edges(tree, s):
+    """The edges of ``s`` in neighbour order."""
+    return tuple(edge_key(s, n) for n in tree.neighbours(s))
+
+
 def component_without_edge(tree, edge, anchor):
     """Sites reachable from ``anchor`` without crossing ``edge``."""
     e = edge_key(*edge)
@@ -80,6 +85,14 @@ def demo_terms():
         pauli_term({1: "X", 2: "Y", 5: "Z"}),
         pauli_term({5: "Z", 7: "X", 8: "X"}),
     ]
+
+
+def r_diff_stderr(records):
+    """Standard error of the per-sample mean excess of bench records."""
+    vals = np.array([r.report.excess() / r.report.n_bonds() for r in records])
+    if len(vals) < 2:
+        return 0.0
+    return float(vals.std(ddof=1) / np.sqrt(len(vals)))
 
 
 def refuse_allocation(monkeypatch, shape):

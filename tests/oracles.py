@@ -5,8 +5,8 @@ list, an element-wise Kronecker sum, and a recursive-attachment random tree
 generator.  Two build on package code.  The dense rank oracle uses
 ``to_dense`` (itself checked against the element-wise sum) and stands apart
 from the term-based ``optimal_bond_dims`` it checks.  The reference diagram
-construction uses the diagram's vertices, hyperedges and hash indexes but
-none of the support-local matching it checks.
+construction uses the diagram's vertex and hyperedge filing and its hash
+indexes but none of the support-local matching it checks.
 """
 
 from collections import deque
@@ -155,7 +155,7 @@ def reference_diagram(h, reuse=None, leaves=None):
                     marked[e] = g._new_vertex(e)
             want = term.factors.get(s) or g._identity[s]
             vs = tuple(marked[e] for e in incident)
-            if (want.op_id, *vs) not in g._full[s]:
+            if (want.op_id, *vs) not in g.eps[s]:
                 g._new_hyperedge(s, want, vs)
         g.terms.append(term)
     return g
@@ -172,8 +172,8 @@ def _climb(g, site, term, marked):
         want = term.factors.get(site) or g._identity[site]
         key = (want.op_id, *(marked[f] for f in incident if f != e))
         for y in g._open[site][free].get(key, ()):
-            v = y.vs[free]
-            if len(v.sides[site]) == 1:
+            v = y[free + 1]
+            if g._degree_at[site][free][v] == 1:
                 marked[e] = v
                 site = e[0] if e[1] == site else e[1]
                 break

@@ -11,17 +11,17 @@ import pytest
 from ttno.assembly import (contract_to_dense, dense_element_count,
                            element_count, emit_tensors)
 from ttno.closedform import (CayleyTreeSpec, brute_force_root_bond,
-                             cayley_site_count, cayley_tree,
-                             fixed_range_bond_bound, nn_ttno,
+                             cayley_tree, fixed_range_bond_bound, nn_ttno,
                              uniform_nn_interaction)
 from ttno.diagram import from_hamiltonian
 from ttno.operators import (DEFAULT_REGISTRY, Hamiltonian, random_hamiltonian,
                             to_dense)
 from ttno.oqs import OQSSpec, n_sites, oqs_hamiltonian, reported_bond_dims
-from ttno.svdref import r_diff, r_diff_stderr, run_bench
+from ttno.svdref import r_diff, run_bench
 from ttno.tree import TreeTopology
 
-from conftest import demo_terms, demo_tree
+from closedform_fixtures import cayley_site_count
+from conftest import demo_terms, demo_tree, r_diff_stderr
 from oqs_fixtures import (chain_fixture_kind, chain_reference_matrices,
                           operator_matrices_equivalent)
 from oracles import pick_nonleaf_root, random_tree_edges

@@ -2,13 +2,14 @@ import hashlib
 import json
 import math
 import tracemalloc
+from collections import Counter
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from ttno.assembly import (_DUMP_CHUNK, TTNO, TTNOTensor,
-                           assign_indices, canonical_legs, contract_to_dense,
+                           canonical_legs, contract_to_dense,
                            dense_element_count, element_count, emit_tensors,
                            read_ttno, write_ttno)
 from ttno.closedform import (CayleyTreeSpec, cayley_tree, nn_ttno,
@@ -20,26 +21,32 @@ from ttno.operators import (Hamiltonian, OperatorRegistry, ProductTerm,
 from ttno.oqs import OQSSpec, oqs_hamiltonian
 from ttno.tree import TreeTopology
 
-from conftest import demo_tree, pauli_term, refuse_allocation
+from conftest import demo_tree, incident_edges, pauli_term, refuse_allocation
 from oracles import pick_nonleaf_root, random_tree_edges
 from test_diagram import pinned_systems
 
 
 def test_assign_indices_single_term(tree):
     g = StateDiagram.from_single_term(tree, pauli_term({2: "Y", 3: "X"}))
-    a = assign_indices(g)
-    assert all(list(m.values()) == [0] for m in a.values())
+    ttno = emit_tensors(g)
+    assert all(t.index.tolist() == [[0] * len(t.legs)]
+               for t in ttno.tensors.values())
 
 
 def test_assign_indices_insertion_order_and_determinism(demo_hamiltonian):
+    # a vertex's bond index is its position in its edge's collection
     g = from_hamiltonian(demo_hamiltonian)
-    a = assign_indices(g)
-    for e, vs in g.w.items():
-        assert [a[e][v.uid] for v in vs] == list(range(len(vs)))
+    ttno = emit_tensors(g)
+    for s, t in ttno.tensors.items():
+        rows = []
+        for y in g.eps[s]:
+            vertex = dict(zip(incident_edges(g.tree, s), y[1:]))
+            rows.append([g.w[e].index(vertex[e]) for e in t.legs])
+        assert sorted(rows) == t.index.tolist()
     g2 = from_hamiltonian(demo_hamiltonian)
-    a2 = assign_indices(g2)
-    assert ([sorted(m.values()) for m in a.values()]
-            == [sorted(m.values()) for m in a2.values()])
+    ttno2 = emit_tensors(g2)
+    assert all(np.array_equal(t.index, ttno2.tensors[s].index)
+               for s, t in ttno.tensors.items())
     assert g.dump() == g2.dump()
 
 
@@ -153,18 +160,32 @@ def test_contraction_linear_in_terms(demo_hamiltonian):
 
 def test_sparsity_matches_hyperedge_count_when_collision_free(demo_hamiltonian):
     g = from_hamiltonian(demo_hamiltonian)
-    a = assign_indices(g)
     ttno = emit_tensors(g)
     for s, t in ttno.tensors.items():
         # stored blocks never exceed the hyperedge count ...
         assert len(t.index) <= len(g.eps[s])
         # ... and match it exactly when no two hyperedges share a multi-index
-        combos = {tuple(a[v.edge][v.uid] for v in y.vs) for y in g.eps[s]}
+        combos = {y[1:] for y in g.eps[s]}
         if len(combos) == len(g.eps[s]):
             assert len(t.index) == len(g.eps[s])
     # the demo system is collision-free everywhere
     assert all(len(t.index) == len(g.eps[s])
                for s, t in ttno.tensors.items())
+
+
+def test_emission_resolves_each_operator_once():
+    calls = Counter()
+
+    class CountingRegistry(OperatorRegistry):
+        def resolve(self, op):
+            calls[op.op_id] += 1
+            return super().resolve(op)
+
+    h = oqs_hamiltonian(OQSSpec(2, 2, boson_dim=3), "star")
+    ttno = emit_tensors(from_hamiltonian(h), registry=CountingRegistry())
+    assert set(calls.values()) == {1}
+    assert np.allclose(contract_to_dense(ttno), to_dense(h), atol=1e-12,
+                       rtol=0.0)
 
 
 def test_colliding_hyperedges_sum():
@@ -199,7 +220,7 @@ def test_user_label_colliding_with_derived_label():
     g = from_hamiltonian(h)
     g.validate()
     assert len(g.eps[1]) == 2
-    assert [y.op.label for y in g.eps[1]] == ["2*X", "2*X"]
+    assert [g.ops[y[0]].label for y in g.eps[1]] == ["2*X", "2*X"]
     got = contract_to_dense(emit_tensors(g, registry=registry))
     want = to_dense(h, registry=registry)
     assert np.allclose(got, want, atol=1e-12, rtol=0.0)

@@ -87,6 +87,8 @@ PAIR_TERM = {"coeff": [1, 0], "factors": {"1": "X", "2": "X"}}
     (TREE_JSON, {"operators": {"Q": {"dim": -2, "matrix": [
         [0, 0], [1, 0], [1, 0], [0, 0]]}}, "terms": [PAIR_TERM]},
      "operator 'Q': 'dim' -2 must be >= 1"),
+    (TREE_JSON, {"terms": [PAIR_TERM, {"factors": {"1": "X", "01": "Z"}}]},
+     "term 1: 'factors' keys '1' and '01' both name site 1"),
 ])
 def test_build_malformed_fields(tmp_path, capsys, tree_json, ham_json,
                                 message):
@@ -135,6 +137,25 @@ def test_input_not_utf8_is_a_parse_error(files, capsys, command):
             }[command]
     assert main(argv) == EXIT_PARSE
     assert bad in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["build --out", "build --report",
+                                     "plotdata --out-prefix"])
+def test_unwritable_output_is_a_parse_error(files, capsys, command):
+    tmp, tree, ham = files
+    missing = str(tmp / "missing" / "out")
+    detail = str(tmp / "d.csv")
+    assert main(["bench", tree, "--terms", "5", "--samples", "2",
+                 "--seed", "3", "--out", detail]) == EXIT_OK
+    out = str(tmp / "o.json")
+    argv = {"build --out": ["build", tree, ham, "--out", missing],
+            "build --report": ["build", tree, ham, "--out", out,
+                               "--report", missing],
+            "plotdata --out-prefix": ["plotdata", detail,
+                                      "--out-prefix", missing],
+            }[command]
+    assert main(argv) == EXIT_PARSE
+    assert missing in capsys.readouterr().err
 
 
 def test_build_unallocatable_tensor(files, monkeypatch, capsys):
@@ -220,6 +241,16 @@ def test_bench_refuses_seed_zero(files):
     assert rc == EXIT_VALIDATION
 
 
+@pytest.mark.parametrize("flag, value", [("--terms", "x"),
+                                         ("--seed", "-3")])
+def test_bench_refuses_malformed_flag(files, capsys, flag, value):
+    tmp, tree, _ = files
+    argv = ["bench", tree, "--samples", "2", "--seed", "1",
+            "--out", str(tmp / "d.csv"), flag, value]
+    assert main(argv) == EXIT_VALIDATION
+    assert f"{flag} {value}" in capsys.readouterr().err
+
+
 def test_bench_beyond_dense_cap(tmp_path, monkeypatch):
     # 14 qubits: total dimension 16384 exceeds the default TTNO_DENSE_CAP,
     # which bounds only dense builds, not the rank oracle
@@ -287,6 +318,15 @@ def test_oqs_subcommand(tmp_path):
     assert len(ttno.tree.nodes) == 8
     text = report.read_text()
     assert "element_count" in text and "dense_element_count" in text
+
+
+@pytest.mark.parametrize("flag, value", [("--omega", "nan"),
+                                         ("--g-re", "inf")])
+def test_oqs_refuses_non_finite_flag(capsys, flag, value):
+    argv = ["oqs", "--topology", "star", "--spins", "2", "--baths", "1",
+            flag, value]
+    assert main(argv) == EXIT_VALIDATION
+    assert f"{flag} {value} is not finite" in capsys.readouterr().err
 
 
 def test_plotdata(files):

@@ -5,19 +5,19 @@ import pytest
 
 from ttno.assembly import contract_to_dense
 from ttno.closedform import (CayleyTreeSpec, NNInteraction, all_to_all_bound,
-                             all_to_all_hamiltonian,
                              brute_force_all_to_all_bond,
-                             brute_force_root_bond, cayley_shell_count,
-                             cayley_site_count, cayley_tree,
-                             fixed_range_bond_bound, fixed_range_hamiltonian,
-                             nn_bond_dimensions, nn_ttno,
-                             uniform_nn_interaction)
+                             brute_force_root_bond, cayley_tree,
+                             fixed_range_bond_bound, nn_bond_dimensions,
+                             nn_ttno, uniform_nn_interaction)
 from ttno.diagram import from_hamiltonian
 from ttno.errors import ValidationError
 from ttno.operators import (DEFAULT_REGISTRY, OperatorRegistry, SiteOperator,
                             to_dense)
 from ttno.tree import TreeTopology
 
+from closedform_fixtures import (all_to_all_hamiltonian, cayley_shell_count,
+                                 cayley_site_count, fixed_range_hamiltonian)
+from conftest import incident_edges
 from oracles import pick_nonleaf_root, random_tree_edges
 
 
@@ -262,7 +262,7 @@ def test_algorithm_reaches_all_to_all_bound():
     h = all_to_all_hamiltonian(t, 2 * spec.depth - 1)
     dims = from_hamiltonian(h).bond_dimensions()
     bound = all_to_all_bound(spec)
-    for e in t.incident_edges(t.root):
+    for e in incident_edges(t, t.root):
         assert dims[e] == bound
 
 
@@ -285,6 +285,6 @@ def test_algorithm_matches_fixed_range_bound():
         has_outside = any(a not in inside and b not in inside
                           for a, b in pairs)
         want = bound - (not has_inside) - (not has_outside)
-        got = max(dims[e] for e in t.incident_edges(t.root))
+        got = max(dims[e] for e in incident_edges(t, t.root))
         assert got == want
         assert got <= bound

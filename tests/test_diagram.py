@@ -1,5 +1,7 @@
+import gc
 import hashlib
 import math
+import pickle
 from collections import Counter
 
 import numpy as np
@@ -41,7 +43,7 @@ def test_single_term_diagram_shape(tree):
                                       pauli_term({2: "Y", 3: "X", 4: "X"}))
     assert g.n_vertices() == 7  # one per bond
     assert g.n_hyperedges() == 8  # one per site
-    labels = {s: g.eps[s][0].op.label for s in tree.nodes}
+    labels = {s: g.ops[y[0]].label for s in tree.nodes for y in g.eps[s]}
     assert labels == {1: "I", 2: "Y", 3: "X", 4: "X",
                       5: "I", 6: "I", 7: "I", 8: "I"}
     assert all(len(vs) == 1 for vs in g.w.values())
@@ -53,7 +55,7 @@ def test_single_term_diagram_empty_term():
     g = StateDiagram.from_single_term(pair, ProductTerm(1.0, {}))
     assert g.n_vertices() == 1
     assert g.n_hyperedges() == 2
-    assert all(y.op.label == "I" for ys in g.eps.values() for y in ys)
+    assert all(g.ops[y[0]].label == "I" for ys in g.eps.values() for y in ys)
 
 
 def test_single_term_single_path(tree):
@@ -109,9 +111,11 @@ def test_single_paths_are_vertex_consistent(demo_hamiltonian):
     g = from_hamiltonian(demo_hamiltonian)
     paths = g.single_paths()
     assert len(paths) == 4
+    r = g.tree.rooting
     for p in paths:
-        assert set(p.chosen) == set(g.tree.nodes)
-        p.validate(g.tree)
+        assert set(p) == set(g.tree.nodes)
+        for s in r.order[1:]:
+            assert p[s][r.up_slot[s] + 1] == p[r.up[s]][r.down_slot[s] + 1]
 
 
 def test_root_choice_invariance(demo_hamiltonian):
@@ -165,7 +169,7 @@ def test_mergeability_exclusion_random_suite():
         h = random_hamiltonian(tree, 20, ("X", "Y", "Z"), seed=(654, trial))
         g = from_hamiltonian(h)
         for s, ys in g.eps.items():
-            combos = [(y.op.label, y.vertex_set()) for y in ys]
+            combos = [(g.ops[y[0]].label, frozenset(y[1:])) for y in ys]
             assert len(set(combos)) == len(combos)
 
 
@@ -184,40 +188,72 @@ def test_work_counter_bound_random_suite():
         assert g.match_visits <= C * n_terms * n_leaves * depth
 
 
-def test_match_visits_scale_with_lookups():
-    # 40-site random recursive tree, 1,200 Pauli terms of support <= 4: the
-    # messages and cache refreshes examine ~0.6 index hits per term and
-    # leaf, where climbs from every leaf examined ~2.1 and a scan of the
-    # hyperedges at each site ~108
+def random40_hamiltonian(seed):
+    """1,200 Pauli terms of support <= 4 on a 40-site random recursive
+    tree; at seed 1 the diagram has 1,929 vertices and 3,129 hyperedges."""
     rng = np.random.default_rng(1)
     edges = random_tree_edges(rng, 40)
     tree = TreeTopology(edges, pick_nonleaf_root(edges, 40))
-    h = random_hamiltonian(tree, 1200, ("X", "Y", "Z"), 4, seed=(1, 1))
+    return random_hamiltonian(tree, 1200, ("X", "Y", "Z"), 4,
+                              seed=(seed, 1))
+
+
+def test_match_visits_scale_with_lookups():
+    # the messages and cache refreshes examine ~0.6 index hits per term and
+    # leaf, where climbs from every leaf examined ~2.1 and a scan of the
+    # hyperedges at each site ~108
+    h = random40_hamiltonian(1)
     g = from_hamiltonian(h)
-    assert g.match_visits <= 3 * len(h.terms) * len(tree.leaves())
+    assert g.match_visits <= 3 * len(h.terms) * len(h.tree.leaves())
 
 
-def _drop_full(g):
-    del g._full[2][next(iter(g._full[2]))]
+def test_diagram_holds_few_tracked_objects():
+    # vertices are ints and hyperedges int tuples, which the garbage
+    # collector stops tracking; what it still walks is per edge or site
+    h = random40_hamiltonian(1)
+    gc.collect()
+    before = len(gc.get_objects())
+    g = from_hamiltonian(h)
+    gc.collect()
+    assert len(gc.get_objects()) - before < g.n_vertices() + g.n_hyperedges()
 
 
-def _refile_full(g):
-    key, y = g._full[2].popitem()
-    g._full[2][(-1, *key[1:])] = y
+def test_large_uids_compare_by_value():
+    # CPython shares only the ints up to 256, and a pickle round trip gives
+    # every occurrence of a larger uid its own object, so a vertex compared
+    # with ``is`` instead of ``==`` goes wrong here
+    h = random40_hamiltonian(1)
+    g = StateDiagram(h.tree)
+    for i, term in enumerate(h.folded_terms(), 1):
+        g.add_term(term)
+        if i == 600:
+            g = pickle.loads(pickle.dumps(g))
+        if i % 50 == 0:
+            g.validate()
+    g.validate()
+    assert g.n_vertices() > 256
+    assert g.dump() == reference_diagram(h).dump()
 
 
 def _repeat_open(g):
-    hits = next(iter(g._open[2][1].values()))
-    hits.append(hits[0])
+    index = g._open[2][1]
+    key, hits = next(iter(index.items()))
+    index[key] = hits + hits[:1]
 
 
 def _drop_open(g):
-    next(iter(g._open[2][0].values())).pop()
+    index = g._open[2][0]
+    key, hits = next(iter(index.items()))
+    index[key] = hits[:-1]
 
 
 def _refile_open(g):
     key, hits = g._open[2][2].popitem()
     g._open[2][2][(-1, *key[1:])] = hits
+
+
+def _miscount_vertex(g):
+    g._degree[1][0] += 1
 
 
 def _forget_up_message(g):
@@ -249,9 +285,9 @@ def _file_unbroken(g):
 
 
 @pytest.mark.parametrize("corrupt, message", [
-    (_drop_full, "full index"), (_refile_full, "full index"),
     (_repeat_open, "open index"), (_drop_open, "open index"),
     (_refile_open, "open index"),
+    (_miscount_vertex, "hyperedge count of vertex 0"),
     (_forget_up_message, "identity message on edge"),
     (_swap_up_messages, "identity message on edge"),
     (_invent_down_message, "identity message on edge"),
@@ -322,7 +358,7 @@ def test_coefficients_fold_before_matching():
     ])
     g = from_hamiltonian(h)
     assert path_keys(g) == folded_keys(h)
-    labels0 = sorted(y.op.label for y in g.eps[0])
+    labels0 = sorted(g.ops[y[0]].label for y in g.eps[0])
     assert labels0 == ["2*X", "X"]
 
 
@@ -405,12 +441,8 @@ def test_matches_reference_construction_on_oqs_and_random40():
             assert_built_as_reference(oqs_hamiltonian(
                 OQSSpec(spins, baths, g=0.3 - 0.8j, boson_dim=boson_dim),
                 kind), (kind, spins, baths))
-    rng = np.random.default_rng(1)
-    edges = random_tree_edges(rng, 40)
-    tree = TreeTopology(edges, pick_nonleaf_root(edges, 40))
     for seed in (1, 2):
-        assert_built_as_reference(random_hamiltonian(
-            tree, 1200, ("X", "Y", "Z"), 4, seed=(seed, 1)), seed)
+        assert_built_as_reference(random40_hamiltonian(seed), seed)
 
 
 X2, Y2, Z2 = (SiteOperator(label, 2) for label in "XYZ")

@@ -11,11 +11,11 @@ from ttno.operators import (DEFAULT_DENSE_CAP, Hamiltonian, OperatorRegistry,
                             to_dense)
 from ttno.oqs import TOPOLOGIES, OQSSpec, oqs_hamiltonian
 from ttno.svdref import (BenchRecord, BondReport, detail_csv,
-                         optimal_bond_dims, r_diff, r_diff_stderr, run_bench,
-                         summary_csv)
+                         optimal_bond_dims, r_diff, run_bench, summary_csv)
 from ttno.tree import TreeTopology
 
-from conftest import component_without_edge, demo_tree, pauli_term
+from conftest import (component_without_edge, demo_tree, pauli_term,
+                      r_diff_stderr)
 from oracles import dense_bond_dims, pick_nonleaf_root, random_tree_edges
 
 
