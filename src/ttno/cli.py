@@ -13,6 +13,7 @@ import argparse
 import cmath
 import csv
 import json
+import os
 import sys
 import warnings
 
@@ -53,7 +54,7 @@ def load_hamiltonian(tree: TreeTopology, data: dict) -> tuple[Hamiltonian,
     field raises ValidationError naming the field and the term or site."""
     if not isinstance(data, dict):
         raise ValidationError("hamiltonian JSON must be an object")
-    operators = data.get("operators") or {}
+    operators = data.get("operators", {})
     if not isinstance(operators, dict):
         raise ValidationError("hamiltonian JSON 'operators' must be an "
                               "object mapping labels to operators")
@@ -63,7 +64,10 @@ def load_hamiltonian(tree: TreeTopology, data: dict) -> tuple[Hamiltonian,
     registry = OperatorRegistry()
     for label, spec in operators.items():
         try:
-            dim = int(spec["dim"])
+            dim = spec["dim"]
+            if isinstance(dim, (bool, float)):
+                raise TypeError(f"int() would read or round {dim!r}")
+            dim = int(dim)
             flat = spec["matrix"]
             mat = np.array([complex(re, im) for re, im in flat],
                            dtype=complex)
@@ -84,10 +88,12 @@ def load_hamiltonian(tree: TreeTopology, data: dict) -> tuple[Hamiltonian,
             raise ValidationError(f"term {i}: needs an object 'factors'")
         try:
             re, im = raw.get("coeff", [1.0, 0.0])
+            if isinstance(re, bool) or isinstance(im, bool):
+                raise TypeError("complex() would read a bool as a number")
             coeff = complex(re, im)
         except (TypeError, ValueError) as exc:
-            raise ValidationError(
-                f"term {i}: 'coeff' must be a [re, im] pair") from exc
+            raise ValidationError(f"term {i}: 'coeff' must be a [re, im] "
+                                  f"pair of numbers") from exc
         if not cmath.isfinite(coeff):
             raise ValidationError(f"term {i}: 'coeff' [{re}, {im}] is not "
                                   f"finite")
@@ -103,6 +109,9 @@ def load_hamiltonian(tree: TreeTopology, data: dict) -> tuple[Hamiltonian,
                     f"term {i}: 'factors' keys {keys[site]!r} and "
                     f"{site_str!r} both name site {site}")
             keys[site] = site_str
+            if not isinstance(label, str):
+                raise ValidationError(f"term {i}, site {site}: factor label "
+                                      f"{label!r} must be a string")
             if site not in tree.phys_dims:
                 raise ValidationError(
                     f"term {i}: factor on unknown site {site}")
@@ -129,6 +138,23 @@ def _write(path: str | None, text: str) -> None:
         raise _ParseFailure(f"{path}: {exc}") from exc
 
 
+def _check_writable(*paths: str | None) -> None:
+    """Fail on the first output path that cannot be opened for writing,
+    before anything is written, so a failed run leaves no output behind.
+    A probe leaves an existing file as it was and removes a file it
+    created."""
+    for path in paths:
+        if path is None or path == "-":
+            continue
+        existed = os.path.exists(path)
+        try:
+            open(path, "a").close()
+        except OSError as exc:
+            raise _ParseFailure(f"{path}: {exc}") from exc
+        if not existed:
+            os.remove(path)
+
+
 def _write_ttno(ttno: assembly.TTNO, path: str) -> None:
     try:
         assembly.write_ttno(ttno, path)
@@ -150,6 +176,7 @@ def verify_dump_against(path: str, h: Hamiltonian,
 
 
 def cmd_build(args) -> int:
+    _check_writable(args.out, args.report)
     tree = TreeTopology.from_json_dict(_load_json(args.tree))
     h, registry = load_hamiltonian(tree, _load_json(args.hamiltonian))
     g = diagram.from_hamiltonian(h)
@@ -175,6 +202,9 @@ def cmd_bench(args) -> int:
         raise ValidationError("seed 0 is refused; pick an explicit seed")
     if args.seed < 0:
         raise ValidationError(f"--seed {args.seed} must be positive")
+    if args.samples < 1:
+        raise ValidationError(f"--samples {args.samples} must be positive")
+    _check_writable(args.out, args.summary)
     tree = TreeTopology.from_json_dict(_load_json(args.tree))
     if args.root_at_leaf:
         leaves = [s for s in tree.nodes
@@ -229,6 +259,7 @@ def cmd_oqs(args) -> int:
         if not cmath.isfinite(value):
             raise ValidationError(
                 f"--{flag.replace('_', '-')} {value} is not finite")
+    _check_writable(args.out, args.report)
     g_val = complex(args.g_re, args.g_im)
     spec = oqs.OQSSpec(args.spins, args.baths, coupling=args.coupling,
                        g=g_val, omega=args.omega, boson_dim=args.boson_dim)
@@ -276,6 +307,8 @@ def cmd_plotdata(args) -> int:
         by_terms.setdefault(n_terms, []).append(alg - opt)
 
     prefix = args.out_prefix
+    _check_writable(*(f"{prefix}_{part}.dat"
+                      for part in ("hist", "rdiff", "diag")))
     lines = ["alg_dim opt_dim count"]
     for (alg, opt) in sorted(hist):
         lines.append(f"{alg} {opt} {hist[(alg, opt)]}")

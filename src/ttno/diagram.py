@@ -44,13 +44,21 @@ other marks.
 A message sent from a side that carries none of the term's factors is an
 *identity message*.  The diagram caches them per edge and direction and
 indexes the *broken channels*, edges without an identity message toward L,
-by their sites farthest from L.  A new hyperedge can change the identity
-messages its site sends only if it is an identity or shares the vertex of
-one, and the caches are refreshed from those sites.  A term with support S
-therefore costs work on Steiner(S), on the climb from its top toward L up
-to the first missing message, on one descent and on the broken channels;
-the graft visits only the sites that send nothing, in site order, so
-vertex uids and hyperedge order are those of a graft over every site.
+by their sites farthest from L.  A new hyperedge y at site s changes the
+identity message s sends over its edge j only if y's vertex on j is that
+message, which y now shares, or if the message is missing and y is an
+identity carrying the incoming identity messages on every other edge of s.
+Only those messages are recomputed, and a change passes on only to the
+messages keyed by it: one sent toward L to the message its receiver sends
+toward L and to those the receiver sends away from L on its other edges,
+one sent away from L to those its receiver sends on away from L.  The
+broken-channel set is copied once it holds a quarter of its peak size,
+since a set never shrinks its table and every term iterates the table.  A
+term with support S therefore costs work on Steiner(S), on the climb from
+its top toward L up to the first missing message, on one descent and on
+the broken channels; the graft visits only the sites that send nothing, in
+site order, so vertex uids and hyperedge order are those of a graft over
+every site.
 
 Messages are looked up in per-site hash indexes instead of scans.
 ``eps[s]`` is the full index of site ``s``, so the graft asks once whether
@@ -58,6 +66,9 @@ the new path's hyperedge exists.  The *open* index of a site's i-th incident
 edge maps ``(op_id, vertices on the other edges)`` to the tuple of
 hyperedges with that key in creation order (at a leaf the key is the
 operator alone): the candidates of the message the site sends over edge i.
+It holds a hyperedge only if it was the first at its site on its vertex of
+edge i.  A later one shares that vertex, and since counts never fall it
+could never be a message.
 """
 
 from __future__ import annotations
@@ -115,6 +126,7 @@ class StateDiagram:
         # s sends toward the leaf and the one it receives from there, None
         # where undefined; _broken holds the lowest sites that send none
         self._up_id, self._down_id, self._broken = self._identity_messages()
+        self._broken_peak = len(self._broken)
 
     # -- construction ------------------------------------------------------
 
@@ -138,9 +150,13 @@ class StateDiagram:
         self.ops.setdefault(op.op_id, op)
         for i, (counts, index) in enumerate(zip(self._degree_at[site],
                                                 self._open[site])):
-            counts[vs[i]] += 1
-            key = y[:i + 1] + y[i + 2:]
-            index[key] = index.get(key, ()) + (y,)
+            v = vs[i]
+            counts[v] += 1
+            # only the first hyperedge at site on v can ever be found: the
+            # count of v there never falls back to 1
+            if counts[v] == 1:
+                key = y[:i + 1] + y[i + 2:]
+                index[key] = index.get(key, ()) + (y,)
         return y
 
     @classmethod
@@ -172,7 +188,9 @@ class StateDiagram:
         ``free``, given ``key``: its operator and the marks on its other
         edges.  That is the free vertex of the first hyperedge filed under
         ``key`` that no other hyperedge at ``site`` shares (a shared vertex
-        would drag extra hyperedges into the path)."""
+        would drag extra hyperedges into the path).  Only the first
+        hyperedge on each vertex is filed, so every hit examined had its
+        vertex to itself when it was filed."""
         counts = self._degree_at[site][free]
         for y in self._open[site][free].get(key, ()):
             self.match_visits += 1
@@ -281,14 +299,18 @@ class StateDiagram:
     def _graft(self, term: ProductTerm, sites, marks: dict) -> None:
         """At each of ``sites`` in order, give every unmarked edge a fresh
         vertex and add the path's hyperedge if it is missing; then refresh
-        the identity messages the new hyperedges can change.  ``marks``
-        maps an edge's endpoint away from the leaf to its mark, None for
-        none; edges it does not name take the cached identity message."""
+        the identity messages the new hyperedges can change: at the new
+        hyperedge's site, a message whose vertex it now shares, and a
+        missing message over an edge where the new hyperedge is an
+        identity carrying the incoming identity messages on all the site's
+        other edges.  ``marks`` maps an edge's endpoint away from the leaf
+        to its mark, None for none; edges it does not name take the cached
+        identity message."""
         far_of = self._far
         incident = self._incident
         ups, downs = self._up_id, self._down_id
         factors = term.factors
-        dirty = []
+        stale_ups, stale_downs = [], []
         for s in sites:
             far = far_of[s]
             vs = []
@@ -302,39 +324,46 @@ class StateDiagram:
             if (want.op_id, *vs) in self.eps[s]:
                 continue
             self._new_hyperedge(s, want, vs)
-            # an identity can become a message of s, and a vertex that is
-            # one stops being one once a second hyperedge at s shares it
+            # the slots j where the new hyperedge is an identity that
+            # carries the incoming identity message on every slot but j
+            carries = ()
             if s not in factors:
-                dirty.append(s)
-                continue
-            for v, c in zip(vs, far):
-                if v == (ups[s] if c == s else downs[c]):
-                    dirty.append(s)
-                    break
-        if dirty:
-            self._refresh(dirty)
+                off = [j for j, c in enumerate(far)
+                       if vs[j] != (downs[s] if c == s else ups[c])]
+                carries = (off if len(off) == 1
+                           else range(len(far)) if not off else ())
+            for j, c in enumerate(far):
+                sent = ups[s] if c == s else downs[c]
+                if vs[j] == sent or (sent is None and j in carries):
+                    (stale_ups if c == s else stale_downs).append(c)
+        if stale_ups or stale_downs:
+            self._refresh(stale_ups, stale_downs)
 
-    def _refresh(self, dirty: list[int]) -> None:
-        """Recompute the identity messages sent from the ``dirty`` sites and
-        pass every change on: first toward the leaf, then away from it."""
+    def _refresh(self, stale_ups: list[int], stale_downs: list[int]) -> None:
+        """Recompute the identity messages ``_up_id[s]`` for ``s`` in
+        ``stale_ups`` and ``_down_id[c]`` for ``c`` in ``stale_downs``, and
+        pass each change on only to the messages that depend on it."""
         r = self._rooting
         up_of, kids, leaf = r.up, r.kids, r.root
         ups, downs = self._up_id, self._down_id
-        touched = {}
-        stack = list(dirty)
+        # messages toward the leaf depend on none from its side, so they
+        # settle first; a changed ups[s] changes the key of ups[p] and of
+        # downs[c] for every other kid c of p
+        stack = stale_ups
         while stack:
             s = stack.pop()
-            touched[s] = None
-            if s == leaf:
-                continue
             v = self._identity_up(s, ups)
             if v != ups[s]:
                 was, ups[s] = ups[s], v
+                p = up_of[s]
                 if (was is None) != (v is None):
                     self._file_broken(s)
-                    self._file_broken(up_of[s])
-                stack.append(up_of[s])
-        stack = [c for s in touched for c in kids[s]]
+                    self._file_broken(p)
+                if p != leaf:
+                    stack.append(p)
+                stale_downs.extend(c for c in kids[p] if c != s)
+        # a changed downs[c] changes the key of downs of every kid of c
+        stack = stale_downs
         while stack:
             c = stack.pop()
             v = self._identity_down(c, ups, downs)
@@ -349,10 +378,18 @@ class StateDiagram:
                 and None not in map(ups.__getitem__, self._rooting.kids[site]))
 
     def _file_broken(self, site: int) -> None:
+        broken = self._broken
         if self._is_broken(site, self._up_id):
-            self._broken.add(site)
-        else:
-            self._broken.discard(site)
+            broken.add(site)
+            self._broken_peak = max(self._broken_peak, len(broken))
+        elif site in broken:
+            broken.remove(site)
+            # a set never shrinks its table, and _match iterates the whole
+            # table on every term: copy it once it holds a quarter of its
+            # peak, which costs O(1) per discard amortised
+            if 4 * len(broken) < self._broken_peak:
+                self._broken = set(broken)
+                self._broken_peak = len(broken)
 
     def _identity_up(self, site: int, ups: dict) -> int | None:
         """The identity message ``site`` sends toward the leaf once its
@@ -501,9 +538,11 @@ class StateDiagram:
                         raise ValidationError(
                             f"hyperedge {y} at site {s} touches a vertex of "
                             f"another edge")
-                    degree[e[1] == s][v] += 1
-                    key = y[:i + 1] + y[i + 2:]
-                    index[key] = index.get(key, ()) + (y,)
+                    counts = degree[e[1] == s]
+                    counts[v] += 1
+                    if counts[v] == 1:
+                        key = y[:i + 1] + y[i + 2:]
+                        index[key] = index.get(key, ()) + (y,)
             for e, index, want in zip(incident, self._open[s], opens):
                 if index != want:
                     raise ValidationError(

@@ -309,10 +309,22 @@ class TreeTopology:
             root = data["root"]
         except (KeyError, TypeError) as exc:
             raise ValidationError(f"tree JSON missing field: {exc}") from exc
-        phys = data.get("phys_dims") or {}
+        phys = data.get("phys_dims", {})
         if not isinstance(phys, dict):
             raise ValidationError("tree JSON 'phys_dims' must be an object "
                                   "mapping site ids to dimensions")
+        # int() would read true as 1 and round 2.5 down to 2
+        if isinstance(root, (bool, float)):
+            raise ValidationError(f"root {root!r} is not an integer site id")
+        for edge in edges if isinstance(edges, list) else ():
+            if isinstance(edge, list) and any(isinstance(a, (bool, float))
+                                              for a in edge):
+                raise ValidationError(f"edge {edge!r} must be a pair of "
+                                      f"integer site ids")
+        for s, d in phys.items():
+            if isinstance(d, (bool, float)):
+                raise ValidationError(f"phys_dims entry {s!r}: {d!r} is not "
+                                      f"an integer")
         nodes = None
         if not edges:
             nodes = [root]

@@ -89,6 +89,23 @@ PAIR_TERM = {"coeff": [1, 0], "factors": {"1": "X", "2": "X"}}
      "operator 'Q': 'dim' -2 must be >= 1"),
     (TREE_JSON, {"terms": [PAIR_TERM, {"factors": {"1": "X", "01": "Z"}}]},
      "term 1: 'factors' keys '1' and '01' both name site 1"),
+    (TREE_JSON, {"terms": [PAIR_TERM, {"factors": {"1": ["X"]}}]},
+     "term 1, site 1: factor label ['X'] must be a string"),
+    # JSON values that int() or complex() would quietly round or read
+    (dict(TREE_JSON, root=True), HAM_JSON, "root True"),
+    (TREE_JSON, {"terms": [PAIR_TERM, {"coeff": [True, 0],
+                                       "factors": {"1": "Y"}}]},
+     "term 1: 'coeff' must be a [re, im] pair of numbers"),
+    (dict(TREE_JSON, edges=[[1, 2.5]] + TREE_JSON["edges"][1:]), HAM_JSON,
+     "edge [1, 2.5]"),
+    (dict(TREE_JSON, phys_dims={"1": 2.7}), HAM_JSON,
+     "phys_dims entry '1': 2.7"),
+    (TREE_JSON, {"operators": {"Q": {"dim": 2.5, "matrix": [
+        [0, 0], [1, 0], [1, 0], [0, 0]]}}, "terms": [PAIR_TERM]},
+     "operator 'Q': needs an integer 'dim'"),
+    (TREE_JSON, {"operators": [], "terms": [PAIR_TERM]},
+     "'operators' must be"),
+    (dict(TREE_JSON, phys_dims=[]), HAM_JSON, "'phys_dims' must be"),
 ])
 def test_build_malformed_fields(tmp_path, capsys, tree_json, ham_json,
                                 message):
@@ -217,6 +234,45 @@ def test_verification_rejects_any_corruption(files):
             flat[idx] = original
             n_mutations += 1
     assert n_mutations > 0
+
+
+@pytest.mark.parametrize("command", ["build --report", "bench --summary",
+                                     "oqs --report"])
+def test_unwritable_output_leaves_no_output(files, capsys, command):
+    # the first output path is writable, the second is not; an existing
+    # file at the first keeps its bytes
+    tmp, tree, ham = files
+    missing = str(tmp / "missing" / "out")
+    first = tmp / "first.out"
+    argv = {"build --report": ["build", tree, ham, "--out", str(first),
+                               "--report", missing],
+            "bench --summary": ["bench", tree, "--terms", "5", "--samples",
+                                "2", "--seed", "3", "--out", str(first),
+                                "--summary", missing],
+            "oqs --report": ["oqs", "--topology", "star", "--spins", "2",
+                             "--baths", "1", "--out", str(first),
+                             "--report", missing],
+            }[command]
+    before = sorted(tmp.iterdir())
+    assert main(argv) == EXIT_PARSE
+    assert missing in capsys.readouterr().err
+    assert sorted(tmp.iterdir()) == before
+    first.write_text("kept")
+    assert main(argv) == EXIT_PARSE
+    assert first.read_text() == "kept"
+
+
+@pytest.mark.parametrize("summary", [False, True])
+def test_bench_refuses_no_samples(files, capsys, summary):
+    tmp, tree, _ = files
+    argv = ["bench", tree, "--samples", "0", "--seed", "1",
+            "--out", str(tmp / "d.csv")]
+    if summary:
+        argv += ["--summary", str(tmp / "s.csv")]
+    before = sorted(tmp.iterdir())
+    assert main(argv) == EXIT_VALIDATION
+    assert "--samples 0 must be positive" in capsys.readouterr().err
+    assert sorted(tmp.iterdir()) == before
 
 
 def test_bench_deterministic_bytes(files):

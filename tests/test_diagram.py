@@ -2,6 +2,7 @@ import gc
 import hashlib
 import math
 import pickle
+import sys
 from collections import Counter
 
 import numpy as np
@@ -199,12 +200,32 @@ def random40_hamiltonian(seed):
 
 
 def test_match_visits_scale_with_lookups():
-    # the messages and cache refreshes examine ~0.6 index hits per term and
-    # leaf, where climbs from every leaf examined ~2.1 and a scan of the
+    # the messages and cache refreshes examine ~0.45 index hits per term
+    # and leaf, where climbs from every leaf examined ~2.1 and a scan of the
     # hyperedges at each site ~108
     h = random40_hamiltonian(1)
     g = from_hamiltonian(h)
     assert g.match_visits <= 3 * len(h.terms) * len(h.tree.leaves())
+
+
+def test_match_visits_skip_dead_hits_and_idle_refreshes():
+    # 13,447 when every hyperedge was filed on every slot and any new
+    # identity recomputed the identity messages around its site: an open
+    # index holds only the first hyperedge on each vertex, and a message is
+    # recomputed only where the new hyperedge can change it
+    g = from_hamiltonian(random40_hamiltonian(1))
+    assert g.match_visits < 11_000
+
+
+def test_broken_channel_set_shrinks():
+    # every leaf of the empty star starts broken and none is at the end; a
+    # set that kept its peak table would take ~150 times the empty size
+    h = oqs_hamiltonian(OQSSpec(64, 6, boson_dim=2), "star")
+    g = StateDiagram(h.tree)
+    assert len(g._broken) > 300
+    for term in h.folded_terms():
+        g.add_term(term)
+    assert sys.getsizeof(g._broken) <= 4 * sys.getsizeof(set(g._broken))
 
 
 def test_diagram_holds_few_tracked_objects():
@@ -483,6 +504,20 @@ def test_naive_terms_interleave_with_matched_ones():
                                ("X", "Z"), 2, seed=(909, trial))
         reuse = [bool(b) for b in rng.integers(0, 2, len(h.terms))]
         assert_matches_reference(h, reuse)
+
+
+@pytest.mark.filterwarnings("ignore:root has a single neighbour")
+def test_caches_exact_after_every_term():
+    # validate() recomputes every identity message and rebuilds the open
+    # indexes and the broken-channel set, so a change the refresh missed
+    # shows at the term that made it
+    for trial, h in oracle_suite():
+        if trial % 4 == 0:
+            build(h)
+    for kind in TOPOLOGIES:
+        for spins, baths, boson_dim in ((2, 1, 2), (3, 2, 3), (5, 3, 2)):
+            build(oqs_hamiltonian(OQSSpec(spins, baths, g=0.3 - 0.8j,
+                                          boson_dim=boson_dim), kind))
 
 
 def test_marks_depend_on_the_order_of_leaf_climbs():
