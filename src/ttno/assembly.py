@@ -124,7 +124,9 @@ def emit_tensors(diagram: StateDiagram,
     its edge's collection; a hyperedge ``(op_id, *uids)`` puts the matrix of
     ``op_id``, resolved once per emission, at the bond indices of its
     vertices in leg order.  Hyperedges on the same multi-index accumulate
-    additively (their matrices sum into one block)."""
+    additively (their matrices sum into one block).  An operator whose
+    matrix cannot be allocated raises DenseCapExceededError naming it, its
+    dimension and the lowest site of that dimension."""
     registry = registry or DEFAULT_REGISTRY
     tree = diagram.tree
     r = tree.rooting
@@ -133,7 +135,20 @@ def emit_tensors(diagram: StateDiagram,
     for vs in diagram.w.values():
         for i, v in enumerate(vs):
             index[v] = i
-    matrices = {k: registry.resolve(op) for k, op in diagram.ops.items()}
+    matrices = {}
+    for k, op in diagram.ops.items():
+        try:
+            matrices[k] = registry.resolve(op)
+        except ValidationError:
+            raise
+        except (MemoryError, ValueError) as exc:
+            # ValueError: the byte count overflows the address space
+            site = min(s for s in tree.nodes if tree.phys_dim(s) == op.dim)
+            gib = op.dim ** 2 * np.dtype(complex).itemsize / 2 ** 30
+            raise DenseCapExceededError(
+                f"site {site}: the {op.dim} x {op.dim} matrix of operator "
+                f"{op.label!r} ({gib:.2f} GiB) cannot be allocated; shrink "
+                f"the physical dimension") from exc
     dims = diagram.bond_dimensions()
     tensors: dict[int, TTNOTensor] = {}
     for s in tree.nodes:

@@ -50,8 +50,10 @@ message, which y now shares, or if the message is missing and y is an
 identity carrying the incoming identity messages on every other edge of s.
 Only those messages are recomputed, and a change passes on only to the
 messages keyed by it: one sent toward L to the message its receiver sends
-toward L and to those the receiver sends away from L on its other edges,
-one sent away from L to those its receiver sends on away from L.  The
+toward L and to those the receiver sends away from L on its other edges
+whose keys it can complete, one sent away from L to those its receiver
+sends on away from L.  So at a hub whose leaves mostly send nothing, a
+changed leaf recomputes O(1) messages, not one per leaf.  The
 broken-channel set is copied once it holds a quarter of its peak size,
 since a set never shrinks its table and every term iterates the table.  A
 term with support S therefore costs work on Steiner(S), on the climb from
@@ -361,7 +363,7 @@ class StateDiagram:
                     self._file_broken(p)
                 if p != leaf:
                     stack.append(p)
-                stale_downs.extend(c for c in kids[p] if c != s)
+                stale_downs.extend(self._completable_downs(p, s))
         # a changed downs[c] changes the key of downs of every kid of c
         stack = stale_downs
         while stack:
@@ -370,6 +372,26 @@ class StateDiagram:
             if v != downs[c]:
                 downs[c] = v
                 stack.extend(kids[c])
+
+    def _completable_downs(self, p: int, s: int) -> list[int]:
+        """The kids c of ``p`` but ``s`` whose identity message downs[c]
+        can change with ups[s].  Its key is every message into ``p`` but
+        c's own; while another one is missing, downs[c] stays None whatever
+        s sends.  So none if downs[p] or two other kids' ups are missing,
+        the one kid if exactly one other's is, else all; a later change of
+        downs[p] or of another kid's ups files the rest."""
+        if p != self._rooting.root and self._down_id[p] is None:
+            return []
+        ups = self._up_id
+        silent = None
+        for c in self._rooting.kids[p]:
+            if c != s and ups[c] is None:
+                if silent is not None:
+                    return []
+                silent = c
+        if silent is not None:
+            return [silent]
+        return [c for c in self._rooting.kids[p] if c != s]
 
     def _is_broken(self, site: int, ups: dict) -> bool:
         """Whether ``site`` sends no identity message toward the leaf while

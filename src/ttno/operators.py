@@ -258,24 +258,26 @@ class Hamiltonian:
     def __init__(self, tree: TreeTopology, terms):
         self.tree = tree
         self.terms: list[ProductTerm] = list(terms)
+        phys_dims = tree.phys_dims
+        root, root_dim = tree.root, tree.phys_dim(tree.root)
         seen = set()
         for t in self.terms:
             for s, op in t.factors.items():
-                if s not in tree.phys_dims:
+                if s not in phys_dims:
                     raise ValidationError(f"term acts on unknown site {s}")
-                if op.dim != tree.phys_dim(s):
+                if op.dim != phys_dims[s]:
                     raise ValidationError(
                         f"operator {op.label!r} (dim {op.dim}) does not match "
-                        f"site {s} (dim {tree.phys_dim(s)})")
-            k = fold_coefficient(t, tree.root, tree.phys_dim(tree.root)).key()
+                        f"site {s} (dim {phys_dims[s]})")
+            k = fold_coefficient(t, root, root_dim).key()
             if k in seen:
                 raise DuplicateTermError(f"duplicate term {t!r}")
             seen.add(k)
 
     def folded_terms(self) -> list[ProductTerm]:
         root = self.tree.root
-        return [fold_coefficient(t, root, self.tree.phys_dim(root))
-                for t in self.terms]
+        root_dim = self.tree.phys_dim(root)
+        return [fold_coefficient(t, root, root_dim) for t in self.terms]
 
     def __repr__(self):
         return f"Hamiltonian({len(self.terms)} terms on {self.tree!r})"
@@ -303,13 +305,25 @@ def random_hamiltonian(tree: TreeTopology, n_terms: int, op_labels,
     """Deterministic random Hamiltonian with pairwise-distinct terms.
 
     Each term has unit coefficient, a uniformly chosen non-empty support of
-    size <= ``max_support`` and labels uniform over ``op_labels``.
+    size <= ``max_support`` and labels uniform over ``op_labels``, which
+    must be distinct.  A term takes three draws from
+    ``numpy.random.default_rng(seed)``: one uniform double for the support
+    size, inverted through the cumulative size weights as
+    ``Generator.choice(k_max, p=weights)`` would; one ``choice`` of the k
+    sites without replacement; and one ``integers`` array of the k labels,
+    in ascending site order.  That sequence is the reproducibility
+    contract: a seed names the same terms, in the same order, as long as
+    numpy keeps these draws.  A term drawn before is dropped.
     """
     labels = list(op_labels)
     if n_terms < 1:
         raise ValidationError("n_terms must be >= 1")
     if not labels or IDENTITY_LABEL in labels:
         raise ValidationError("op_labels must be non-empty and identity-free")
+    for i, lbl in enumerate(labels):
+        if lbl in labels[:i]:
+            raise ValidationError(
+                f"op_labels repeat {lbl!r}; list each label once")
     sites = tree.nodes
     n_sites = len(sites)
     k_max = n_sites if max_support is None else min(max_support, n_sites)
@@ -326,17 +340,28 @@ def random_hamiltonian(tree: TreeTopology, n_terms: int, op_labels,
     rng = np.random.default_rng(seed)
     size_weights = np.array(per_size, dtype=float)
     size_weights /= size_weights.sum()
+    # the cumulative weights exactly as Generator.choice forms them
+    cdf = size_weights.cumsum()
+    cdf /= cdf[-1]
+    dims = [tree.phys_dim(s) for s in sites]
+    # one operator per (label, dim), made on first use so that operator ids
+    # are handed out in the order the terms first name them
+    ops: dict[tuple[str, int], SiteOperator] = {}
 
     terms: list[ProductTerm] = []
     seen: set = set()
     while len(terms) < n_terms:
-        k = 1 + int(rng.choice(k_max, p=size_weights))
+        k = 1 + int(cdf.searchsorted(rng.random(), side="right"))
         chosen = rng.choice(n_sites, size=k, replace=False)
+        chosen.sort()
         factors = {}
-        for idx in sorted(chosen):
-            s = sites[int(idx)]
-            lbl = labels[int(rng.integers(len(labels)))]
-            factors[s] = SiteOperator(lbl, tree.phys_dim(s))
+        for idx, j in zip(chosen.tolist(),
+                          rng.integers(len(labels), size=k).tolist()):
+            label_dim = (labels[j], dims[idx])
+            op = ops.get(label_dim)
+            if op is None:
+                op = ops[label_dim] = SiteOperator(*label_dim)
+            factors[sites[idx]] = op
         term = ProductTerm(1.0, factors)
         key = term.key()
         if key in seen:

@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -191,6 +195,20 @@ def test_build_unallocatable_tensor(files, monkeypatch, capsys):
     assert "TTNO_DENSE_CAP" not in err
 
 
+def test_build_refuses_unallocatable_phys_dim(tmp_path, capsys):
+    # numpy refuses a 2**32 x 2**32 identity before allocating anything
+    (tmp_path / "tree.json").write_text(json.dumps(
+        {"root": 0, "edges": [[0, 1]], "phys_dims": {"1": 2 ** 32}}))
+    (tmp_path / "ham.json").write_text(json.dumps(
+        {"terms": [{"factors": {"0": "X"}}]}))
+    out = tmp_path / "out.json"
+    assert main(["build", str(tmp_path / "tree.json"),
+                 str(tmp_path / "ham.json"), "--out", str(out)]) == EXIT_CAP
+    err = capsys.readouterr().err
+    assert f"site 1: the {2 ** 32} x {2 ** 32} matrix of operator 'I'" in err
+    assert not out.exists()
+
+
 def test_build_random40_without_dense_tensors(tmp_path):
     # the dense tensor at site 3 alone would take 48 GiB
     rng = np.random.default_rng(1)
@@ -305,6 +323,24 @@ def test_bench_refuses_malformed_flag(files, capsys, flag, value):
             "--out", str(tmp / "d.csv"), flag, value]
     assert main(argv) == EXIT_VALIDATION
     assert f"{flag} {value}" in capsys.readouterr().err
+
+
+def test_bench_refuses_repeated_label(files):
+    # a separate process under a timeout, so that a draw that never ends
+    # fails the test instead of hanging the suite
+    tmp, tree, _ = files
+    env = dict(os.environ)
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [src, env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "ttno.cli", "bench", tree, "--terms", "300",
+         "--samples", "1", "--seed", "1", "--labels", "X,X",
+         "--out", str(tmp / "d.csv")],
+        env=env, capture_output=True, text=True, timeout=60)
+    assert proc.returncode == EXIT_VALIDATION
+    assert "repeat 'X'" in proc.stderr
+    assert not (tmp / "d.csv").exists()
 
 
 def test_bench_beyond_dense_cap(tmp_path, monkeypatch):

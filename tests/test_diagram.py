@@ -217,6 +217,29 @@ def test_match_visits_skip_dead_hits_and_idle_refreshes():
     assert g.match_visits < 11_000
 
 
+def test_hub_refreshes_linear_in_leaves(monkeypatch):
+    # a changed identity message from one leaf of a hub re-keys the messages
+    # the hub sends its other leaves, but those stay missing while two
+    # other leaves send none; recomputing them all took 359,999 calls here
+    n = 600
+    tree = TreeTopology([(0, i) for i in range(1, n + 1)], root=0)
+    terms = [pauli_term({i: "Z"}) for i in range(1, n + 1)]
+    terms += [pauli_term({0: "X", i: "X"}) for i in range(1, n + 1)]
+    h = Hamiltonian(tree, terms)
+    calls = 0
+    identity_down = StateDiagram._identity_down
+
+    def counted(self, *args):
+        nonlocal calls
+        calls += 1
+        return identity_down(self, *args)
+
+    monkeypatch.setattr(StateDiagram, "_identity_down", counted)
+    g = from_hamiltonian(h)
+    assert calls <= 10 * n
+    g.validate()
+
+
 def test_broken_channel_set_shrinks():
     # every leaf of the empty star starts broken and none is at the end; a
     # set that kept its peak table would take ~150 times the empty size

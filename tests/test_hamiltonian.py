@@ -1,3 +1,6 @@
+import hashlib
+import math
+
 import numpy as np
 import pytest
 
@@ -10,6 +13,7 @@ from ttno.tree import TreeTopology
 
 from conftest import demo_terms, demo_tree, pauli_term
 from oracles import elementwise_dense
+from test_diagram import random40_hamiltonian
 
 X = DEFAULT_REGISTRY.lookup("X", 2)
 Y = DEFAULT_REGISTRY.lookup("Y", 2)
@@ -218,6 +222,13 @@ def test_random_hamiltonian_rejects_identity_label(tree):
         random_hamiltonian(tree, 1, ("I", "X"), seed=1)
 
 
+def test_random_hamiltonian_rejects_repeated_label(tree):
+    # counted with the repeat, 6,560 distinct terms would seem to exist
+    # where there are 255, and the draw would never end
+    with pytest.raises(ValidationError, match="repeat 'X'"):
+        random_hamiltonian(tree, 300, ("X", "Y", "X"), seed=1)
+
+
 def test_random_hamiltonian_label_frequencies():
     pair = TreeTopology([(0, 1)], root=0)
     counts = {s: {"X": 0, "Y": 0, "Z": 0} for s in (0, 1)}
@@ -230,3 +241,66 @@ def test_random_hamiltonian_label_frequencies():
     for s in (0, 1):
         for lbl in ("X", "Y", "Z"):
             assert abs(counts[s][lbl] / picks[s] - 1 / 3) < 0.02
+
+
+def _size_weights(n_sites, n_labels, k_max):
+    w = np.array([math.comb(n_sites, k) * n_labels ** k
+                  for k in range(1, k_max + 1)], dtype=float)
+    return w / w.sum()
+
+
+@pytest.mark.parametrize("weights", [
+    _size_weights(1, 3, 1),  # k_max == 1
+    _size_weights(2, 3, 2),
+    _size_weights(8, 3, 8),  # the demo tree, unbounded support
+    _size_weights(40, 3, 4),  # random40
+    _size_weights(40, 2, 40),
+    np.array([0.5, 0.25, 0.125, 0.125]),
+])
+def test_random_stream_inverse_cdf_and_label_array(weights):
+    # random_hamiltonian draws a term's support size by inverting the
+    # cumulative weights, as Generator.choice(k_max, p=w) does, and its
+    # labels with one integers(n, size=k) call, which equals k scalar calls;
+    # between them sits the same choice(replace=False) of sites
+    k_max, n_sites, n_labels = len(weights), max(len(weights), 40), 3
+    cdf = weights.cumsum()
+    cdf /= cdf[-1]
+    for seed in range(60):
+        old, new = np.random.default_rng(seed), np.random.default_rng(seed)
+        for _ in range(20):
+            k = 1 + int(old.choice(k_max, p=weights))
+            assert k == 1 + int(cdf.searchsorted(new.random(), side="right"))
+            assert np.array_equal(old.choice(n_sites, size=k, replace=False),
+                                  new.choice(n_sites, size=k, replace=False))
+            labels = [int(old.integers(n_labels)) for _ in range(k)]
+            assert new.integers(n_labels, size=k).tolist() == labels
+        assert old.bit_generator.state == new.bit_generator.state
+
+
+def _term_stream(hamiltonians) -> str:
+    """SHA-256 over the (site, label) sequence of every term, in order."""
+    digest = hashlib.sha256()
+    for h in hamiltonians:
+        for t in h.terms:
+            digest.update(" ".join(f"{s}:{op.label}" for s, op in
+                                   sorted(t.factors.items())).encode())
+            digest.update(b"\n")
+        digest.update(b"--\n")
+    return digest.hexdigest()
+
+
+def test_random_stream_pinned():
+    # a numpy upgrade or a refactor that changes the draws changes every
+    # seeded study; this fails first
+    demo = demo_tree()
+    mixed = TreeTopology([(0, 1), (1, 2)], root=1, phys_dims={2: 4})
+    pair = TreeTopology([(0, 1)], root=0)
+    single = TreeTopology([], root=0, nodes=[0])
+    hs = [random40_hamiltonian(1)]
+    hs += [random_hamiltonian(demo, n, ("X", "Y", "Z"), None, seed=[1, n, i])
+           for n in (5, 10, 20, 30) for i in range(3)]
+    hs += [random_hamiltonian(mixed, 6, ("B", "N"), 2, seed=3),
+           random_hamiltonian(pair, 15, ("X", "Y", "Z"), seed=4),
+           random_hamiltonian(single, 3, ("X", "Y", "Z"), 1, seed=5)]
+    assert _term_stream(hs) == (
+        "ba733f3f95ac98eff425c17adea68dd35819851c355de6113591071a19b511a2")
