@@ -13,7 +13,9 @@ back bit-identical.  The dense array is built only on request, to verify.
 
 Dump format ``ttno-v2``: ``{"format": "ttno-v2", "tree": ..., "tensors":
 {"<site>": {"legs", "shape", "index", "re", "im"}}}``, where ``re`` and
-``im`` hold the blocks' entries, row-major and concatenated.  The dense
+``im`` hold the blocks' entries, row-major and concatenated, all finite.
+Writer and reader hold one tensor's entries as Python objects at a time:
+one ``json.dumps`` call per tensor, one array per parsed list.  The dense
 ``ttno-v1`` format is not read: rebuild such a dump from its inputs.
 """
 
@@ -21,24 +23,31 @@ from __future__ import annotations
 
 import json
 import math
+import operator
 from dataclasses import dataclass
+from itertools import chain
 
 import numpy as np
 
 from .diagram import StateDiagram
 from .errors import DenseCapExceededError, ValidationError
 from .operators import DEFAULT_REGISTRY, OperatorRegistry, dense_layout
-from .tree import Edge, TreeTopology, edge_key
+from .tree import Edge, Rooting, TreeTopology
 
 
 def canonical_legs(tree: TreeTopology, site: int) -> tuple[Edge, ...]:
     """Bond-leg order at a site: parent edge first, then children ascending."""
-    legs = []
-    p = tree.parent(site)
-    if p is not None:
-        legs.append(edge_key(p, site))
-    legs.extend(edge_key(site, c) for c in tree.children(site))
-    return tuple(legs)
+    tree.parent(site)  # checks the site
+    return _in_leg_order(tree.rooting, site, tree.rooting.incident[site])
+
+
+def _in_leg_order(r: Rooting, s: int, items):
+    """``items``, one per neighbour of ``s`` in neighbour order, as a tuple in
+    leg order: the parent's first, then the kids' in their order."""
+    if s == r.root:
+        return tuple(items)
+    j = r.up_slot[s]
+    return (items[j], *items[:j], *items[j + 1:])
 
 
 @dataclass(eq=False)
@@ -58,16 +67,25 @@ class TTNOTensor:
         """The tensor holding the sums of ``(multi-index, d x d matrix)``
         pairs: matrices on one multi-index add up in pair order, starting
         from a block of ``+0.0``; sums whose entries are all ``+0.0`` are
-        not stored."""
-        d, zero = shape[-1], np.zeros(shape[-2:], dtype=complex)
-        sums: dict[tuple[int, ...], np.ndarray] = {}
+        not stored.  A sum that overflows raises ValidationError naming the
+        site and the multi-index."""
+        d, sums = shape[-1], {}
         for idx, matrix in pairs:
-            sums[idx] = sums.get(idx, zero) + matrix
+            if idx in sums:
+                matrix = sums[idx] + matrix
+                if not np.isfinite(matrix).all():
+                    raise ValidationError(
+                        f"site {site}: the matrices summed into block {idx} "
+                        f"overflow to non-finite entries")
+            sums[idx] = matrix
         keys = sorted(sums)
         index = np.array(keys, dtype=np.int64).reshape(len(keys), len(legs))
         blocks = np.array([sums[k] for k in keys], complex).reshape(-1, d, d)
+        blocks += 0.0  # as if summed from +0.0: -0.0 entries become +0.0
         kept = blocks.view(np.uint64).any(axis=(1, 2))
-        return cls(site, tuple(legs), tuple(shape), index[kept], blocks[kept])
+        if np.count_nonzero(kept) < len(kept):
+            index, blocks = index[kept], blocks[kept]
+        return cls(site, tuple(legs), tuple(shape), index, blocks)
 
     def __repr__(self):
         return (f"TTNOTensor(site={self.site}, shape={self.shape}, "
@@ -126,7 +144,8 @@ def emit_tensors(diagram: StateDiagram,
     vertices in leg order.  Hyperedges on the same multi-index accumulate
     additively (their matrices sum into one block).  An operator whose
     matrix cannot be allocated raises DenseCapExceededError naming it, its
-    dimension and the lowest site of that dimension."""
+    dimension and the lowest site of that dimension; one whose matrix, or
+    a block sum, is not finite raises ValidationError naming the site."""
     registry = registry or DEFAULT_REGISTRY
     tree = diagram.tree
     r = tree.rooting
@@ -138,7 +157,7 @@ def emit_tensors(diagram: StateDiagram,
     matrices = {}
     for k, op in diagram.ops.items():
         try:
-            matrices[k] = registry.resolve(op)
+            m = matrices[k] = registry.resolve(op)
         except ValidationError:
             raise
         except (MemoryError, ValueError) as exc:
@@ -149,18 +168,22 @@ def emit_tensors(diagram: StateDiagram,
                 f"site {site}: the {op.dim} x {op.dim} matrix of operator "
                 f"{op.label!r} ({gib:.2f} GiB) cannot be allocated; shrink "
                 f"the physical dimension") from exc
-    dims = diagram.bond_dimensions()
+        if not np.isfinite(m).all():
+            site = min(s for s in tree.nodes
+                       if any(y[0] == k for y in diagram.eps[s]))
+            raise ValidationError(
+                f"site {site}: the matrix of operator {op.label!r} "
+                f"overflows to non-finite entries")
+    dims, eps, phys = diagram.bond_dimensions(), diagram.eps, tree.phys_dims
     tensors: dict[int, TTNOTensor] = {}
     for s in tree.nodes:
-        legs = canonical_legs(tree, s)
+        legs = _in_leg_order(r, s, r.incident[s])
         # where each leg's vertex sits in a hyperedge key, after its op_id
-        slots = [r.down_slot[c] + 1 for c in r.kids[s]]
-        if s != r.root:
-            slots.insert(0, r.up_slot[s] + 1)
-        shape = tuple(dims[e] for e in legs) + (tree.phys_dim(s),) * 2
-        pairs = ((tuple(index[y[i]] for i in slots), matrices[y[0]])
-                 for y in diagram.eps[s])
-        tensors[s] = TTNOTensor.from_blocks(s, legs, shape, pairs)
+        slots = _in_leg_order(r, s, range(1, len(legs) + 1))
+        pairs = [(tuple([index[y[i]] for i in slots]), matrices[y[0]])
+                 for y in eps[s]]
+        tensors[s] = TTNOTensor.from_blocks(
+            s, legs, (*[dims[e] for e in legs], phys[s], phys[s]), pairs)
     return TTNO(tree, tensors)
 
 
@@ -213,20 +236,6 @@ def dense_element_count(ttno: TTNO) -> int:
 
 # -- dump format ------------------------------------------------------------
 
-# rows (floats, or block indices) per json.dumps call when writing a dump:
-# keeps every temporary list and string small
-_DUMP_CHUNK = 4096
-
-
-def _write_list(fh, rows: np.ndarray) -> None:
-    """``json.dumps(rows.tolist())``, encoded a slice of rows at a time."""
-    fh.write("[")
-    for i in range(0, len(rows), _DUMP_CHUNK):
-        if i:
-            fh.write(", ")
-        fh.write(json.dumps(rows[i:i + _DUMP_CHUNK].tolist())[1:-1])
-    fh.write("]")
-
 
 def _parsed_floats(obj: dict) -> dict:
     """``json.load`` hook: a tensor entry's ``re`` and ``im`` lists become
@@ -240,7 +249,7 @@ def _parsed_floats(obj: dict) -> dict:
             except (TypeError, ValueError):  # ragged nesting
                 continue
             if values.ndim == 1 and values.dtype.kind in "fi":
-                obj[key] = values.astype(float)
+                obj[key] = values.astype(float, copy=False)
     return obj
 
 
@@ -248,9 +257,9 @@ def write_ttno(ttno: TTNO, path: str) -> None:
     """Write the ``ttno-v2`` dump of ``ttno`` (layout in the module
     docstring).
 
-    The bytes are those of ``json.dump`` on the whole object, but every
-    piece goes through the C encoder of ``json.dumps`` and no list is held
-    whole.
+    The bytes are those of ``json.dump`` on the whole object, but each
+    tensor entry is one ``json.dumps`` call and one write, so memory holds
+    one tensor's lists and string at a time.
     """
     with open(path, "w") as fh:
         fh.write('{"format": "ttno-v2", "tree": ')
@@ -258,15 +267,9 @@ def write_ttno(ttno: TTNO, path: str) -> None:
         fh.write(', "tensors": {')
         for i, (s, t) in enumerate(ttno.tensors.items()):
             entries = t.blocks.reshape(-1)
-            fh.write(f'{", " if i else ""}"{s}": {{"legs": '
-                     f'{json.dumps([list(e) for e in t.legs])}, "shape": '
-                     f'{json.dumps(list(t.shape))}, "index": ')
-            _write_list(fh, t.index)
-            fh.write(', "re": ')
-            _write_list(fh, entries.real)
-            fh.write(', "im": ')
-            _write_list(fh, entries.imag)
-            fh.write("}")
+            fh.write(f'{", " if i else ""}"{s}": ' + json.dumps({
+                "legs": t.legs, "shape": t.shape, "index": t.index.tolist(),
+                "re": entries.real.tolist(), "im": entries.imag.tolist()}))
         fh.write("}}")
 
 
@@ -285,7 +288,7 @@ def _read_tensor(tree: TreeTopology, s: int, td) -> TTNOTensor:
     if td["legs"] != [list(e) for e in legs]:
         raise bad(f"legs {td['legs']!r} differ from the tree's "
                   f"{[list(e) for e in legs]}")
-    shape, d = td["shape"], tree.phys_dim(s)
+    shape, d = td["shape"], tree.phys_dims[s]
     if (not isinstance(shape, list) or len(shape) != len(legs) + 2
             or not all(type(n) is int and n >= 1 for n in shape)):
         raise bad(f"shape {shape!r} is not a list of {len(legs) + 2} "
@@ -296,18 +299,25 @@ def _read_tensor(tree: TreeTopology, s: int, td) -> TTNOTensor:
     bond, rows = shape[:-2], td["index"]
     if not isinstance(rows, list):
         raise bad("'index' must be a list of bond multi-indices")
-    for k, r in enumerate(rows):
-        if not (isinstance(r, list) and len(r) == len(bond)
-                and all(type(i) is int for i in r)):
-            raise bad(f"block index {r!r} is not a list of {len(bond)} "
-                      f"integers")
-        if not all(0 <= i < n for i, n in zip(r, bond)):
-            raise bad(f"block index {r} is out of range for bond "
-                      f"dimensions {bond}")
-        if k and r <= rows[k - 1]:  # lists compare in row-major order
-            raise bad(f"block {k}: index {r} does not follow "
-                      f"{rows[k - 1]}; the index must be strictly "
-                      f"increasing in row-major order")
+    # whole-list passes in C; the loop below finds and words a failure
+    if not (set(map(type, rows)) <= {list}
+            and set(map(len, rows)) <= {len(bond)}
+            and set(map(type, chain.from_iterable(rows))) <= {int}
+            and all(0 <= min(c) and max(c) < n
+                    for c, n in zip(zip(*rows), bond))
+            and all(map(operator.lt, rows, rows[1:]))):
+        for k, r in enumerate(rows):
+            if not (isinstance(r, list) and len(r) == len(bond)
+                    and all(type(i) is int for i in r)):
+                raise bad(f"block index {r!r} is not a list of {len(bond)} "
+                          f"integers")
+            if not all(0 <= i < n for i, n in zip(r, bond)):
+                raise bad(f"block index {r} is out of range for bond "
+                          f"dimensions {bond}")
+            if k and r <= rows[k - 1]:  # lists compare in row-major order
+                raise bad(f"block {k}: index {r} does not follow "
+                          f"{rows[k - 1]}; the index must be strictly "
+                          f"increasing in row-major order")
     for key in ("re", "im"):
         if not isinstance(td[key], np.ndarray):  # left so by the hook
             raise bad(f"{key!r} must be a flat list of numbers")
@@ -319,25 +329,31 @@ def _read_tensor(tree: TreeTopology, s: int, td) -> TTNOTensor:
     # imaginary -0.0 into +0.0
     blocks.real = td["re"].reshape(-1, d, d)
     blocks.imag = td["im"].reshape(-1, d, d)
-    zero = np.flatnonzero(~blocks.view(np.uint64).any(axis=(1, 2)))
-    if len(zero):
-        raise bad(f"block {zero[0]} at index {rows[zero[0]]} holds only "
-                  f"+0.0 entries, which are not stored")
+    kept = blocks.view(np.uint64).any(axis=(1, 2))
+    if np.count_nonzero(kept) < len(kept):
+        zero = np.flatnonzero(~kept)[0]
+        raise bad(f"block {zero} at index {rows[zero]} holds only +0.0 "
+                  f"entries, which are not stored")
     index = np.array(rows, dtype=np.int64).reshape(len(rows), len(bond))
     return TTNOTensor(s, legs, tuple(shape), index, blocks)
 
 
 def read_ttno(path: str) -> TTNO:
     """Read a ``ttno-v2`` dump back into tensors bit-identical to the ones
-    written.  Malformed or inconsistent content raises
-    ValidationError naming the site or field at fault; a ``ttno-v1`` dump
-    must be rebuilt from its inputs."""
+    written.  Malformed or inconsistent content, a NaN, an infinite or a
+    boolean entry among them, raises ValidationError naming the site or
+    field at fault; a ``ttno-v1`` dump must be rebuilt from its inputs."""
     try:
         with open(path) as fh:
-            data = json.load(fh, object_hook=_parsed_floats)
+            text = fh.read()
+        data = json.loads(text, object_hook=_parsed_floats)
     except (json.JSONDecodeError, UnicodeDecodeError) as exc:
         raise ValidationError(f"ttno dump {path}: not valid JSON "
                               f"({exc})") from exc
+    # the hook reads a true or false among numbers as 1.0 or 0.0; the writer
+    # prints neither, so only a dump that holds one is read again below
+    booleans = "true" in text or "false" in text
+    del text  # not held while the tensors are built
     if not isinstance(data, dict):
         raise ValidationError("ttno dump: must be a JSON object")
     if data.get("format") != "ttno-v2":
@@ -357,7 +373,20 @@ def read_ttno(path: str) -> TTNO:
         if key not in sites:
             raise ValidationError(f"ttno dump: tensor for {key!r}, which is "
                                   f"not a site of the tree")
-    ttno = TTNO(tree, {sites[k]: _read_tensor(tree, sites[k], td)
-                       for k, td in entries.items()})
+    tensors = {sites[k]: _read_tensor(tree, sites[k], td)
+               for k, td in entries.items()}
+    # nor NaN, Infinity or a literal that overflows, such as 1e400
+    if booleans or not all(np.isfinite(t.blocks).all()
+                           for t in tensors.values()):
+        with open(path) as fh:
+            raw = json.load(fh)["tensors"]
+        for k, td in raw.items():
+            for key in ("re", "im"):
+                for i, x in enumerate(td[key]):
+                    if type(x) is bool or not math.isfinite(x):
+                        raise ValidationError(
+                            f"ttno dump, site {k}: {key!r} entry {i} is "
+                            f"{json.dumps(x)}, not a finite number")
+    ttno = TTNO(tree, tensors)
     ttno.bond_dimensions()  # shared-edge consistency
     return ttno

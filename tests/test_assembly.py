@@ -8,7 +8,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from ttno.assembly import (_DUMP_CHUNK, TTNO, TTNOTensor,
+from ttno.assembly import (TTNO, TTNOTensor,
                            canonical_legs, contract_to_dense,
                            dense_element_count, element_count, emit_tensors,
                            read_ttno, write_ttno)
@@ -205,6 +205,33 @@ def test_colliding_hyperedges_sum():
     assert np.allclose(mid[0, 0], y + z)
 
 
+def test_emission_refuses_non_finite_matrices():
+    # a folded coefficient that overflows an operator's matrix, and two
+    # finite matrices whose sum in one block overflows
+    registry = OperatorRegistry()
+    registry.register("Q", np.array([[0, 1e300], [1e300, 0]]))
+    registry.register("A", np.diag([1.5e308, 0.0]))
+    registry.register("B", np.diag([1.5e308, 1.0]))
+    pair = TreeTopology([(0, 1)], root=0)
+    h = Hamiltonian(pair, [ProductTerm(1e300, {0: SiteOperator("Q", 2),
+                                               1: SiteOperator("X", 2)})])
+    with pytest.warns(RuntimeWarning, match="overflow"):
+        with pytest.raises(ValidationError, match=(
+                r"site 0: the matrix of operator '1e\+300\*Q' overflows to "
+                r"non-finite entries")):
+            emit_tensors(from_hamiltonian(h), registry=registry)
+    path = TreeTopology([(1, 2), (2, 3)], root=2)
+    x = SiteOperator("X", 2)
+    h = Hamiltonian(path, [
+        ProductTerm(1.0, {1: x, 2: SiteOperator("A", 2), 3: x}),
+        ProductTerm(1.0, {1: x, 2: SiteOperator("B", 2), 3: x})])
+    with pytest.warns(RuntimeWarning, match="overflow"):
+        with pytest.raises(ValidationError, match=(
+                r"site 2: the matrices summed into block \(0, 0\) overflow "
+                r"to non-finite entries")):
+            emit_tensors(from_hamiltonian(h), registry=registry)
+
+
 def test_user_label_colliding_with_derived_label():
     # a user operator named "2*X" (here Z) must not merge with the folded
     # 2 * X at the same site
@@ -343,8 +370,7 @@ def test_dump_bytes_equal_whole_object_json_dump(tmp_path):
     # json.dump of the whole ttno-v2 object
     h = oqs_hamiltonian(OQSSpec(4, 5, g=np.pi + 1j / 3, boson_dim=4), "star")
     ttno = emit_tensors(from_hamiltonian(h))
-    # one tensor filled densely, some entries -0.0, so that its index and
-    # entry lists span several encoding slices
+    # one tensor filled densely, some entries -0.0
     big = max(ttno.tensors.values(), key=lambda t: math.prod(t.shape))
     rng = np.random.default_rng(3)
     index = np.array(list(np.ndindex(big.bond_dims)), dtype=np.int64)
@@ -352,7 +378,6 @@ def test_dump_bytes_equal_whole_object_json_dump(tmp_path):
               + 1j * rng.standard_normal((len(index),) + big.shape[-2:]))
     blocks.real[rng.random(blocks.shape) < 0.1] = -0.0
     ttno.tensors[big.site] = replace(big, index=index, blocks=blocks)
-    assert len(index) > _DUMP_CHUNK
 
     def entry(t):
         index = [i for i in np.ndindex(t.bond_dims)
@@ -367,9 +392,17 @@ def test_dump_bytes_equal_whole_object_json_dump(tmp_path):
     whole = {"format": "ttno-v2", "tree": ttno.tree.to_json_dict(),
              "tensors": {str(s): entry(t) for s, t in ttno.tensors.items()}}
     p = tmp_path / "star.json"
-    write_ttno(ttno, str(p))
+    tracemalloc.start()
+    try:
+        write_ttno(ttno, str(p))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
     same = p.read_text() == json.dumps(whole)  # no diff of MB-long strings
     assert same
+    # memory holds one tensor's lists and string at a time: ~300 B per
+    # stored entry of the big tensor, which holds 95% of the entries
+    assert peak <= 400 * blocks.size
 
 
 def test_dump_size_bounded_by_stored_elements(tmp_path):
@@ -434,10 +467,38 @@ def _tensor(data, s):
      "site 5: 'im' holds 17 numbers"),
     (_edit(lambda d: _tensor(d, 5)["re"].__setitem__(0, "0.0")),
      "site 5: 're' must be a flat list of numbers"),
+    (_edit(lambda d: _tensor(d, 5)["index"].__setitem__(0, [0, True, 0])),
+     r"site 5: block index \[0, True, 0\] is not a list of 3 integers"),
+    (_edit(lambda d: _tensor(d, 5)["index"].__setitem__(0, [False, 0, 0])),
+     r"site 5: block index \[False, 0, 0\] is not a list of 3 integers"),
+    (_edit(lambda d: _tensor(d, 5)["index"].__setitem__(0, [0, 0])),
+     r"site 5: block index \[0, 0\] is not a list of 3 integers"),
+    (_edit(lambda d: _tensor(d, 5)["index"].__setitem__(0, 0)),
+     "site 5: block index 0 is not a list of 3 integers"),
+    (_edit(lambda d: _tensor(d, 5)["index"].__setitem__(0, [2 ** 70, 0, 0])),
+     f"site 5: block index \\[{2 ** 70}, 0, 0\\] is out of range"),
+    (_edit(lambda d: _tensor(d, 5)["index"].__setitem__(0, [0, -2 ** 70, 0])),
+     f"site 5: block index \\[0, {-2 ** 70}, 0\\] is out of range"),
+    (_edit(lambda d: _tensor(d, 5).update(index={"0": [0, 0, 0]})),
+     "site 5: 'index' must be a list of bond multi-indices"),
+    (_edit(lambda d: _tensor(d, 5)["re"].__setitem__(1, math.nan)),
+     "site 5: 're' entry 1 is NaN, not a finite number"),
+    (_edit(lambda d: _tensor(d, 5)["im"].__setitem__(2, -math.inf)),
+     "site 5: 'im' entry 2 is -Infinity, not a finite number"),
+    (lambda text: _edit(lambda d: _tensor(d, 5)["re"].__setitem__(
+        3, 123.25))(text).replace("123.25", "1e400"),
+     "site 5: 're' entry 3 is Infinity, not a finite number"),
+    (_edit(lambda d: _tensor(d, 5)["re"].__setitem__(3, True)),
+     "site 5: 're' entry 3 is true, not a finite number"),
+    (_edit(lambda d: _tensor(d, 5)["im"].__setitem__(0, False)),
+     "site 5: 'im' entry 0 is false, not a finite number"),
 ], ids=["truncated", "format_v1", "missing_site", "unknown_site",
         "missing_field", "legs", "shape_length", "shape_type", "phys_dim",
         "index_range", "index_negative", "index_type", "index_duplicate",
-        "index_order", "zero_block", "re_length", "im_length", "re_type"])
+        "index_order", "zero_block", "re_length", "im_length", "re_type",
+        "index_true", "index_false", "index_short", "index_bare_int",
+        "index_huge", "index_huge_negative", "index_not_list", "re_nan",
+        "im_infinity", "re_overflow", "re_bool", "im_bool"])
 def test_read_rejects_malformed_dump(tmp_path, demo_hamiltonian, corrupt,
                                      message):
     p = tmp_path / "demo.json"
@@ -445,6 +506,17 @@ def test_read_rejects_malformed_dump(tmp_path, demo_hamiltonian, corrupt,
     p.write_text(corrupt(p.read_text()))
     with pytest.raises(ValidationError, match=message):
         read_ttno(str(p))
+
+
+def test_read_accepts_tensor_without_blocks(tmp_path, demo_hamiltonian):
+    p = tmp_path / "demo.json"
+    write_ttno(emit_tensors(from_hamiltonian(demo_hamiltonian)), str(p))
+    p.write_text(_edit(lambda d: _tensor(d, 8).update(index=[], re=[], im=[]))(
+        p.read_text()))
+    t = read_ttno(str(p)).tensors[8]
+    assert t.index.shape == (0, 1) and t.index.dtype == np.int64
+    assert t.blocks.shape == (0, 2, 2) and t.blocks.dtype == complex
+    assert not t.elements.any()
 
 
 def test_read_parses_one_tensor_of_floats_at_a_time(tmp_path):

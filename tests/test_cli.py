@@ -209,6 +209,26 @@ def test_build_refuses_unallocatable_phys_dim(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_build_refuses_overflowing_operator(tmp_path, capsys):
+    # 1e300 * Q holds 1e600: numpy only warns, and the dump held Infinity,
+    # which is not JSON
+    (tmp_path / "tree.json").write_text(json.dumps(
+        {"root": 0, "edges": [[0, 1]]}))
+    (tmp_path / "ham.json").write_text(json.dumps({
+        "operators": {"Q": {"dim": 2, "matrix": [
+            [0, 0], [1e300, 0], [1e300, 0], [0, 0]]}},
+        "terms": [{"coeff": [1e300, 0], "factors": {"0": "Q", "1": "X"}}]}))
+    out = tmp_path / "out.json"
+    with pytest.warns(RuntimeWarning, match="overflow"):
+        rc = main(["build", str(tmp_path / "tree.json"),
+                   str(tmp_path / "ham.json"), "--out", str(out)])
+    assert rc == EXIT_VALIDATION
+    err = capsys.readouterr().err
+    assert ("site 0: the matrix of operator '1e+300*Q' overflows to "
+            "non-finite entries") in err
+    assert not out.exists()
+
+
 def test_build_random40_without_dense_tensors(tmp_path):
     # the dense tensor at site 3 alone would take 48 GiB
     rng = np.random.default_rng(1)
