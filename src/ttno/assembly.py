@@ -72,7 +72,8 @@ class TTNOTensor:
         d, sums = shape[-1], {}
         for idx, matrix in pairs:
             if idx in sums:
-                matrix = sums[idx] + matrix
+                with np.errstate(over="ignore", invalid="ignore"):
+                    matrix = sums[idx] + matrix
                 if not np.isfinite(matrix).all():
                     raise ValidationError(
                         f"site {site}: the matrices summed into block {idx} "
@@ -157,7 +158,9 @@ def emit_tensors(diagram: StateDiagram,
     matrices = {}
     for k, op in diagram.ops.items():
         try:
-            m = matrices[k] = registry.resolve(op)
+            # an overflow is refused below, not warned about
+            with np.errstate(over="ignore", invalid="ignore"):
+                m = matrices[k] = registry.resolve(op)
         except ValidationError:
             raise
         except (MemoryError, ValueError) as exc:

@@ -206,7 +206,7 @@ def cmd_bench(args) -> int:
         raise ValidationError(f"--samples {args.samples} must be positive")
     _check_writable(args.out, args.summary)
     tree = TreeTopology.from_json_dict(_load_json(args.tree))
-    if args.root_at_leaf:
+    if args.root_at_leaf and tree.edges:  # a single site stays the root
         leaves = [s for s in tree.nodes
                   if len(tree.neighbours(s)) == 1]
         tree = tree.re_root(min(leaves))
@@ -224,9 +224,16 @@ def cmd_bench(args) -> int:
         results = svdref.run_bench(tree, term_counts, args.samples, args.seed,
                                    op_labels=labels,
                                    max_support=args.max_support)
-    _write(args.out, svdref.detail_csv(results))
+    # both texts first, so that a refused summary leaves no detail file
+    detail = svdref.detail_csv(results)
     if args.summary:
-        _write(args.summary, svdref.summary_csv(results))
+        try:
+            summary = svdref.summary_csv(results)
+        except ValidationError as exc:
+            raise ValidationError(f"{args.tree}: {exc}") from exc
+    _write(args.out, detail)
+    if args.summary:
+        _write(args.summary, summary)
     return EXIT_OK
 
 

@@ -44,23 +44,28 @@ other marks.
 A message sent from a side that carries none of the term's factors is an
 *identity message*.  The diagram caches them per edge and direction and
 indexes the *broken channels*, edges without an identity message toward L,
-by their sites farthest from L.  A new hyperedge y at site s changes the
-identity message s sends over its edge j only if y's vertex on j is that
+by their sites farthest from L.  One send rule gives every identity
+message: what a site sends over one of its edges is keyed by its identity
+operator and by the identity messages it receives on its other edges, and
+a root with one neighbour sends none.  A new hyperedge y at site s changes
+the message s sends over its edge j only if y's vertex on j is that
 message, which y now shares, or if the message is missing and y is an
 identity carrying the incoming identity messages on every other edge of s.
-Only those messages are recomputed, and a change passes on only to the
-messages keyed by it: one sent toward L to the message its receiver sends
-toward L and to those the receiver sends away from L on its other edges
-whose keys it can complete, one sent away from L to those its receiver
-sends on away from L.  So at a hub whose leaves mostly send nothing, a
-changed leaf recomputes O(1) messages, not one per leaf.  The
-broken-channel set is copied once it holds a quarter of its peak size,
-since a set never shrinks its table and every term iterates the table.  A
-term with support S therefore costs work on Steiner(S), on the climb from
-its top toward L up to the first missing message, on one descent and on
-the broken channels; the graft visits only the sites that send nothing, in
-site order, so vertex uids and hyperedge order are those of a graft over
-every site.
+Only those messages are recomputed, and one dependency rule passes a change
+on, in both directions: when the message into a site over one edge
+changes, the messages the site sends over its other edges are re-keyed,
+none of them while two of its other incoming messages are missing, only
+the one over the missing edge while one is, and all of them otherwise.
+Messages sent toward L are keyed by none sent from L's side, so they
+settle first.  So at a hub whose leaves mostly send nothing, a changed
+leaf recomputes O(1) messages, not one per leaf.  The broken-channel set
+is copied once it holds a quarter of its peak size, since a set never
+shrinks its table and every term iterates the table.  A term with support
+S therefore costs work on Steiner(S), on the climb from its top toward L
+up to the first missing message, on one descent and on the broken
+channels; the graft visits only the sites that send nothing, in site
+order, so vertex uids and hyperedge order are those of a graft over every
+site.
 
 Messages are looked up in per-site hash indexes instead of scans.
 ``eps[s]`` is the full index of site ``s``, so the graft asks once whether
@@ -104,7 +109,7 @@ class StateDiagram:
         self._identity = {s: identity(tree.phys_dim(s)) for s in tree.nodes}
         r = self._rooting = tree.last_leaf_rooting
         self._incident, self._far, self._span = r.incident, r.far, r.span
-        self._up_slot, self._down_slot = r.up_slot, r.down_slot
+        self._up_slot = r.up_slot
         # a root with one neighbour is no leaf, starts no climb and so
         # never sends
         root = tree.root
@@ -167,20 +172,13 @@ class StateDiagram:
         """One vertex per edge, one hyperedge per site."""
         return cls(tree).add_term(term)
 
-    def add_term(self, term: ProductTerm, reuse: bool = True) -> "StateDiagram":
-        """Graft one more product term onto the diagram (in place).
-
-        With ``reuse=False`` the matching stage is skipped and the term's
-        path is added fully disconnected (the naive-union baseline).
-        """
+    def add_term(self, term: ProductTerm) -> "StateDiagram":
+        """Graft one more product term onto the diagram (in place)."""
         term = self._fold(term)
         key = term.key()
         if key in self._term_keys:
             raise DuplicateTermError(f"term already represented: {term!r}")
-        if reuse:
-            self._graft(term, *self._match(term))
-        else:  # every site, every edge unmarked
-            self._graft(term, self.tree.nodes, dict.fromkeys(self.tree.nodes))
+        self._graft(term, *self._match(term))
         self.terms.append(term)
         self._term_keys.add(key)
         return self
@@ -337,61 +335,53 @@ class StateDiagram:
             for j, c in enumerate(far):
                 sent = ups[s] if c == s else downs[c]
                 if vs[j] == sent or (sent is None and j in carries):
-                    (stale_ups if c == s else stale_downs).append(c)
+                    (stale_ups if c == s else stale_downs).append((s, j))
         if stale_ups or stale_downs:
             self._refresh(stale_ups, stale_downs)
 
-    def _refresh(self, stale_ups: list[int], stale_downs: list[int]) -> None:
-        """Recompute the identity messages ``_up_id[s]`` for ``s`` in
-        ``stale_ups`` and ``_down_id[c]`` for ``c`` in ``stale_downs``, and
-        pass each change on only to the messages that depend on it."""
+    def _refresh(self, stale_ups: list, stale_downs: list) -> None:
+        """Recompute the identity messages named by the (site, slot) pairs
+        ``stale_ups``, sent toward the leaf, and ``stale_downs``, sent away
+        from it, and pass each change on only to the messages keyed by
+        it."""
         r = self._rooting
-        up_of, kids, leaf = r.up, r.kids, r.root
+        far = self._far
         ups, downs = self._up_id, self._down_id
-        # messages toward the leaf depend on none from its side, so they
-        # settle first; a changed ups[s] changes the key of ups[p] and of
-        # downs[c] for every other kid c of p
-        stack = stale_ups
-        while stack:
-            s = stack.pop()
-            v = self._identity_up(s, ups)
-            if v != ups[s]:
-                was, ups[s] = ups[s], v
-                p = up_of[s]
-                if (was is None) != (v is None):
-                    self._file_broken(s)
-                    self._file_broken(p)
-                if p != leaf:
-                    stack.append(p)
-                stale_downs.extend(self._completable_downs(p, s))
-        # a changed downs[c] changes the key of downs of every kid of c
-        stack = stale_downs
-        while stack:
-            c = stack.pop()
-            v = self._identity_down(c, ups, downs)
-            if v != downs[c]:
-                downs[c] = v
-                stack.extend(kids[c])
-
-    def _completable_downs(self, p: int, s: int) -> list[int]:
-        """The kids c of ``p`` but ``s`` whose identity message downs[c]
-        can change with ups[s].  Its key is every message into ``p`` but
-        c's own; while another one is missing, downs[c] stays None whatever
-        s sends.  So none if downs[p] or two other kids' ups are missing,
-        the one kid if exactly one other's is, else all; a later change of
-        downs[p] or of another kid's ups files the rest."""
-        if p != self._rooting.root and self._down_id[p] is None:
-            return []
-        ups = self._up_id
-        silent = None
-        for c in self._rooting.kids[p]:
-            if c != s and ups[c] is None:
-                if silent is not None:
-                    return []
-                silent = c
-        if silent is not None:
-            return [silent]
-        return [c for c in self._rooting.kids[p] if c != s]
+        # messages toward the leaf are keyed by none from its side, so they
+        # settle first
+        for stack in (stale_ups, stale_downs):
+            while stack:
+                s, slot = stack.pop()
+                c = far[s][slot]
+                v = self._identity_send(s, slot, ups, downs)
+                if c == s:
+                    if v == ups[s]:
+                        continue
+                    was, ups[s] = ups[s], v
+                    x, back = r.up[s], r.down_slot[s]
+                    if (was is None) != (v is None):
+                        self._file_broken(s)
+                        self._file_broken(x)
+                else:
+                    if v == downs[c]:
+                        continue
+                    downs[c] = v
+                    x, back = c, r.up_slot[c]
+                # x sends a message keyed by v on each other slot; while
+                # another of its inputs is missing only the message over
+                # that slot can be complete, while two are none can
+                xs = far[x]
+                gap = None
+                for j, k in enumerate(xs):
+                    if j != back and (downs[x] if k == x else ups[k]) is None:
+                        if gap is not None:
+                            break
+                        gap = j
+                else:
+                    for j in range(len(xs)) if gap is None else (gap,):
+                        if j != back:
+                            (stale_ups if xs[j] == x
+                             else stale_downs).append((x, j))
 
     def _is_broken(self, site: int, ups: dict) -> bool:
         """Whether ``site`` sends no identity message toward the leaf while
@@ -413,31 +403,21 @@ class StateDiagram:
                 self._broken = set(broken)
                 self._broken_peak = len(broken)
 
-    def _identity_up(self, site: int, ups: dict) -> int | None:
-        """The identity message ``site`` sends toward the leaf once its
-        kids have sent theirs, ``ups``."""
+    def _identity_send(self, site: int, slot: int, ups: dict,
+                       downs: dict) -> int | None:
+        """The identity message ``site`` sends over its incident edge number
+        ``slot``, keyed by what it receives on its other edges: ``downs[site]``
+        on its edge toward the leaf and ``ups[c]`` from each kid ``c``."""
         if site == self._mute:
             return None
-        key = (self._identity[site].op_id,
-               *map(ups.__getitem__, self._rooting.kids[site]))
-        if None in key:
-            return None
-        return self._lookup(site, self._up_slot[site], key)
-
-    def _identity_down(self, site: int, ups: dict,
-                       downs: dict) -> int | None:
-        """The identity message ``site`` receives from the leaf's side: its
-        neighbour p toward the leaf sends it once p has received one
-        (``downs``) and every other kid of p has sent one (``ups``)."""
-        p = self._rooting.up[site]
-        key = [self._identity[p].op_id]
-        for c in self._far[p]:
-            if c != site:
-                v = downs[p] if c == p else ups[c]
+        key = [self._identity[site].op_id]
+        for j, c in enumerate(self._far[site]):
+            if j != slot:
+                v = downs[site] if c == site else ups[c]
                 if v is None:
                     return None
                 key.append(v)
-        return self._lookup(p, self._down_slot[site], tuple(key))
+        return self._lookup(site, slot, tuple(key))
 
     def _identity_messages(self) -> tuple[dict, dict, set]:
         """Every identity message computed afresh: the caches ``_up_id``,
@@ -446,9 +426,10 @@ class StateDiagram:
         ups: dict[int, int | None] = {}
         downs: dict[int, int | None] = {}
         for s in reversed(r.order[1:]):
-            ups[s] = self._identity_up(s, ups)
+            ups[s] = self._identity_send(s, r.up_slot[s], ups, downs)
         for s in r.order[1:]:
-            downs[s] = self._identity_down(s, ups, downs)
+            downs[s] = self._identity_send(r.up[s], r.down_slot[s], ups,
+                                           downs)
         return ups, downs, {s for s in r.order if self._is_broken(s, ups)}
 
     # -- queries -------------------------------------------------------------
@@ -614,7 +595,7 @@ class StateDiagram:
 # -- module-level operations ---------------------------------------------
 
 
-def from_hamiltonian(h: Hamiltonian, reuse: bool = True) -> StateDiagram:
+def from_hamiltonian(h: Hamiltonian) -> StateDiagram:
     """Build the diagram of a whole Hamiltonian, terms in list order."""
     if not h.terms:
         raise ValidationError("Hamiltonian has no terms")
@@ -625,5 +606,5 @@ def from_hamiltonian(h: Hamiltonian, reuse: bool = True) -> StateDiagram:
             stacklevel=2)
     diagram = StateDiagram(h.tree)
     for term in h.folded_terms():
-        diagram.add_term(term, reuse=reuse)
+        diagram.add_term(term)
     return diagram

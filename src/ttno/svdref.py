@@ -266,6 +266,9 @@ def r_diff(records: list[BenchRecord]) -> float:
     for r in records:
         if r.report.n_bonds() != n_bonds:
             raise ValidationError("records have inconsistent edge sets")
+    if not n_bonds:
+        raise ValidationError("r_diff of records without bonds: a "
+                              "single-site tree has no bond to compare")
     total = sum(r.report.excess() for r in records)
     return total / (len(records) * n_bonds)
 

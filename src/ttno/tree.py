@@ -5,7 +5,7 @@ the root recorded separately, so re-rooting is a cheap pure function.
 Canonical iteration order is ascending site id everywhere.
 
 Every rooted view of a tree is a :class:`Rooting`.  ``TreeTopology.rooting``,
-at the chosen root, answers the parent, child, leaf, depth, route and
+at the chosen root, answers the parent, child, leaf, depth, distance and
 subtree queries; ``TreeTopology.last_leaf_rooting`` is the view that diagram
 construction and the rank oracle share, and ``Rooting.steiner`` gives both
 the Steiner tree of a support.
@@ -13,7 +13,6 @@ the Steiner tree of a support.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
 
 from .errors import ValidationError
@@ -24,14 +23,6 @@ Edge = tuple[int, int]
 def edge_key(a: int, b: int) -> Edge:
     """Canonical (sorted) form of an undirected edge."""
     return (a, b) if a <= b else (b, a)
-
-
-@dataclass(frozen=True)
-class Route:
-    """The unique simple path between two sites."""
-
-    nodes: tuple[int, ...]
-    edges: tuple[Edge, ...]
 
 
 class Rooting:
@@ -239,27 +230,11 @@ class TreeTopology:
 
     # -- metric ------------------------------------------------------------
 
-    def route(self, a: int, b: int) -> Route:
-        """Unique path from ``a`` to ``b`` (inclusive)."""
+    def distance(self, a: int, b: int) -> int:
+        """The number of edges between ``a`` and ``b``."""
         self._check(a)
         self._check(b)
-        # climb to the common ancestor using root depths
-        up, depth = self.rooting.up, self.rooting.depth
-        left, right = [a], [b]
-        x, y = a, b
-        while x != y:
-            if depth[x] >= depth[y]:
-                x = up[x]
-                left.append(x)
-            else:
-                y = up[y]
-                right.append(y)
-        nodes = tuple(left + right[-2::-1])
-        edges = tuple(edge_key(u, v) for u, v in zip(nodes, nodes[1:]))
-        return Route(nodes, edges)
-
-    def distance(self, a: int, b: int) -> int:
-        return len(self.route(a, b).edges)
+        return len(self.rooting.steiner((a, b))[0])
 
     def subtree(self, s: int) -> set[int]:
         """Sites whose route to the root passes through ``s`` (incl. ``s``)."""

@@ -24,7 +24,7 @@ from closedform_fixtures import cayley_site_count
 from conftest import demo_terms, demo_tree, r_diff_stderr
 from oqs_fixtures import (chain_fixture_kind, chain_reference_matrices,
                           operator_matrices_equivalent)
-from oracles import pick_nonleaf_root, random_tree_edges
+from oracles import pick_nonleaf_root, random_tree_edges, reference_diagram
 from test_closedform import random_distinct_interaction
 from test_oqs import chain_tensor_as_matrix
 
@@ -51,7 +51,9 @@ def test_criterion_1_demo_bond_dimensions(demo_hamiltonian):
     t0 = time.perf_counter()
     dims = from_hamiltonian(demo_hamiltonian).bond_dimensions()
     assert max(dims.values()) == 3
-    naive = from_hamiltonian(demo_hamiltonian, reuse=False).bond_dimensions()
+    naive = reference_diagram(demo_hamiltonian,
+                              [False] * len(demo_hamiltonian.terms)
+                              ).bond_dimensions()
     assert all(d == 4 for d in naive.values())
     assert time.perf_counter() - t0 < 1.0
     _report(1, f"max bond 3 vs naive 4 on every edge ({dims})", t0)

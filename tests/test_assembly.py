@@ -2,6 +2,7 @@ import hashlib
 import json
 import math
 import tracemalloc
+import warnings
 from collections import Counter
 from dataclasses import replace
 
@@ -207,7 +208,8 @@ def test_colliding_hyperedges_sum():
 
 def test_emission_refuses_non_finite_matrices():
     # a folded coefficient that overflows an operator's matrix, and two
-    # finite matrices whose sum in one block overflows
+    # finite matrices whose sum in one block overflows; the refusal comes
+    # without numpy's overflow warning
     registry = OperatorRegistry()
     registry.register("Q", np.array([[0, 1e300], [1e300, 0]]))
     registry.register("A", np.diag([1.5e308, 0.0]))
@@ -215,7 +217,8 @@ def test_emission_refuses_non_finite_matrices():
     pair = TreeTopology([(0, 1)], root=0)
     h = Hamiltonian(pair, [ProductTerm(1e300, {0: SiteOperator("Q", 2),
                                                1: SiteOperator("X", 2)})])
-    with pytest.warns(RuntimeWarning, match="overflow"):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
         with pytest.raises(ValidationError, match=(
                 r"site 0: the matrix of operator '1e\+300\*Q' overflows to "
                 r"non-finite entries")):
@@ -225,7 +228,8 @@ def test_emission_refuses_non_finite_matrices():
     h = Hamiltonian(path, [
         ProductTerm(1.0, {1: x, 2: SiteOperator("A", 2), 3: x}),
         ProductTerm(1.0, {1: x, 2: SiteOperator("B", 2), 3: x})])
-    with pytest.warns(RuntimeWarning, match="overflow"):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
         with pytest.raises(ValidationError, match=(
                 r"site 2: the matrices summed into block \(0, 0\) overflow "
                 r"to non-finite entries")):

@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -209,24 +210,45 @@ def test_build_refuses_unallocatable_phys_dim(tmp_path, capsys):
     assert not out.exists()
 
 
-def test_build_refuses_overflowing_operator(tmp_path, capsys):
-    # 1e300 * Q holds 1e600: numpy only warns, and the dump held Infinity,
-    # which is not JSON
-    (tmp_path / "tree.json").write_text(json.dumps(
-        {"root": 0, "edges": [[0, 1]]}))
-    (tmp_path / "ham.json").write_text(json.dumps({
-        "operators": {"Q": {"dim": 2, "matrix": [
-            [0, 0], [1e300, 0], [1e300, 0], [0, 0]]}},
-        "terms": [{"coeff": [1e300, 0], "factors": {"0": "Q", "1": "X"}}]}))
+def build_refusing_overflow(tmp_path, tree, ham):
+    """``build`` of ``tree`` and ``ham`` with every warning raised as an
+    error: its exit code, its stderr, and whether it wrote the dump."""
+    (tmp_path / "tree.json").write_text(json.dumps(tree))
+    (tmp_path / "ham.json").write_text(json.dumps(ham))
     out = tmp_path / "out.json"
-    with pytest.warns(RuntimeWarning, match="overflow"):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
         rc = main(["build", str(tmp_path / "tree.json"),
                    str(tmp_path / "ham.json"), "--out", str(out)])
-    assert rc == EXIT_VALIDATION
-    err = capsys.readouterr().err
-    assert ("site 0: the matrix of operator '1e+300*Q' overflows to "
-            "non-finite entries") in err
-    assert not out.exists()
+    return rc, out.exists()
+
+
+def test_build_refuses_overflowing_operator(tmp_path, capsys):
+    # 1e300 * Q holds 1e600: the dump held Infinity, which is not JSON, and
+    # numpy's overflow warning is no part of the refusal
+    rc, wrote = build_refusing_overflow(
+        tmp_path, {"root": 0, "edges": [[0, 1]]},
+        {"operators": {"Q": {"dim": 2, "matrix": [
+            [0, 0], [1e300, 0], [1e300, 0], [0, 0]]}},
+         "terms": [{"coeff": [1e300, 0], "factors": {"0": "Q", "1": "X"}}]})
+    assert rc == EXIT_VALIDATION and not wrote
+    assert capsys.readouterr().err == (
+        "validation error: site 0: the matrix of operator '1e+300*Q' "
+        "overflows to non-finite entries\n")
+
+
+def test_build_refuses_overflowing_block_sum(tmp_path, capsys):
+    # Q and 1.5 * Q share the single site's one block, and 2.5e308 is inf
+    rc, wrote = build_refusing_overflow(
+        tmp_path, {"root": 0, "edges": []},
+        {"operators": {"Q": {"dim": 2, "matrix": [
+            [0, 0], [1e308, 0], [1e308, 0], [0, 0]]}},
+         "terms": [{"coeff": [1, 0], "factors": {"0": "Q"}},
+                   {"coeff": [1.5, 0], "factors": {"0": "Q"}}]})
+    assert rc == EXIT_VALIDATION and not wrote
+    assert capsys.readouterr().err == (
+        "validation error: site 0: the matrices summed into block () "
+        "overflow to non-finite entries\n")
 
 
 def test_build_random40_without_dense_tensors(tmp_path):
@@ -393,6 +415,36 @@ def test_bench_root_at_leaf_flag(files):
 
     a, b = excesses("a.csv"), excesses("b.csv")
     assert sum(b) > sum(a)  # heavier excess tail with a leaf root
+
+
+SINGLE_SITE = {"root": 0, "edges": []}
+
+
+def test_bench_root_at_leaf_keeps_single_site(tmp_path):
+    # no site of a single-site tree has exactly one neighbour
+    tree = tmp_path / "one.json"
+    tree.write_text(json.dumps(SINGLE_SITE))
+    base = ["bench", str(tree), "--terms", "1", "--samples", "1",
+            "--seed", "1"]
+    assert main([*base, "--out", str(tmp_path / "a.csv")]) == EXIT_OK
+    assert main([*base, "--root-at-leaf",
+                 "--out", str(tmp_path / "b.csv")]) == EXIT_OK
+    assert ((tmp_path / "b.csv").read_bytes()
+            == (tmp_path / "a.csv").read_bytes())
+
+
+def test_bench_summary_refuses_single_site(tmp_path, capsys):
+    # r_diff averages over bonds, and a single site has none
+    tree = tmp_path / "one.json"
+    tree.write_text(json.dumps(SINGLE_SITE))
+    rc = main(["bench", str(tree), "--terms", "1", "--samples", "1",
+               "--seed", "1", "--out", str(tmp_path / "d.csv"),
+               "--summary", str(tmp_path / "s.csv")])
+    assert rc == EXIT_VALIDATION
+    err = capsys.readouterr().err
+    assert err.startswith(f"validation error: {tree}: ")
+    assert "without bonds" in err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["one.json"]
 
 
 def test_cayley_sweep_chain(tmp_path, capsys):

@@ -77,7 +77,8 @@ def test_demo_hamiltonian_bond_dimensions(demo_hamiltonian):
 
 
 def test_naive_union_baseline(demo_hamiltonian):
-    g = from_hamiltonian(demo_hamiltonian, reuse=False)
+    g = reference_diagram(demo_hamiltonian,
+                          [False] * len(demo_hamiltonian.terms))
     assert all(d == 4 for d in g.bond_dimensions().values())
     # still semantically correct
     assert path_keys(g) == folded_keys(demo_hamiltonian)
@@ -217,24 +218,47 @@ def test_match_visits_skip_dead_hits_and_idle_refreshes():
     assert g.match_visits < 11_000
 
 
+def hub_hamiltonian(n):
+    """Z on each leaf of an n-leaf hub, then X on the hub and each leaf."""
+    tree = TreeTopology([(0, i) for i in range(1, n + 1)], root=0)
+    terms = [pauli_term({i: "Z"}) for i in range(1, n + 1)]
+    terms += [pauli_term({0: "X", i: "X"}) for i in range(1, n + 1)]
+    return Hamiltonian(tree, terms)
+
+
+@pytest.mark.parametrize("system, visits", [
+    ("random40", 9_727),
+    ("oqs_star", 478),
+    ("oqs_chain", 1_197),
+    ("hub600", 1_200),
+])
+def test_match_visits_pinned(system, visits):
+    # exact counts of index hits examined: a change to how the caches are
+    # refreshed must examine the same hits, not merely stay under a bound
+    h = {"random40": lambda: random40_hamiltonian(1),
+         "oqs_star": lambda: oqs_hamiltonian(OQSSpec(24, 6, boson_dim=4),
+                                             "star"),
+         "oqs_chain": lambda: oqs_hamiltonian(OQSSpec(24, 6, boson_dim=4),
+                                              "chain"),
+         "hub600": lambda: hub_hamiltonian(600)}[system]()
+    assert from_hamiltonian(h).match_visits == visits
+
+
 def test_hub_refreshes_linear_in_leaves(monkeypatch):
     # a changed identity message from one leaf of a hub re-keys the messages
     # the hub sends its other leaves, but those stay missing while two
     # other leaves send none; recomputing them all took 359,999 calls here
     n = 600
-    tree = TreeTopology([(0, i) for i in range(1, n + 1)], root=0)
-    terms = [pauli_term({i: "Z"}) for i in range(1, n + 1)]
-    terms += [pauli_term({0: "X", i: "X"}) for i in range(1, n + 1)]
-    h = Hamiltonian(tree, terms)
+    h = hub_hamiltonian(n)
     calls = 0
-    identity_down = StateDiagram._identity_down
+    identity_send = StateDiagram._identity_send
 
     def counted(self, *args):
         nonlocal calls
         calls += 1
-        return identity_down(self, *args)
+        return identity_send(self, *args)
 
-    monkeypatch.setattr(StateDiagram, "_identity_down", counted)
+    monkeypatch.setattr(StateDiagram, "_identity_send", counted)
     g = from_hamiltonian(h)
     assert calls <= 10 * n
     g.validate()
@@ -429,18 +453,17 @@ def test_dump_is_stable(demo_hamiltonian):
     assert "w(1, 2):" in a and "eps[1]:" in a
 
 
-def build(h, reuse=None):
-    """``from_hamiltonian(h)``, or with ``reuse[i]`` passed to the i-th
-    ``add_term``, validating the diagram after every term."""
+def build(h):
+    """``from_hamiltonian(h)``, validating the diagram after every term."""
     g = StateDiagram(h.tree)
-    for i, term in enumerate(h.folded_terms()):
-        g.add_term(term, reuse=True if reuse is None else reuse[i])
+    for term in h.folded_terms():
+        g.add_term(term)
         g.validate()
     return g
 
 
-def assert_matches_reference(h, reuse=None):
-    assert build(h, reuse).dump() == reference_diagram(h, reuse).dump()
+def assert_matches_reference(h):
+    assert build(h).dump() == reference_diagram(h).dump()
 
 
 def oracle_suite():
@@ -514,19 +537,6 @@ def test_matches_reference_construction_on_edge_cases(edges, root, terms):
     h = Hamiltonian(tree, [ProductTerm(*t) if isinstance(t, tuple)
                            else ProductTerm(1.0, t) for t in terms])
     assert_matches_reference(h)
-
-
-def test_naive_terms_interleave_with_matched_ones():
-    # the identity-message caches follow what the naive graft adds
-    rng = np.random.default_rng(909)
-    for trial in range(60):
-        n = int(rng.integers(1, 12))
-        tree = TreeTopology(random_tree_edges(rng, n), int(rng.integers(n)),
-                            nodes=range(n))
-        h = random_hamiltonian(tree, min(int(rng.integers(2, 25)), 2 * n),
-                               ("X", "Z"), 2, seed=(909, trial))
-        reuse = [bool(b) for b in rng.integers(0, 2, len(h.terms))]
-        assert_matches_reference(h, reuse)
 
 
 @pytest.mark.filterwarnings("ignore:root has a single neighbour")

@@ -231,6 +231,13 @@ def test_r_diff_empty_rejected():
         r_diff([])
 
 
+def test_r_diff_without_bonds_rejected():
+    # a single-site tree has no bond to average over
+    rec = BenchRecord(1, 0, 1, BondReport({}, {}))
+    with pytest.raises(ValidationError, match="without bonds"):
+        r_diff([rec])
+
+
 def test_bond_report_edge_sets_must_match(tree):
     alg = {e: 2 for e in tree.edges}
     opt = dict(alg)

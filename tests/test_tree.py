@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from ttno.errors import ValidationError
-from ttno.tree import TreeTopology, edge_key
+from ttno.tree import TreeTopology
 
 from conftest import (DEMO_EDGES, ball, boundary, component_without_edge,
                       demo_tree, tree_from_json, tree_to_json)
@@ -26,15 +26,6 @@ def test_distance_is_metric(tree):
             assert (d == 0) == (a == b)
             for c in nodes:
                 assert d <= tree.distance(a, c) + tree.distance(c, b)
-
-
-def test_route_endpoints_and_length(tree):
-    r = tree.route(3, 8)
-    assert r.nodes[0] == 3 and r.nodes[-1] == 8
-    assert len(r.edges) == len(r.nodes) - 1
-    assert len(set(r.nodes)) == len(r.nodes)
-    for (u, v), e in zip(zip(r.nodes, r.nodes[1:]), r.edges):
-        assert edge_key(u, v) == e
 
 
 def test_ball_examples(tree):
@@ -60,9 +51,14 @@ def test_subtree_examples(tree):
     assert tree.subtree(1) == set(range(1, 9))
     assert tree.subtree(5) == {5, 6, 7, 8}
     assert tree.subtree(6) == {6}
-    # oracle: s' is in subtree(s) iff s lies on the route s' -> root
+    # oracle: t is in subtree(s) iff s lies on the path from t to the root,
+    # that is iff d(t, root) = d(t, s) + d(s, root)
+    def d(a, b):
+        return bfs_distance(DEMO_EDGES, a, b)
+
     for s in tree.nodes:
-        want = {t for t in tree.nodes if s in tree.route(t, tree.root).nodes}
+        want = {t for t in tree.nodes
+                if d(t, tree.root) == d(t, s) + d(s, tree.root)}
         assert tree.subtree(s) == want
 
 
