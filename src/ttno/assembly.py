@@ -38,7 +38,7 @@ from .tree import Edge, Rooting, TreeTopology
 def canonical_legs(tree: TreeTopology, site: int) -> tuple[Edge, ...]:
     """Bond-leg order at a site: parent edge first, then children ascending."""
     tree.parent(site)  # checks the site
-    return _in_leg_order(tree.rooting, site, tree.rooting.incident[site])
+    return _in_leg_order(tree.rooting, site, tree.incident[site])
 
 
 def _in_leg_order(r: Rooting, s: int, items):
@@ -180,7 +180,7 @@ def emit_tensors(diagram: StateDiagram,
     dims, eps, phys = diagram.bond_dimensions(), diagram.eps, tree.phys_dims
     tensors: dict[int, TTNOTensor] = {}
     for s in tree.nodes:
-        legs = _in_leg_order(r, s, r.incident[s])
+        legs = _in_leg_order(r, s, tree.incident[s])
         # where each leg's vertex sits in a hyperedge key, after its op_id
         slots = _in_leg_order(r, s, range(1, len(legs) + 1))
         pairs = [(tuple([index[y[i]] for i in slots]), matrices[y[0]])

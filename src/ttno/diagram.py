@@ -22,12 +22,13 @@ rules come with int vertices: compare them with ``==`` and ``!=``, never
 ``is`` (CPython shares only the ints up to 256), and never test one for
 truth, since uid 0 is a vertex; None stands for no vertex.
 
-Construction is incremental: a diagram starts empty and every term is
-grafted on.  The new term's path shares a *marked* vertex with the diagram
-on some edges; everything left unmarked gets fresh vertices and
-hyperedges, so per term exactly one new single path appears.  On the empty
-diagram nothing is marked, so the first term gets one vertex per edge and
-one hyperedge per site.
+Construction is incremental: a diagram starts empty and each term is
+grafted on once, as folded, keyed and checked for duplicates by the
+Hamiltonian (``from_hamiltonian``) or by ``add_term``.  The new term's path
+shares a *marked* vertex with the diagram on some edges; everything left
+unmarked gets fresh vertices and hyperedges, so per term exactly one new
+single path appears.  On the empty diagram nothing is marked, so the first
+term gets one vertex per edge and one hyperedge per site.
 
 Marks are messages on the tree rooted at its last leaf L, the last of
 ``tree.leaves()``.  A site whose other edges are all marked sends a message
@@ -104,11 +105,11 @@ class StateDiagram:
         self.w: dict[Edge, list[int]] = {e: [] for e in tree.edges}
         self.eps: dict[int, dict[tuple, None]] = {s: {} for s in tree.nodes}
         self.ops: dict[int, SiteOperator] = {}
-        self.terms: list[ProductTerm] = []
-        self._term_keys: set = set()
+        # the folded terms grafted so far, by key, in order
+        self.terms: dict[tuple, ProductTerm] = {}
         self._identity = {s: identity(tree.phys_dim(s)) for s in tree.nodes}
         r = self._rooting = tree.last_leaf_rooting
-        self._incident, self._far, self._span = r.incident, r.far, r.span
+        self._incident, self._far, self._span = tree.incident, r.far, r.span
         self._up_slot = r.up_slot
         # a root with one neighbour is no leaf, starts no climb and so
         # never sends
@@ -136,10 +137,6 @@ class StateDiagram:
         self._broken_peak = len(self._broken)
 
     # -- construction ------------------------------------------------------
-
-    def _fold(self, term: ProductTerm) -> ProductTerm:
-        root = self.tree.root
-        return fold_coefficient(term, root, self.tree.phys_dim(root))
 
     def _new_vertex(self, edge: Edge) -> int:
         v = len(self._degree[0])
@@ -174,13 +171,13 @@ class StateDiagram:
 
     def add_term(self, term: ProductTerm) -> "StateDiagram":
         """Graft one more product term onto the diagram (in place)."""
-        term = self._fold(term)
+        root = self.tree.root
+        term = fold_coefficient(term, root, self.tree.phys_dim(root))
         key = term.key()
-        if key in self._term_keys:
+        if key in self.terms:
             raise DuplicateTermError(f"term already represented: {term!r}")
         self._graft(term, *self._match(term))
-        self.terms.append(term)
-        self._term_keys.add(key)
+        self.terms[key] = term
         return self
 
     def _lookup(self, site: int, free: int, key: tuple) -> int | None:
@@ -596,7 +593,7 @@ class StateDiagram:
 
 
 def from_hamiltonian(h: Hamiltonian) -> StateDiagram:
-    """Build the diagram of a whole Hamiltonian, terms in list order."""
+    """The diagram of a whole Hamiltonian: its folded terms, in order."""
     if not h.terms:
         raise ValidationError("Hamiltonian has no terms")
     if len(h.tree.nodes) > 2 and len(h.tree.neighbours(h.tree.root)) == 1:
@@ -605,6 +602,7 @@ def from_hamiltonian(h: Hamiltonian) -> StateDiagram:
             "be worse than for an interior root",
             stacklevel=2)
     diagram = StateDiagram(h.tree)
-    for term in h.folded_terms():
-        diagram.add_term(term)
+    diagram.terms = dict(h.folded)
+    for term in diagram.terms.values():
+        diagram._graft(term, *diagram._match(term))
     return diagram

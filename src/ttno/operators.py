@@ -1,6 +1,6 @@
 """Symbolic operator algebra: site operators, product terms, Hamiltonians.
 
-A Hamiltonian is a list of product terms ``coefficient * prod_s A^[s]``.
+A Hamiltonian is a sequence of product terms ``coefficient * prod_s A^[s]``.
 Sites absent from a term's factor map act as the identity.  Symbolic
 equality of operators is by (base label as given, dimension, scale) only;
 matrices are resolved on demand through an :class:`OperatorRegistry`.
@@ -9,6 +9,7 @@ matrices are resolved on demand through an :class:`OperatorRegistry`.
 from __future__ import annotations
 
 import math
+import numbers
 import os
 from dataclasses import dataclass, field
 
@@ -247,20 +248,20 @@ def fold_coefficient(term: ProductTerm, root: int | None = None,
                 "folding an all-identity term requires the root site")
         return ProductTerm(1.0, {root: identity(root_dim).scaled(c)})
     target = min(term.factors)
-    new_factors = dict(term.factors)
-    new_factors[target] = term.factors[target].scaled(c)
-    return ProductTerm(1.0, new_factors)
+    return ProductTerm(1.0, {**term.factors,
+                             target: term.factors[target].scaled(c)})
 
 
 class Hamiltonian:
-    """A tree plus an ordered list of product terms."""
+    """A tree plus a tuple of product terms, each folded and keyed once:
+    ``folded`` maps the keys to the folded terms in order (read-only)."""
 
     def __init__(self, tree: TreeTopology, terms):
         self.tree = tree
-        self.terms: list[ProductTerm] = list(terms)
+        self.terms: tuple[ProductTerm, ...] = tuple(terms)
         phys_dims = tree.phys_dims
         root, root_dim = tree.root, tree.phys_dim(tree.root)
-        seen = set()
+        folded = self.folded = {}
         for t in self.terms:
             for s, op in t.factors.items():
                 if s not in phys_dims:
@@ -269,15 +270,14 @@ class Hamiltonian:
                     raise ValidationError(
                         f"operator {op.label!r} (dim {op.dim}) does not match "
                         f"site {s} (dim {phys_dims[s]})")
-            k = fold_coefficient(t, root, root_dim).key()
-            if k in seen:
+            f = fold_coefficient(t, root, root_dim)
+            k = f.key()
+            if k in folded:
                 raise DuplicateTermError(f"duplicate term {t!r}")
-            seen.add(k)
+            folded[k] = f
 
     def folded_terms(self) -> list[ProductTerm]:
-        root = self.tree.root
-        root_dim = self.tree.phys_dim(root)
-        return [fold_coefficient(t, root, root_dim) for t in self.terms]
+        return list(self.folded.values())
 
     def __repr__(self):
         return f"Hamiltonian({len(self.terms)} terms on {self.tree!r})"
@@ -315,6 +315,12 @@ def random_hamiltonian(tree: TreeTopology, n_terms: int, op_labels,
     contract: a seed names the same terms, in the same order, as long as
     numpy keeps these draws.  A term drawn before is dropped.
     """
+    sites = tree.nodes
+    n_sites = len(sites)
+    k_max = n_sites if max_support is None else max_support
+    for name, value in (("n_terms", n_terms), ("max_support", k_max)):
+        if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+            raise ValidationError(f"{name} {value!r} must be an integer")
     labels = list(op_labels)
     if n_terms < 1:
         raise ValidationError("n_terms must be >= 1")
@@ -324,9 +330,7 @@ def random_hamiltonian(tree: TreeTopology, n_terms: int, op_labels,
         if lbl in labels[:i]:
             raise ValidationError(
                 f"op_labels repeat {lbl!r}; list each label once")
-    sites = tree.nodes
-    n_sites = len(sites)
-    k_max = n_sites if max_support is None else min(max_support, n_sites)
+    k_max = min(k_max, n_sites)
     if k_max < 1:
         raise ValidationError("max_support must be >= 1")
     # distinct terms per support size
@@ -348,24 +352,23 @@ def random_hamiltonian(tree: TreeTopology, n_terms: int, op_labels,
     # are handed out in the order the terms first name them
     ops: dict[tuple[str, int], SiteOperator] = {}
 
-    terms: list[ProductTerm] = []
-    seen: set = set()
+    # terms by their (site index, label index) pairs: with unit
+    # coefficients and distinct labels, equal draws are equal terms
+    terms: dict[tuple, ProductTerm] = {}
     while len(terms) < n_terms:
         k = 1 + int(cdf.searchsorted(rng.random(), side="right"))
         chosen = rng.choice(n_sites, size=k, replace=False)
         chosen.sort()
+        draw = tuple(zip(chosen.tolist(),
+                         rng.integers(len(labels), size=k).tolist()))
+        if draw in terms:
+            continue
         factors = {}
-        for idx, j in zip(chosen.tolist(),
-                          rng.integers(len(labels), size=k).tolist()):
+        for idx, j in draw:
             label_dim = (labels[j], dims[idx])
             op = ops.get(label_dim)
             if op is None:
                 op = ops[label_dim] = SiteOperator(*label_dim)
             factors[sites[idx]] = op
-        term = ProductTerm(1.0, factors)
-        key = term.key()
-        if key in seen:
-            continue
-        seen.add(key)
-        terms.append(term)
-    return Hamiltonian(tree, terms)
+        terms[draw] = ProductTerm(1.0, factors)
+    return Hamiltonian(tree, terms.values())

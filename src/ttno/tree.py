@@ -37,11 +37,10 @@ class Rooting:
     Computed on first use: ``span[s]``, the half-open range of positions in
     ``order`` of the sites at or below ``s``, so ``a`` is ``b`` or lies
     toward ``root`` from it exactly when
-    ``span[a][0] <= span[b][0] < span[a][1]``; ``incident[s]``, the edges of
-    ``s`` in neighbour order; ``far[s]``, each edge of ``s`` named by its
-    endpoint farther from ``root``; ``up_slot[s]``, the position of
-    ``up[s]`` in ``nbrs[s]``; and ``down_slot[s]``, that of ``s`` in
-    ``nbrs[up[s]]``.
+    ``span[a][0] <= span[b][0] < span[a][1]``; ``far[s]``, each edge of ``s``
+    in neighbour order (``TreeTopology.incident[s]``) named by its endpoint
+    farther from ``root``; ``up_slot[s]``, the position of ``up[s]`` in
+    ``nbrs[s]``; and ``down_slot[s]``, that of ``s`` in ``nbrs[up[s]]``.
     """
 
     def __init__(self, nbrs: dict[int, tuple[int, ...]], root: int):
@@ -96,11 +95,6 @@ class Rooting:
                     below[top] = None
                     top = up[top]
         return below, top
-
-    @cached_property
-    def incident(self) -> dict[int, tuple[Edge, ...]]:
-        return {s: tuple(edge_key(s, n) for n in self.nbrs[s])
-                for s in self.order}
 
     @cached_property
     def far(self) -> dict[int, tuple[int, ...]]:
@@ -172,13 +166,11 @@ class TreeTopology:
         self.edges: tuple[Edge, ...] = tuple(sorted(edge_set))
         self.root: int = root
 
-        self._adj: dict[int, tuple[int, ...]] = {s: () for s in self.nodes}
         adj: dict[int, list[int]] = {s: [] for s in self.nodes}
         for a, b in self.edges:
             adj[a].append(b)
             adj[b].append(a)
-        for s in self.nodes:
-            self._adj[s] = tuple(sorted(adj[s]))
+        self._adj = {s: tuple(sorted(ns)) for s, ns in adj.items()}
 
         self.phys_dims: dict[int, int] = {s: 2 for s in self.nodes}
         if phys_dims:
@@ -240,6 +232,12 @@ class TreeTopology:
         """Sites whose route to the root passes through ``s`` (incl. ``s``)."""
         a, b = self.rooting.span[self._check(s)]
         return set(self.rooting.order[a:b])
+
+    @cached_property
+    def incident(self) -> dict[int, tuple[Edge, ...]]:
+        """The edges of each site in neighbour order, for every rooting."""
+        return {s: tuple(edge_key(s, n) for n in nbrs)
+                for s, nbrs in self._adj.items()}
 
     @cached_property
     def last_leaf_rooting(self) -> Rooting:

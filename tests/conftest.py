@@ -44,11 +44,6 @@ def boundary(tree, center, radius):
     return ball(tree, center, radius) - ball(tree, center, radius - 1)
 
 
-def incident_edges(tree, s):
-    """The edges of ``s`` in neighbour order."""
-    return tuple(edge_key(s, n) for n in tree.neighbours(s))
-
-
 def component_without_edge(tree, edge, anchor):
     """Sites reachable from ``anchor`` without crossing ``edge``."""
     e = edge_key(*edge)

@@ -157,7 +157,7 @@ def reference_diagram(h, reuse=None, leaves=None):
             vs = tuple(marked[e] for e in incident)
             if (want.op_id, *vs) not in g.eps[s]:
                 g._new_hyperedge(s, want, vs)
-        g.terms.append(term)
+        g.terms[term.key()] = term
     return g
 
 

@@ -22,7 +22,7 @@ from ttno.operators import (Hamiltonian, OperatorRegistry, ProductTerm,
 from ttno.oqs import OQSSpec, oqs_hamiltonian
 from ttno.tree import TreeTopology
 
-from conftest import demo_tree, incident_edges, pauli_term, refuse_allocation
+from conftest import demo_tree, pauli_term, refuse_allocation
 from oracles import pick_nonleaf_root, random_tree_edges
 from test_diagram import pinned_systems
 
@@ -41,7 +41,7 @@ def test_assign_indices_insertion_order_and_determinism(demo_hamiltonian):
     for s, t in ttno.tensors.items():
         rows = []
         for y in g.eps[s]:
-            vertex = dict(zip(incident_edges(g.tree, s), y[1:]))
+            vertex = dict(zip(g.tree.incident[s], y[1:]))
             rows.append([g.w[e].index(vertex[e]) for e in t.legs])
         assert sorted(rows) == t.index.tolist()
     g2 = from_hamiltonian(demo_hamiltonian)

@@ -17,7 +17,6 @@ from ttno.tree import TreeTopology
 
 from closedform_fixtures import (all_to_all_hamiltonian, cayley_shell_count,
                                  cayley_site_count, fixed_range_hamiltonian)
-from conftest import incident_edges
 from oracles import pick_nonleaf_root, random_tree_edges
 
 
@@ -262,7 +261,7 @@ def test_algorithm_reaches_all_to_all_bound():
     h = all_to_all_hamiltonian(t, 2 * spec.depth - 1)
     dims = from_hamiltonian(h).bond_dimensions()
     bound = all_to_all_bound(spec)
-    for e in incident_edges(t, t.root):
+    for e in t.incident[t.root]:
         assert dims[e] == bound
 
 
@@ -285,6 +284,6 @@ def test_algorithm_matches_fixed_range_bound():
         has_outside = any(a not in inside and b not in inside
                           for a, b in pairs)
         want = bound - (not has_inside) - (not has_outside)
-        got = max(dims[e] for e in incident_edges(t, t.root))
+        got = max(dims[e] for e in t.incident[t.root])
         assert got == want
         assert got <= bound

@@ -8,6 +8,8 @@ from collections import Counter
 import numpy as np
 import pytest
 
+import ttno.diagram
+import ttno.operators
 from ttno.diagram import StateDiagram, from_hamiltonian
 from ttno.errors import (DuplicateTermError, PathCapExceededError,
                          ValidationError)
@@ -102,6 +104,17 @@ def test_add_duplicate_term_rejected(demo_hamiltonian):
     g = from_hamiltonian(demo_hamiltonian)
     with pytest.raises(DuplicateTermError):
         g.add_term(demo_hamiltonian.terms[0])
+    # from_hamiltonian takes the term keys from the Hamiltonian's table,
+    # so a raw term that folds onto one of them is refused too
+    x = SiteOperator("X", 2)
+    single = TreeTopology([], root=0, nodes=[0])
+    h = Hamiltonian(single, [ProductTerm(1.0, {0: x.scaled(2)})])
+    g = from_hamiltonian(h)
+    with pytest.raises(DuplicateTermError, match="term already represented"):
+        g.add_term(ProductTerm(2.0, {0: x}))
+    # the terms cannot change under the table
+    with pytest.raises(AttributeError):
+        h.terms.append(ProductTerm(1.0, {0: SiteOperator("Z", 2)}))
 
 
 def test_demo_path_products(demo_hamiltonian):
@@ -242,6 +255,33 @@ def test_match_visits_pinned(system, visits):
                                               "chain"),
          "hub600": lambda: hub_hamiltonian(600)}[system]()
     assert from_hamiltonian(h).match_visits == visits
+
+
+@pytest.mark.parametrize("make", [
+    lambda: random_hamiltonian(demo_tree(), 60, ("X", "Y", "Z"), 4, seed=3),
+    # exchange terms carry -J, so their folds build new terms
+    lambda: oqs_hamiltonian(OQSSpec(4, 2, boson_dim=3), "star"),
+])
+def test_each_term_keyed_and_folded_once(monkeypatch, make):
+    # the Hamiltonian folds and keys each term for its duplicate check, and
+    # construction reads that table: one key and one fold per term in all
+    calls = Counter()
+    key, fold = ProductTerm.key, ttno.operators.fold_coefficient
+
+    def counted_key(term):
+        calls["key"] += 1
+        return key(term)
+
+    def counted_fold(*args):
+        calls["fold"] += 1
+        return fold(*args)
+
+    monkeypatch.setattr(ProductTerm, "key", counted_key)
+    for module in (ttno.operators, ttno.diagram):
+        monkeypatch.setattr(module, "fold_coefficient", counted_fold)
+    g = from_hamiltonian(make())
+    n = len(g.terms)
+    assert calls == {"key": n, "fold": n}
 
 
 def test_hub_refreshes_linear_in_leaves(monkeypatch):

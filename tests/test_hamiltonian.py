@@ -217,6 +217,20 @@ def test_random_hamiltonian_pigeonhole():
         random_hamiltonian(pair, 16, ("X", "Y", "Z"), seed=1)
 
 
+@pytest.mark.parametrize("n_terms, max_support, bad", [
+    (2.5, None, "n_terms 2.5"),
+    (True, None, "n_terms True"),
+    (3, 1.5, "max_support 1.5"),
+    (3, True, "max_support True"),
+])
+def test_random_hamiltonian_rejects_non_integer_counts(tree, n_terms,
+                                                       max_support, bad):
+    # 2.5 drew 3 terms, True drew 1, and 1.5 raised TypeError from numpy
+    with pytest.raises(ValidationError, match=f"^{bad} must be an integer$"):
+        random_hamiltonian(tree, n_terms, ("X", "Y", "Z"), max_support,
+                           seed=1)
+
+
 def test_random_hamiltonian_rejects_identity_label(tree):
     with pytest.raises(ValidationError):
         random_hamiltonian(tree, 1, ("I", "X"), seed=1)
