@@ -31,7 +31,7 @@ import numpy as np
 
 from .diagram import StateDiagram
 from .errors import DenseCapExceededError, ValidationError
-from .operators import DEFAULT_REGISTRY, OperatorRegistry, dense_layout
+from .operators import DEFAULT_REGISTRY, OperatorRegistry, dense_size
 from .tree import Edge, Rooting, TreeTopology
 
 
@@ -190,15 +190,14 @@ def emit_tensors(diagram: StateDiagram,
     return TTNO(tree, tensors)
 
 
-def contract_to_dense(ttno: TTNO, ordering=None) -> np.ndarray:
+def contract_to_dense(ttno: TTNO) -> np.ndarray:
     """Full contraction over all bond legs, as a dense matrix.
 
-    The output row/column indices run over the physical spaces in the given
-    site ordering (default: ascending site id), consistent with
-    :func:`ttno.operators.to_dense`.
+    The output row/column indices run over the physical spaces in
+    ascending site order, consistent with :func:`ttno.operators.to_dense`.
     """
     tree = ttno.tree
-    ordering, total = dense_layout(tree, ordering)
+    total = dense_size(tree)
     # per contracted subtree: an array shaped (parent_dim, OUT, IN) --
     # parent axis omitted at the root -- and the sites of dimension > 1
     # that the OUT/IN axes run over, slowest first
@@ -221,7 +220,7 @@ def contract_to_dense(ttno: TTNO, ordering=None) -> np.ndarray:
     arr, sites = done[tree.root]
     dims = [tree.phys_dim(s) for s in sites]
     pos = {s: i for i, s in enumerate(sites)}
-    axes = [pos[s] for s in ordering if s in pos]
+    axes = [pos[s] for s in tree.nodes if s in pos]
     arr = arr.reshape(dims + dims).transpose(axes + [i + len(dims)
                                                       for i in axes])
     return arr.reshape(total, total)

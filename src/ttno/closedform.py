@@ -68,33 +68,27 @@ def uniform_nn_interaction(tree: TreeTopology, label: str = "X",
     return NNInteraction(edge_ops, single)
 
 
-def nn_bond_dimensions(tree: TreeTopology, interaction: NNInteraction,
-                       reserve_inner=()) -> dict[Edge, int]:
-    """2 on bonds into bare leaves, 3 elsewhere (or where a leaf has a field).
-
-    Bonds in ``reserve_inner`` keep the inner channel even when nothing uses
-    it, which gives shape-stable tensors across interaction variants.
-    """
-    reserved = {edge_key(*e) for e in reserve_inner}
+def nn_bond_dimensions(tree: TreeTopology,
+                       interaction: NNInteraction) -> dict[Edge, int]:
+    """2 on bonds into bare leaves, 3 elsewhere (or where a leaf has a field)."""
     dims = {}
     for e in tree.edges:
         child = e[0] if tree.parent(e[0]) == e[1] else e[1]
         inside = tree.subtree(child)
         has_inner = (not tree.is_leaf(child)) or any(
             s in interaction.single_site for s in inside)
-        dims[e] = 3 if has_inner or e in reserved else 2
+        dims[e] = 3 if has_inner else 2
     return dims
 
 
 def nn_ttno(tree: TreeTopology, interaction: NNInteraction,
-            registry: OperatorRegistry | None = None,
-            reserve_inner=()) -> TTNO:
+            registry: OperatorRegistry | None = None) -> TTNO:
     """Explicit TTNO for sum of per-edge interactions (+ single-site terms)."""
     if tree.is_leaf(tree.root) and len(tree.nodes) > 2:
         raise ValidationError("root must not be a leaf (re-root the tree first)")
     interaction.validate(tree)
     registry = registry or DEFAULT_REGISTRY
-    dims = nn_bond_dimensions(tree, interaction, reserve_inner)
+    dims = nn_bond_dimensions(tree, interaction)
 
     tensors: dict[int, TTNOTensor] = {}
     for s in tree.nodes:

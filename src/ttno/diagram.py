@@ -89,7 +89,7 @@ from .operators import (Hamiltonian, ProductTerm, SiteOperator,
                         fold_coefficient, identity)
 from .tree import Edge, TreeTopology, edge_key
 
-DEFAULT_PATH_CAP = 10 ** 6
+PATH_CAP = 10 ** 6
 
 
 class StateDiagram:
@@ -440,16 +440,16 @@ class StateDiagram:
     def n_hyperedges(self) -> int:
         return sum(len(ys) for ys in self.eps.values())
 
-    def enumerate_single_paths(self, cap: int = DEFAULT_PATH_CAP) -> list[ProductTerm]:
+    def enumerate_single_paths(self) -> list[ProductTerm]:
         """All single paths as coefficient-folded product terms."""
         ops = self.ops
         return [ProductTerm(1.0, {s: ops[y[0]] for s, y in path.items()
                                   if not ops[y[0]].is_identity()})
-                for path in self.single_paths(cap=cap)]
+                for path in self.single_paths()]
 
-    def single_paths(self, cap: int = DEFAULT_PATH_CAP) -> list[dict[int, tuple]]:
+    def single_paths(self) -> list[dict[int, tuple]]:
         """All single paths through the diagram, each a dict from site to
-        its hyperedge."""
+        its hyperedge; more than ``PATH_CAP`` of them is an error."""
         # sites in preorder, children ascending
         r = self.tree.rooting
         root, order, up, kids = r.root, r.order, r.up, r.kids
@@ -479,9 +479,9 @@ class StateDiagram:
             for v, ys in on[site].items():
                 below[v] = count(site, ys)
         total = count(root, self.eps[root])
-        if total > cap:
+        if total > PATH_CAP:
             raise PathCapExceededError(
-                f"{total} single paths exceed the cap {cap}")
+                f"{total} single paths exceed the cap {PATH_CAP}")
 
         # depth-first over ``order``: candidates[i] iterates the hyperedges
         # of order[i] on the vertex its parent's chosen hyperedge put on

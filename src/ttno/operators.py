@@ -9,7 +9,6 @@ matrices are resolved on demand through an :class:`OperatorRegistry`.
 from __future__ import annotations
 
 import math
-import numbers
 import os
 from dataclasses import dataclass, field
 
@@ -17,25 +16,18 @@ import numpy as np
 
 from .errors import (DenseCapExceededError, DuplicateTermError,
                      UnknownOperatorError, ValidationError)
-from .tree import TreeTopology
+from .tree import TreeTopology, as_int
 
 IDENTITY_LABEL = "I"
 
 DEFAULT_DENSE_CAP = 4096
 
 
-def dense_layout(tree: TreeTopology, ordering=None) -> tuple[list[int], int]:
-    """Site ordering (default ascending) and total dimension of a dense
-    build, after checking the ordering and the dense cap (the
-    TTNO_DENSE_CAP env var, else the default)."""
-    if ordering is None:
-        ordering = list(tree.nodes)
-    else:
-        ordering = list(ordering)
-        if sorted(ordering) != list(tree.nodes):
-            raise ValidationError("ordering must be a permutation of the sites")
+def dense_size(tree: TreeTopology) -> int:
+    """Total dimension of a dense build, after checking it against the
+    dense cap (the TTNO_DENSE_CAP env var, else the default)."""
     total = 1
-    for s in ordering:
+    for s in tree.nodes:
         total *= tree.phys_dim(s)
     cap = os.environ.get("TTNO_DENSE_CAP", DEFAULT_DENSE_CAP)
     try:
@@ -47,7 +39,7 @@ def dense_layout(tree: TreeTopology, ordering=None) -> tuple[list[int], int]:
         raise DenseCapExceededError(
             f"total dimension {total} exceeds cap {limit}; raise "
             f"TTNO_DENSE_CAP or shrink the system")
-    return ordering, total
+    return total
 
 
 def format_scalar(c: complex) -> str:
@@ -88,9 +80,17 @@ class SiteOperator:
     op_id: int = field(init=False)
 
     def __post_init__(self):
+        if type(self.label) is not str:
+            raise ValidationError(
+                f"operator label {self.label!r} must be a string")
         if not self.label:
             raise ValidationError("operator label must be non-empty")
-        if self.dim < 1:
+        dim = as_int(self.dim)
+        if dim is None:
+            raise ValidationError(
+                f"operator dimension {self.dim!r} must be an integer")
+        self.dim = dim
+        if dim < 1:
             raise ValidationError("operator dimension must be >= 1")
         if self.base_label is None:
             self.base_label = self.label
@@ -139,8 +139,7 @@ class OperatorRegistry:
     """
 
     def __init__(self):
-        self._fixed: dict[tuple[str, int], np.ndarray] = {}
-        self._built: dict[tuple[str, int], np.ndarray] = {}
+        self._matrices: dict[tuple[str, int], np.ndarray] = {}
         self._factories: dict[str, callable] = {}
         self._factories[IDENTITY_LABEL] = lambda d: np.eye(d, dtype=complex)
         self._factories["B"] = _boson_annihilation
@@ -161,20 +160,18 @@ class OperatorRegistry:
                 m, np.eye(m.shape[0])):
             raise ValidationError(
                 f"operator {label!r}: the label is reserved for the identity")
-        self._fixed[(label, m.shape[0])] = m
+        self._matrices[(label, m.shape[0])] = m
 
     def lookup(self, label: str, dim: int) -> np.ndarray:
         key = (label, dim)
-        if key in self._fixed:
-            return self._fixed[key]
-        if key not in self._built:
+        m = self._matrices.get(key)
+        if m is None:
             if label not in self._factories:
                 raise UnknownOperatorError(
                     f"no matrix for label {label!r} at dim {dim}")
-            m = self._factories[label](dim)
+            m = self._matrices[key] = self._factories[label](dim)
             m.flags.writeable = False
-            self._built[key] = m
-        return self._built[key]
+        return m
 
     def resolve(self, op: SiteOperator) -> np.ndarray:
         """Dense matrix of ``op``: its base label's matrix times its
@@ -230,22 +227,19 @@ class ProductTerm:
         return f"ProductTerm({format_scalar(self.coefficient)} * [{facs or 'I'}])"
 
 
-def fold_coefficient(term: ProductTerm, root: int | None = None,
-                     root_dim: int = 2) -> ProductTerm:
+def fold_coefficient(term: ProductTerm, root: int,
+                     root_dim: int) -> ProductTerm:
     """Absorb the scalar into the factor at the smallest acted-on site.
 
     The folded factor carries the scale in its identity (and a derived
     display label like ``-2*X``), so scaled operators stay distinct.  An
-    all-identity term folds into an explicit scaled identity at the root,
-    which must then be supplied.
+    all-identity term folds into an explicit scaled identity at ``root``,
+    of dimension ``root_dim``.
     """
     if term.coefficient == 1.0:
         return term
     c = term.coefficient
     if not term.factors:
-        if root is None:
-            raise ValidationError(
-                "folding an all-identity term requires the root site")
         return ProductTerm(1.0, {root: identity(root_dim).scaled(c)})
     target = min(term.factors)
     return ProductTerm(1.0, {**term.factors,
@@ -283,16 +277,16 @@ class Hamiltonian:
         return f"Hamiltonian({len(self.terms)} terms on {self.tree!r})"
 
 
-def to_dense(h: Hamiltonian, ordering=None,
+def to_dense(h: Hamiltonian, *,
              registry: OperatorRegistry | None = None) -> np.ndarray:
-    """Dense matrix of ``h``, Kronecker factors in the given site ordering."""
+    """Dense matrix of ``h``, Kronecker factors in ascending site order."""
     registry = registry or DEFAULT_REGISTRY
     tree = h.tree
-    ordering, total = dense_layout(tree, ordering)
+    total = dense_size(tree)
     out = np.zeros((total, total), dtype=complex)
     for term in h.terms:
         block = np.array([[term.coefficient]], dtype=complex)
-        for s in ordering:
+        for s in tree.nodes:
             op = term.factors.get(s) or identity(tree.phys_dim(s))
             block = np.kron(block, registry.resolve(op))
         out += block
@@ -319,7 +313,7 @@ def random_hamiltonian(tree: TreeTopology, n_terms: int, op_labels,
     n_sites = len(sites)
     k_max = n_sites if max_support is None else max_support
     for name, value in (("n_terms", n_terms), ("max_support", k_max)):
-        if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        if as_int(value) is None:
             raise ValidationError(f"{name} {value!r} must be an integer")
     labels = list(op_labels)
     if n_terms < 1:

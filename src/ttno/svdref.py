@@ -279,8 +279,14 @@ def run_bench(tree: TreeTopology, term_counts, n_samples: int, seed: int,
     """Seeded study: random Hamiltonians per term count, both bond-dim paths.
 
     Per-sample RNG streams derive from (seed, n_terms, sample), so the whole
-    study is reproducible and insensitive to execution order.
+    study is reproducible and insensitive to execution order.  The results
+    are keyed by term count, so each count may be listed once.
     """
+    term_counts = list(term_counts)
+    for i, n_terms in enumerate(term_counts):
+        if n_terms in term_counts[:i]:
+            raise ValidationError(
+                f"term counts repeat {n_terms}; list each count once")
     results: dict[int, list[BenchRecord]] = {}
     for n_terms in term_counts:
         records = []

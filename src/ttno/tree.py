@@ -13,11 +13,22 @@ the Steiner tree of a support.
 
 from __future__ import annotations
 
+import numbers
 from functools import cached_property
 
 from .errors import ValidationError
 
 Edge = tuple[int, int]
+
+
+def as_int(x) -> int | None:
+    """``x`` as an int if it is an integer other than a bool, else None;
+    ``int()`` would read true as 1 and round 2.5 down to 2."""
+    if type(x) is int:
+        return x
+    if isinstance(x, numbers.Integral) and not isinstance(x, bool):
+        return int(x)
+    return None
 
 
 def edge_key(a: int, b: int) -> Edge:
@@ -128,15 +139,21 @@ class TreeTopology:
     """
 
     def __init__(self, edges, root, phys_dims=None, nodes=None):
+        site_id = as_int(root)
+        if site_id is None:
+            raise ValidationError(f"root {root!r} is not an integer site id")
+        root = site_id
         edge_set: set[Edge] = set()
         node_set: set[int] = set(nodes) if nodes is not None else set()
         for edge in edges:
             try:
                 a, b = edge
-                a, b = int(a), int(b)
-            except (TypeError, ValueError) as exc:
+            except (TypeError, ValueError):
+                a = b = None
+            a, b = as_int(a), as_int(b)
+            if a is None or b is None:
                 raise ValidationError(f"edge {edge!r} must be a pair of "
-                                      f"integer site ids") from exc
+                                      f"integer site ids")
             if a == b:
                 raise ValidationError(f"self-loop at site {a}")
             if a < 0 or b < 0:
@@ -149,11 +166,6 @@ class TreeTopology:
             node_set.add(b)
         if not node_set:
             raise ValidationError("tree must contain at least one site")
-        try:
-            root = int(root)
-        except (TypeError, ValueError) as exc:
-            raise ValidationError(
-                f"root {root!r} is not an integer site id") from exc
         if root not in node_set:
             raise ValidationError(f"root {root} is not a site")
         if len(edge_set) != len(node_set) - 1:
@@ -174,12 +186,16 @@ class TreeTopology:
 
         self.phys_dims: dict[int, int] = {s: 2 for s in self.nodes}
         if phys_dims:
-            for s, d in phys_dims.items():
+            for key, dim in phys_dims.items():
+                # JSON keys are strings
                 try:
-                    s, d = int(s), int(d)
-                except (TypeError, ValueError) as exc:
-                    raise ValidationError(f"phys_dims entry {s!r}: {d!r} "
-                                          f"is not an integer pair") from exc
+                    s = int(key)
+                except (TypeError, ValueError):
+                    s = None
+                d = as_int(dim)
+                if s is None or d is None:
+                    raise ValidationError(f"phys_dims entry {key!r}: {dim!r} "
+                                          f"is not an integer pair")
                 if s not in node_set:
                     raise ValidationError(f"phys_dim for unknown site {s}")
                 if d < 1:
@@ -213,9 +229,6 @@ class TreeTopology:
 
     def is_leaf(self, s: int) -> bool:
         return not self.rooting.kids[self._check(s)]
-
-    def depth(self) -> int:
-        return max(self.rooting.depth.values())
 
     def phys_dim(self, s: int) -> int:
         return self.phys_dims[self._check(s)]
@@ -282,22 +295,13 @@ class TreeTopology:
             root = data["root"]
         except (KeyError, TypeError) as exc:
             raise ValidationError(f"tree JSON missing field: {exc}") from exc
+        if not isinstance(edges, list):
+            raise ValidationError("tree JSON 'edges' must be a list of site "
+                                  "pairs")
         phys = data.get("phys_dims", {})
         if not isinstance(phys, dict):
             raise ValidationError("tree JSON 'phys_dims' must be an object "
                                   "mapping site ids to dimensions")
-        # int() would read true as 1 and round 2.5 down to 2
-        if isinstance(root, (bool, float)):
-            raise ValidationError(f"root {root!r} is not an integer site id")
-        for edge in edges if isinstance(edges, list) else ():
-            if isinstance(edge, list) and any(isinstance(a, (bool, float))
-                                              for a in edge):
-                raise ValidationError(f"edge {edge!r} must be a pair of "
-                                      f"integer site ids")
-        for s, d in phys.items():
-            if isinstance(d, (bool, float)):
-                raise ValidationError(f"phys_dims entry {s!r}: {d!r} is not "
-                                      f"an integer")
         nodes = None
         if not edges:
             nodes = [root]

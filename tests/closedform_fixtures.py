@@ -1,10 +1,26 @@
 """Cayley-tree counts and pair-interaction Hamiltonians that the tests
 check the closed-form bounds against."""
 
-from ttno.closedform import CayleyTreeSpec, _site_pairs
+import numpy as np
+
+from ttno.assembly import TTNO
+from ttno.closedform import (CayleyTreeSpec, _site_pairs, nn_ttno,
+                             uniform_nn_interaction)
 from ttno.errors import ValidationError
-from ttno.operators import Hamiltonian, ProductTerm, SiteOperator
+from ttno.operators import (Hamiltonian, OperatorRegistry, ProductTerm,
+                            SiteOperator)
 from ttno.tree import TreeTopology
+
+
+def zero_field_nn_ttno(tree: TreeTopology, label: str = "X") -> TTNO:
+    """``nn_ttno`` of the uniform ``label`` interaction plus a field ``O``
+    whose matrix is zero on every (dim-2) site: the operator without a field,
+    in the tensor shapes of a field build, so the two compare element by
+    element."""
+    reg = OperatorRegistry()
+    reg.register("O", np.zeros((2, 2)))
+    return nn_ttno(tree, uniform_nn_interaction(tree, label, field_label="O"),
+                   registry=reg)
 
 
 def cayley_site_count(spec: CayleyTreeSpec) -> int:

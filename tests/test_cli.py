@@ -385,6 +385,16 @@ def test_bench_refuses_repeated_label(files):
     assert not (tmp / "d.csv").exists()
 
 
+def test_bench_refuses_repeated_term_count(files, capsys):
+    # results are keyed by term count: a repeat ran once
+    tmp, tree, _ = files
+    rc = main(["bench", tree, "--terms", "3,5,3", "--samples", "2",
+               "--seed", "1", "--out", str(tmp / "d.csv")])
+    assert rc == EXIT_VALIDATION
+    assert "repeat 3" in capsys.readouterr().err
+    assert not (tmp / "d.csv").exists()
+
+
 def test_bench_beyond_dense_cap(tmp_path, monkeypatch):
     # 14 qubits: total dimension 16384 exceeds the default TTNO_DENSE_CAP,
     # which bounds only dense builds, not the rank oracle

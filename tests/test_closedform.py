@@ -16,7 +16,8 @@ from ttno.operators import (DEFAULT_REGISTRY, OperatorRegistry, SiteOperator,
 from ttno.tree import TreeTopology
 
 from closedform_fixtures import (all_to_all_hamiltonian, cayley_shell_count,
-                                 cayley_site_count, fixed_range_hamiltonian)
+                                 cayley_site_count, fixed_range_hamiltonian,
+                                 zero_field_nn_ttno)
 from oracles import pick_nonleaf_root, random_tree_edges
 
 
@@ -70,9 +71,9 @@ def test_nn_ising_star_field_delta():
     plain = uniform_nn_interaction(star, "X")
     with_fields = uniform_nn_interaction(star, "X", field_label="Z")
     t1 = nn_ttno(star, with_fields)
-    # shape-stable baseline: keep the inner channel everywhere the field
-    # build has it, so only genuine element changes remain
-    t0 = nn_ttno(star, plain, reserve_inner=t1.bond_dimensions())
+    # shape-stable baseline: a zero field keeps the inner channel everywhere
+    # the field build has it, so only genuine element changes remain
+    t0 = zero_field_nn_ttno(star, "X")
     dense = to_dense(with_fields.to_hamiltonian(star))
     assert np.allclose(contract_to_dense(t1), dense, atol=1e-12)
     assert np.allclose(contract_to_dense(t0),

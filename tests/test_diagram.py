@@ -194,7 +194,7 @@ def test_work_counter_bound_random_suite():
     C = 8
     rng = np.random.default_rng(77)
     tree = demo_tree()
-    n_leaves, depth = len(tree.leaves()), tree.depth()
+    n_leaves, depth = len(tree.leaves()), max(tree.rooting.depth.values())
     for trial in range(60):
         n_terms = int(rng.integers(1, 31))
         h = random_hamiltonian(tree, n_terms, ("X", "Y", "Z"),
@@ -449,12 +449,13 @@ def test_dumps_pinned():
     assert digest.hexdigest() == PINNED_DUMP_DIGEST
 
 
-def test_path_cap():
+def test_path_cap(monkeypatch):
     tree = demo_tree()
     h = random_hamiltonian(tree, 12, ("X", "Y", "Z"), seed=9)
     g = from_hamiltonian(h)
+    monkeypatch.setattr(ttno.diagram, "PATH_CAP", 3)
     with pytest.raises(PathCapExceededError):
-        g.enumerate_single_paths(cap=3)
+        g.enumerate_single_paths()
 
 
 def test_coefficients_fold_before_matching():

@@ -84,13 +84,13 @@ def test_non_finite_coefficient_rejected(coeff):
 
 def test_fold_unit_coefficient_is_noop():
     t = pauli_term({2: "Y", 3: "X", 4: "X"})
-    assert fold_coefficient(t) is t
+    assert fold_coefficient(t, 1, 2) is t
 
 
 def test_fold_into_smallest_site():
     j = 2.0
     t = ProductTerm(-j, {0: SiteOperator("X", 2), 1: SiteOperator("X", 2)})
-    f = fold_coefficient(t)
+    f = fold_coefficient(t, 0, 2)
     assert f.coefficient == 1.0
     assert f.factors[0].label == "-2*X"
     assert f.factors[1].label == "X"
@@ -100,7 +100,7 @@ def test_fold_into_smallest_site():
 def test_fold_scalar_matrix_oracle():
     g = 0.5
     t = ProductTerm(g, {4: SiteOperator("Z", 2), 7: SiteOperator("B", 2)})
-    f = fold_coefficient(t)
+    f = fold_coefficient(t, 0, 2)
     assert np.allclose(DEFAULT_REGISTRY.resolve(f.factors[4]), g * Z)
     assert f.factors[7].label == "B"
 
@@ -111,8 +111,6 @@ def test_fold_all_identity_term():
     assert f.coefficient == 1.0
     assert list(f.factors) == [3]
     assert np.allclose(DEFAULT_REGISTRY.resolve(f.factors[3]), 2.5 * np.eye(2))
-    with pytest.raises(ValidationError):
-        fold_coefficient(t)
 
 
 def test_fold_preserves_dense():
@@ -151,8 +149,8 @@ def test_duplicates_detected_after_folding():
 
 
 def test_demo_dense_against_elementwise_oracle(demo_hamiltonian):
-    ordering = [1, 2, 3, 4, 5, 6, 7, 8]  # pre-order from the root
-    got = to_dense(demo_hamiltonian, ordering)
+    ordering = [1, 2, 3, 4, 5, 6, 7, 8]  # ascending site order
+    got = to_dense(demo_hamiltonian)
     mats = {"X": X, "Y": Y, "Z": Z}
     raw = [(t.coefficient, {s: mats[op.label] for s, op in t.factors.items()})
            for t in demo_hamiltonian.terms]
@@ -175,11 +173,6 @@ def test_dense_cap(monkeypatch):
     monkeypatch.setenv("TTNO_DENSE_CAP", "128")
     with pytest.raises(DenseCapExceededError):
         to_dense(h)
-
-
-def test_ordering_must_be_permutation(demo_hamiltonian):
-    with pytest.raises(ValidationError):
-        to_dense(demo_hamiltonian, ordering=[1, 2, 3])
 
 
 def test_custom_registry_matrices():
@@ -241,6 +234,19 @@ def test_random_hamiltonian_rejects_repeated_label(tree):
     # where there are 255, and the draw would never end
     with pytest.raises(ValidationError, match="repeat 'X'"):
         random_hamiltonian(tree, 300, ("X", "Y", "X"), seed=1)
+
+
+def test_site_operator_refuses_non_integer_dim_and_non_string_label(tree):
+    # a bool dim stayed True, and 2.0 shared the op_id of 2
+    with pytest.raises(ValidationError, match="dimension True"):
+        SiteOperator("X", True)
+    with pytest.raises(ValidationError, match="dimension 2.0"):
+        SiteOperator("X", 2.0)
+    with pytest.raises(ValidationError, match="label 1 must be a string"):
+        SiteOperator(1, 2)
+    with pytest.raises(ValidationError, match="label 1 must be a string"):
+        random_hamiltonian(tree, 3, [1, 2], seed=1)
+    assert type(SiteOperator("X", np.int64(2)).dim) is int
 
 
 def test_random_hamiltonian_label_frequencies():

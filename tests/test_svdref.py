@@ -43,7 +43,7 @@ def test_rank_symmetric_under_transposed_bipartition(demo_hamiltonian):
     tree = demo_hamiltonian.tree
     sites = list(tree.nodes)
     dims = [2] * len(sites)
-    dense = to_dense(demo_hamiltonian, sites)
+    dense = to_dense(demo_hamiltonian)
     tensor = dense.reshape(dims + dims)
     n = len(sites)
     pos = {s: i for i, s in enumerate(sites)}

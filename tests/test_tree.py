@@ -1,7 +1,12 @@
 import json
+import re
+from itertools import chain
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.configuration import set_hypothesis_home_dir
 
 from ttno.errors import ValidationError
 from ttno.tree import TreeTopology
@@ -75,7 +80,7 @@ def test_children_partition_subtree(tree):
 def test_structure_queries(tree):
     assert tree.children(5) == (6, 7)
     assert tree.leaves() == (3, 4, 6, 8)
-    assert tree.depth() == 3
+    assert max(tree.rooting.depth.values()) == 3
     assert tree.parent(1) is None
     assert tree.parent(8) == 7
     assert tree.neighbours(5) == (1, 6, 7)
@@ -218,3 +223,74 @@ def test_json_rejects_bad_trees():
         tree_from_json(json.dumps({"root": 0, "edges": [[0, 1], [1, 0]]}))
     with pytest.raises(ValidationError):
         tree_from_json(json.dumps({"edges": [[0, 1]]}))
+
+
+@pytest.mark.parametrize("edges, root, phys_dims, message", [
+    ([(0, 1), (1, " 2")], 1, None, "edge (1, ' 2')"),
+    ([(0, 1.0)], 0, None, "edge (0, 1.0)"),
+    ([(0, 1)], 0.0, None, "root 0.0"),
+    ([(0, 1)], "0", None, "root '0'"),
+    ([(0, 1)], 0, {"0": "3"}, "phys_dims entry '0': '3'"),
+    ([(0, 1)], 0, {1: True}, "phys_dims entry 1: True"),
+])
+def test_non_integer_ids_rejected(edges, root, phys_dims, message):
+    # int() would read each of these as a site id or a dimension
+    with pytest.raises(ValidationError, match=re.escape(message)):
+        TreeTopology(edges, root, phys_dims)
+
+
+@pytest.mark.parametrize("edges", [3, None, "12", {"1": 2}])
+def test_json_edges_must_be_a_list(edges):
+    # a number or null raised TypeError, a traceback from the CLI
+    with pytest.raises(ValidationError, match="'edges' must be a list"):
+        TreeTopology.from_json_dict({"root": 1, "edges": edges})
+
+
+def test_numpy_integer_ids_become_ints():
+    i = np.int64
+    tree = TreeTopology([(i(0), i(1))], i(1), {"0": i(3)})
+    assert tree.nodes == (0, 1) and tree.root == 1
+    assert tree.phys_dims == {0: 3, 1: 2}
+    assert all(type(x) is int for x in
+               (*tree.nodes, *chain(*tree.edges), tree.root,
+                *tree.phys_dims.values()))
+
+
+# values of the wrong JSON type for a site id or a dimension, and integers
+JSON_SWAPS = st.one_of(st.booleans(), st.floats(-2, 10),
+                       st.integers(-2, 10).map(str),
+                       st.lists(st.integers(0, 9), max_size=2), st.none(),
+                       st.integers(-2, 10))
+
+
+@settings(derandomize=True, max_examples=150, database=None, deadline=None)
+@given(st.sampled_from(("root", "edge", "phys_dims")), st.integers(0, 13),
+       JSON_SWAPS)
+def check_json_swap(field, slot, value):
+    """Demo tree JSON with ``value`` put in place of the root, one edge
+    endpoint or one phys_dims value: refused unless ``value`` is an int."""
+    data = json.loads(json.dumps(demo_tree().to_json_dict()))
+    if field == "root":
+        data["root"] = value
+    elif field == "edge":
+        data["edges"][slot // 2][slot % 2] = value
+    else:
+        data["phys_dims"][str(1 + slot % 8)] = value
+    try:
+        tree = TreeTopology.from_json_dict(data)
+    except ValidationError:
+        return
+    assert type(value) is int
+    assert all(type(x) is int for x in
+               (*tree.nodes, *chain(*tree.edges), tree.root,
+                *tree.phys_dims, *tree.phys_dims.values()))
+
+
+def test_tree_json_takes_integer_ids_only(tmp_path):
+    # Hypothesis caches the constants it reads from local source files
+    # under its home directory, by default .hypothesis/ in the working one
+    set_hypothesis_home_dir(tmp_path)
+    try:
+        check_json_swap()
+    finally:
+        set_hypothesis_home_dir(None)
