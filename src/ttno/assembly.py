@@ -14,8 +14,12 @@ back bit-identical.  The dense array is built only on request, to verify.
 Dump format ``ttno-v2``: ``{"format": "ttno-v2", "tree": ..., "tensors":
 {"<site>": {"legs", "shape", "index", "re", "im"}}}``, where ``re`` and
 ``im`` hold the blocks' entries, row-major and concatenated, all finite.
-Writer and reader hold one tensor's entries as Python objects at a time:
-one ``json.dumps`` call per tensor, one array per parsed list.  The dense
+The writer formats each distinct block once per dump, with one
+``json.dumps`` call per part for all of a tensor's new blocks, and joins a
+tensor's lists from block texts; its table of texts is emptied before it
+would hold more blocks than the largest tensor so far, so it holds about
+two tensors' texts at a time.  The reader holds one tensor's entries as
+Python objects at a time, one array per parsed list.  The dense
 ``ttno-v1`` format is not read: rebuild such a dump from its inputs.
 """
 
@@ -255,23 +259,79 @@ def _parsed_floats(obj: dict) -> dict:
     return obj
 
 
+def _block_texts(text: str, size: int) -> list[str]:
+    """The texts of the blocks whose entries, ``size`` per block, make up the
+    JSON list ``text``: ``"[a, b, c, d]"`` gives ``["a, b", "c, d"]`` for
+    ``size`` 2."""
+    entries = text[1:-1].split(", ")
+    if size == 1:
+        return entries
+    return [", ".join(entries[k:k + size])
+            for k in range(0, len(entries), size)]
+
+
 def write_ttno(ttno: TTNO, path: str) -> None:
     """Write the ``ttno-v2`` dump of ``ttno`` (layout in the module
     docstring).
 
     The bytes are those of ``json.dump`` on the whole object, but each
-    tensor entry is one ``json.dumps`` call and one write, so memory holds
-    one tensor's lists and string at a time.
+    tensor entry is one write, and each distinct block is formatted once
+    per dump: a table maps a block's bytes to the texts of its ``re`` and
+    ``im`` entries.  A tensor's blocks that are not in the table are
+    formatted together, one ``json.dumps`` call per part.  When those are
+    all of its blocks, the two texts are its lists, and they are split
+    into block texts only when a later tensor repeats one of the blocks;
+    otherwise its lists are joins of block texts.  The table is emptied
+    before it would hold more blocks than the largest tensor so far, so
+    memory holds about two tensors' texts at a time.
     """
+    texts: dict[bytes, tuple[str, str]] = {}  # block bytes -> re, im text
+    # blocks whose texts are still parts of one tensor's whole lists: block
+    # bytes -> tensor number, and tensor number -> its blocks and lists
+    pending: dict[bytes, int] = {}
+    lists: dict[int, tuple[list[bytes], str, str]] = {}
+    largest = 0
     with open(path, "w") as fh:
         fh.write('{"format": "ttno-v2", "tree": ')
         fh.write(json.dumps(ttno.tree.to_json_dict()))
         fh.write(', "tensors": {')
         for i, (s, t) in enumerate(ttno.tensors.items()):
-            entries = t.blocks.reshape(-1)
-            fh.write(f'{", " if i else ""}"{s}": ' + json.dumps({
-                "legs": t.legs, "shape": t.shape, "index": t.index.tolist(),
-                "re": entries.real.tolist(), "im": entries.imag.tolist()}))
+            size = t.phys_dim ** 2  # entries per block
+            keys = np.ascontiguousarray(t.blocks, dtype=complex).reshape(
+                len(t.blocks), size).view(f"V{16 * size}").ravel().tolist()
+            largest = max(largest, len(keys))
+            new = [k for k in dict.fromkeys(keys)
+                   if k not in texts and k not in pending]
+            if len(texts) + len(pending) + len(new) > largest:
+                texts.clear()
+                pending.clear()
+                lists.clear()
+                new = list(dict.fromkeys(keys))
+            if new:
+                entries = np.frombuffer(b"".join(new), complex)
+                re = json.dumps(entries.real.tolist())
+                im = json.dumps(entries.imag.tolist())
+                if len(new) == len(keys):
+                    lists[i] = new, re, im
+                    pending.update(dict.fromkeys(new, i))
+                else:
+                    texts.update(zip(new, zip(_block_texts(re, size),
+                                              _block_texts(im, size))))
+            if i not in lists:
+                # equal blocks have equal sizes: those lists hold blocks of
+                # ``size`` entries too
+                for j in {pending[k] for k in keys if k in pending}:
+                    blocks, re, im = lists.pop(j)
+                    texts.update(zip(blocks, zip(_block_texts(re, size),
+                                                 _block_texts(im, size))))
+                    for k in blocks:
+                        del pending[k]
+                re = f"[{', '.join([texts[k][0] for k in keys])}]"
+                im = f"[{', '.join([texts[k][1] for k in keys])}]"
+            head = json.dumps({"legs": t.legs, "shape": t.shape,
+                               "index": t.index.tolist()})
+            fh.write(f'{", " if i else ""}"{s}": {head[:-1]}, "re": {re}, '
+                     f'"im": {im}}}')
         fh.write("}}")
 
 

@@ -108,6 +108,10 @@ def load_hamiltonian(tree: TreeTopology, data: dict) -> tuple[Hamiltonian,
                 raise ValidationError(
                     f"term {i}: 'factors' keys {keys[site]!r} and "
                     f"{site_str!r} both name site {site}")
+            if site_str != str(site):  # int() reads "1_0" as 10
+                raise ValidationError(f"term {i}: 'factors' site "
+                                      f"{site_str!r} is not written as the "
+                                      f"integer {site}")
             keys[site] = site_str
             if not isinstance(label, str):
                 raise ValidationError(f"term {i}, site {site}: factor label "

@@ -31,6 +31,17 @@ def as_int(x) -> int | None:
     return None
 
 
+def json_key_int(key: str) -> int | None:
+    """The int that a JSON object key spells, if it spells it as ``str()``
+    does, else None; ``int()`` would read ``"1_0"`` as 10 and ``" 02"`` as
+    2."""
+    try:
+        n = int(key)
+    except ValueError:
+        return None
+    return n if str(n) == key else None
+
+
 def edge_key(a: int, b: int) -> Edge:
     """Canonical (sorted) form of an undirected edge."""
     return (a, b) if a <= b else (b, a)
@@ -144,7 +155,15 @@ class TreeTopology:
             raise ValidationError(f"root {root!r} is not an integer site id")
         root = site_id
         edge_set: set[Edge] = set()
-        node_set: set[int] = set(nodes) if nodes is not None else set()
+        node_set: set[int] = set()
+        for node in nodes if nodes is not None else ():
+            site_id = as_int(node)
+            if site_id is None:
+                raise ValidationError(f"node {node!r} is not an integer "
+                                      f"site id")
+            if site_id < 0:
+                raise ValidationError("site ids must be non-negative")
+            node_set.add(site_id)
         for edge in edges:
             try:
                 a, b = edge
@@ -186,16 +205,17 @@ class TreeTopology:
 
         self.phys_dims: dict[int, int] = {s: 2 for s in self.nodes}
         if phys_dims:
+            keys: dict[int, object] = {}
             for key, dim in phys_dims.items():
-                # JSON keys are strings
-                try:
-                    s = int(key)
-                except (TypeError, ValueError):
-                    s = None
+                s = json_key_int(key) if isinstance(key, str) else as_int(key)
                 d = as_int(dim)
                 if s is None or d is None:
                     raise ValidationError(f"phys_dims entry {key!r}: {dim!r} "
                                           f"is not an integer pair")
+                if s in keys:
+                    raise ValidationError(f"phys_dims keys {keys[s]!r} and "
+                                          f"{key!r} both name site {s}")
+                keys[s] = key
                 if s not in node_set:
                     raise ValidationError(f"phys_dim for unknown site {s}")
                 if d < 1:

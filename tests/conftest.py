@@ -1,15 +1,27 @@
 import json
+import os
 import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import settings
+from hypothesis.configuration import set_hypothesis_home_dir
 
 sys.path.insert(0, str(Path(__file__).parent))
 
 from ttno.errors import ValidationError
 from ttno.operators import Hamiltonian, ProductTerm, SiteOperator
 from ttno.tree import TreeTopology, edge_key
+
+# Hypothesis profiles.  The default one, "tier1", is deterministic and
+# bounded; TTNO_HYPOTHESIS_PROFILE=long selects a longer random search, for
+# runs by hand.  Neither keeps a database of examples.
+settings.register_profile("tier1", derandomize=True, max_examples=150,
+                          database=None, deadline=None)
+settings.register_profile("long", max_examples=20_000, database=None,
+                          deadline=None)
+settings.load_profile(os.environ.get("TTNO_HYPOTHESIS_PROFILE", "tier1"))
 
 DEMO_EDGES = [(1, 2), (2, 3), (2, 4), (1, 5), (5, 6), (5, 7), (7, 8)]
 
@@ -101,6 +113,17 @@ def refuse_allocation(monkeypatch, shape):
         return zeros(requested, *args, **kwargs)
 
     monkeypatch.setattr(np, "zeros", fake)
+
+
+@pytest.fixture
+def hypothesis_home(tmp_path):
+    """Point Hypothesis's home directory at ``tmp_path`` for the test: it
+    caches the constants it reads from local source files there, by
+    default under ``.hypothesis/`` in the working directory, even without
+    a database."""
+    set_hypothesis_home_dir(tmp_path)
+    yield
+    set_hypothesis_home_dir(None)
 
 
 @pytest.fixture

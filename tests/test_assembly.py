@@ -8,6 +8,8 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import assume, given
+from hypothesis import strategies as st
 
 from ttno.assembly import (TTNO, TTNOTensor,
                            canonical_legs, contract_to_dense,
@@ -357,6 +359,24 @@ def test_dump_round_trip_preserves_irrationals(tmp_path):
                               ttno.tensors[s].elements)
 
 
+def ttno_v2_object(ttno):
+    """The whole ``ttno-v2`` object of ``ttno``, read off its dense
+    tensors: every block with a non-zero bit pattern, in row-major order."""
+    def entry(t):
+        dense = t.elements
+        index = [i for i in np.ndindex(t.bond_dims)
+                 if dense[i].view(np.uint64).any()]
+        blocks = [dense[i].ravel() for i in index]
+        return {"legs": [list(e) for e in t.legs],
+                "shape": list(dense.shape),
+                "index": [list(i) for i in index],
+                "re": [x.real for b in blocks for x in b.tolist()],
+                "im": [x.imag for b in blocks for x in b.tolist()]}
+
+    return {"format": "ttno-v2", "tree": ttno.tree.to_json_dict(),
+            "tensors": {str(s): entry(t) for s, t in ttno.tensors.items()}}
+
+
 def test_dump_bytes_equal_whole_object_json_dump(tmp_path):
     # the dump is written piece by piece; its bytes must be those of one
     # json.dump of the whole ttno-v2 object
@@ -370,19 +390,7 @@ def test_dump_bytes_equal_whole_object_json_dump(tmp_path):
               + 1j * rng.standard_normal((len(index),) + big.shape[-2:]))
     blocks.real[rng.random(blocks.shape) < 0.1] = -0.0
     ttno.tensors[big.site] = replace(big, index=index, blocks=blocks)
-
-    def entry(t):
-        index = [i for i in np.ndindex(t.bond_dims)
-                 if t.elements[i].view(np.uint64).any()]
-        blocks = [t.elements[i].ravel() for i in index]
-        return {"legs": [list(e) for e in t.legs],
-                "shape": list(t.elements.shape),
-                "index": [list(i) for i in index],
-                "re": [x.real for b in blocks for x in b.tolist()],
-                "im": [x.imag for b in blocks for x in b.tolist()]}
-
-    whole = {"format": "ttno-v2", "tree": ttno.tree.to_json_dict(),
-             "tensors": {str(s): entry(t) for s, t in ttno.tensors.items()}}
+    whole = ttno_v2_object(ttno)
     p = tmp_path / "star.json"
     tracemalloc.start()
     try:
@@ -395,6 +403,125 @@ def test_dump_bytes_equal_whole_object_json_dump(tmp_path):
     # memory holds one tensor's lists and string at a time: ~300 B per
     # stored entry of the big tensor, which holds 95% of the entries
     assert peak <= 400 * blocks.size
+
+
+# float64 bit patterns: any, and the edge cases -0.0, the smallest and the
+# largest subnormal and the largest finite, then infinities and NaNs with
+# payloads
+FINITE_BITS = [int(b) for b in np.array(
+    [-0.0, 5e-324, 2.225073858507201e-308, 1.7976931348623157e308,
+     -1.7976931348623157e308, 1.0]).view(np.uint64)]
+NON_FINITE_BITS = [0x7FF0000000000000, 0xFFF0000000000000,
+                   0x7FF8000000000000, 0xFFF8000000000000,
+                   0x7FF0000000000001, 0x7FF800000000BEEF, 2 ** 64 - 1]
+
+
+# up to three (entry, bit pattern) overrides of a block, by finiteness
+EDGE_CASES = {finite: st.lists(st.tuples(
+    st.integers(0, 17), st.sampled_from(
+        FINITE_BITS if finite else FINITE_BITS + NON_FINITE_BITS)),
+    max_size=3) for finite in (False, True)}
+
+
+def bits_block(draw, d, finite):
+    """A d x d complex block of random float64 bit patterns, up to three of
+    them replaced by edge cases, and not all zero: only such blocks are
+    stored."""
+    bits = np.frombuffer(draw(st.binary(min_size=16 * d * d,
+                                        max_size=16 * d * d)),
+                         np.uint64).copy()
+    if finite:  # clear the top exponent bit where all of them are set
+        bits[bits >> 52 & 0x7FF == 0x7FF] ^= np.uint64(1 << 62)
+    for k, b in draw(EDGE_CASES[finite]):
+        bits[k % bits.size] = b
+    assume(bits.any())
+    return bits.view(complex).reshape(d, d)
+
+
+@st.composite
+def block_ttnos(draw):
+    """A TTNO on a random tree of 1-4 sites, physical dimensions 1-3 and bond
+    dimensions 1-3, whose blocks come from a pool of 1-3 blocks per
+    dimension, so that blocks repeat within and across tensors, and whose
+    tensors may store no block.  Half of them hold only finite entries."""
+    n = draw(st.integers(1, 4))
+    edges = [(k, draw(st.integers(0, k - 1))) for k in range(1, n)]
+    dims = draw(st.lists(st.sampled_from((1, 2, 3)), min_size=n, max_size=n))
+    tree = TreeTopology(edges, draw(st.integers(0, n - 1)),
+                        dict(enumerate(dims)), nodes=range(n))
+    bond = {e: draw(st.integers(1, 3)) for e in tree.edges}
+    finite = draw(st.booleans())
+    pools = {d: [bits_block(draw, d, finite)
+                 for _ in range(draw(st.integers(1, 3)))]
+             for d in set(dims)}
+    tensors = {}
+    for s in tree.nodes:
+        legs, d = canonical_legs(tree, s), tree.phys_dim(s)
+        shape = (*[bond[e] for e in legs], d, d)
+        picks = draw(st.lists(st.integers(-1, len(pools[d]) - 1),
+                              min_size=math.prod(shape[:-2]),
+                              max_size=math.prod(shape[:-2])))
+        stored = [(i, pools[d][k])
+                  for i, k in zip(np.ndindex(shape[:-2]), picks) if k >= 0]
+        tensors[s] = TTNOTensor(
+            s, legs, shape,
+            np.array([i for i, _ in stored], np.int64).reshape(
+                len(stored), len(legs)),
+            np.array([b for _, b in stored], complex).reshape(-1, d, d))
+    return TTNO(tree, tensors)
+
+
+@given(ttno=block_ttnos())
+def check_dump_bytes(path, ttno):
+    write_ttno(ttno, str(path))
+    assert path.read_text() == json.dumps(ttno_v2_object(ttno))
+    if not all(np.isfinite(t.blocks).all() for t in ttno.tensors.values()):
+        with pytest.raises(ValidationError, match="not a finite number"):
+            read_ttno(str(path))
+        return
+    back = read_ttno(str(path))
+    assert back.tree == ttno.tree
+    for s, t in ttno.tensors.items():
+        assert back.tensors[s].legs == t.legs
+        assert back.tensors[s].shape == t.shape
+        assert np.array_equal(back.tensors[s].index, t.index)
+        assert back.tensors[s].blocks.tobytes() == t.blocks.tobytes()
+
+
+def test_dump_bytes_equal_json_dump_for_any_blocks(tmp_path,
+                                                   hypothesis_home):
+    # the writer formats each distinct block once and joins the texts; the
+    # bytes must stay those of one json.dumps, for any float64 bits
+    check_dump_bytes(tmp_path / "t.json")
+
+
+def test_write_holds_one_tensor_of_block_texts(tmp_path):
+    # 24 tensors whose blocks are all distinct: the table of block texts is
+    # emptied before it outgrows the largest tensor, so the peak does not
+    # grow with the number of tensors
+    n, bond = 24, 16
+    tree = TreeTopology([(s, s + 1) for s in range(n - 1)], root=1)
+    rng = np.random.default_rng(5)
+    tensors = {}
+    for s in tree.nodes:
+        legs = canonical_legs(tree, s)
+        shape = (*[bond] * len(legs), 2, 2)
+        index = np.array(list(np.ndindex(shape[:-2])), np.int64)
+        tensors[s] = TTNOTensor(s, legs, shape, index, rng.standard_normal(
+            (len(index), 2, 2)) + 1j * rng.standard_normal((len(index), 2, 2)))
+    ttno = TTNO(tree, tensors)
+    largest = max(t.blocks.size for t in tensors.values())
+    assert sum(t.blocks.size for t in tensors.values()) >= 20 * largest
+    p = tmp_path / "chain.json"
+    tracemalloc.start()
+    try:
+        write_ttno(ttno, str(p))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 400 * largest
+    assert read_ttno(str(p)).tensors[n - 1].blocks.tobytes() == (
+        tensors[n - 1].blocks.tobytes())
 
 
 def test_dump_size_bounded_by_stored_elements(tmp_path):

@@ -122,6 +122,36 @@ def test_build_malformed_fields(tmp_path, capsys, tree_json, ham_json,
     assert message in capsys.readouterr().err
 
 
+TEN_TREE = {"root": 2, "edges": [[1, 2], [2, 10]]}
+TEN_TERM = {"coeff": [1, 0], "factors": {"1": "X", "10": "X"}}
+
+
+@pytest.mark.parametrize("tree_json, ham_json, message", [
+    (dict(TEN_TREE, phys_dims={"1_0": 3}), {"terms": [PAIR_TERM]},
+     "phys_dims entry '1_0'"),
+    (dict(TEN_TREE, phys_dims={"2": 3, " 02": 4}), {"terms": [TEN_TERM]},
+     "phys_dims entry ' 02'"),
+    (TEN_TREE, {"terms": [{"coeff": [1, 0], "factors": {"1_0": "X"}}]},
+     "term 0: 'factors' site '1_0' is not written as the integer 10"),
+    (TEN_TREE, {"terms": [{"coeff": [1, 0], "factors": {"+2": "X"}}]},
+     "term 0: 'factors' site '+2'"),
+])
+def test_build_refuses_non_canonical_site_keys(tmp_path, capsys, tree_json,
+                                               ham_json, message):
+    # int() read "1_0" as site 10 and " 02" as site 2, so these built
+    tree, ham = tmp_path / "tree.json", tmp_path / "ham.json"
+    tree.write_text(json.dumps(tree_json))
+    ham.write_text(json.dumps(ham_json))
+    out = tmp_path / "o.json"
+    rc = main(["build", str(tree), str(ham), "--out", str(out)])
+    assert rc == EXIT_VALIDATION
+    assert message in capsys.readouterr().err
+    assert not out.exists()
+    tree.write_text(json.dumps(TEN_TREE))
+    ham.write_text(json.dumps({"terms": [TEN_TERM]}))
+    assert main(["build", str(tree), str(ham), "--out", str(out)]) == EXIT_OK
+
+
 def test_build_site_mismatch(files):
     tmp, tree, _ = files
     ham = tmp / "mism.json"

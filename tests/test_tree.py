@@ -4,9 +4,8 @@ from itertools import chain
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import given
 from hypothesis import strategies as st
-from hypothesis.configuration import set_hypothesis_home_dir
 
 from ttno.errors import ValidationError
 from ttno.tree import TreeTopology
@@ -239,6 +238,41 @@ def test_non_integer_ids_rejected(edges, root, phys_dims, message):
         TreeTopology(edges, root, phys_dims)
 
 
+@pytest.mark.parametrize("phys_dims, message", [
+    ({"1_0": 3}, "phys_dims entry '1_0'"),
+    ({"2": 3, " 02": 4}, "phys_dims entry ' 02'"),
+    ({"02": 3}, "phys_dims entry '02'"),
+    ({"+2": 3}, "phys_dims entry '+2'"),
+    ({"10 ": 3}, "phys_dims entry '10 '"),
+])
+def test_json_site_keys_in_canonical_form_only(phys_dims, message):
+    # int() read "1_0" as site 10 and kept the last of "2" and " 02"
+    data = {"root": 1, "edges": [[1, 2], [2, 10]], "phys_dims": phys_dims}
+    with pytest.raises(ValidationError, match=re.escape(message)):
+        TreeTopology.from_json_dict(data)
+    tree = TreeTopology.from_json_dict(dict(data, phys_dims={"10": 3}))
+    assert tree.phys_dims == {1: 2, 2: 2, 10: 3}
+
+
+@pytest.mark.parametrize("edges, root, nodes, phys_dims, message", [
+    ([], 1, [1.0], None, "node 1.0"),
+    ([(0, 1)], 0, [True], None, "node True"),
+    ([], 1, ["1"], None, "node '1'"),
+    ([], -1, [-1], None, "non-negative"),
+    ([(0, 1)], 0, None, {True: 3, 0.9: 5}, "phys_dims entry True: 3"),
+    ([(0, 1)], 0, None, {0.9: 5}, "phys_dims entry 0.9: 5"),
+    ([(0, 1)], 0, None, {1: 3, "1": 4}, "keys 1 and '1' both name site 1"),
+])
+def test_python_site_ids_checked(edges, root, nodes, phys_dims, message):
+    # the nodes and the phys_dims keys went unchecked: nodes=[True] added
+    # site True, and {True: 3, 0.9: 5} set sites 1 and 0
+    with pytest.raises(ValidationError, match=re.escape(message)):
+        TreeTopology(edges, root, phys_dims, nodes=nodes)
+    tree = TreeTopology([(0, 1)], 0, {np.int64(1): 3}, nodes=[np.int64(1)])
+    assert tree.nodes == (0, 1) and tree.phys_dims == {0: 2, 1: 3}
+    assert all(type(x) is int for x in (*tree.nodes, *tree.phys_dims))
+
+
 @pytest.mark.parametrize("edges", [3, None, "12", {"1": 2}])
 def test_json_edges_must_be_a_list(edges):
     # a number or null raised TypeError, a traceback from the CLI
@@ -263,7 +297,6 @@ JSON_SWAPS = st.one_of(st.booleans(), st.floats(-2, 10),
                        st.integers(-2, 10))
 
 
-@settings(derandomize=True, max_examples=150, database=None, deadline=None)
 @given(st.sampled_from(("root", "edge", "phys_dims")), st.integers(0, 13),
        JSON_SWAPS)
 def check_json_swap(field, slot, value):
@@ -286,11 +319,5 @@ def check_json_swap(field, slot, value):
                 *tree.phys_dims, *tree.phys_dims.values()))
 
 
-def test_tree_json_takes_integer_ids_only(tmp_path):
-    # Hypothesis caches the constants it reads from local source files
-    # under its home directory, by default .hypothesis/ in the working one
-    set_hypothesis_home_dir(tmp_path)
-    try:
-        check_json_swap()
-    finally:
-        set_hypothesis_home_dir(None)
+def test_tree_json_takes_integer_ids_only(hypothesis_home):
+    check_json_swap()
