@@ -9,7 +9,9 @@ A tensor is held as its stored d x d blocks, in the layout of the dump:
 ``index`` lists the bond multi-index of every stored block in row-major
 order and ``blocks`` holds those blocks.  A block is stored when any of its
 entries has a non-zero bit pattern, so ``-0.0`` survives and a dump reads
-back bit-identical.  The dense array is built only on request, to verify.
+back bit-identical.  The tensors of one physical dimension hold rows of
+one block array and one multi-index array, built and checked once at
+emission and read.  The dense array is built only on request, to verify.
 
 Dump format ``ttno-v2``: ``{"format": "ttno-v2", "tree": ..., "tensors":
 {"<site>": {"legs", "shape", "index", "re", "im"}}}``, where ``re`` and
@@ -36,7 +38,7 @@ import numpy as np
 from .diagram import StateDiagram
 from .errors import DenseCapExceededError, ValidationError
 from .operators import DEFAULT_REGISTRY, OperatorRegistry, dense_size
-from .tree import Edge, Rooting, TreeTopology
+from .tree import Edge, Rooting, TreeTopology, UniqueKeys
 
 
 def canonical_legs(tree: TreeTopology, site: int) -> tuple[Edge, ...]:
@@ -64,33 +66,6 @@ class TTNOTensor:
     shape: tuple[int, ...]
     index: np.ndarray  # (n_blocks, n_legs) int64, rows in row-major order
     blocks: np.ndarray  # (n_blocks, d, d) complex
-
-    @classmethod
-    def from_blocks(cls, site: int, legs: tuple[Edge, ...],
-                    shape: tuple[int, ...], pairs) -> "TTNOTensor":
-        """The tensor holding the sums of ``(multi-index, d x d matrix)``
-        pairs: matrices on one multi-index add up in pair order, starting
-        from a block of ``+0.0``; sums whose entries are all ``+0.0`` are
-        not stored.  A sum that overflows raises ValidationError naming the
-        site and the multi-index."""
-        d, sums = shape[-1], {}
-        for idx, matrix in pairs:
-            if idx in sums:
-                with np.errstate(over="ignore", invalid="ignore"):
-                    matrix = sums[idx] + matrix
-                if not np.isfinite(matrix).all():
-                    raise ValidationError(
-                        f"site {site}: the matrices summed into block {idx} "
-                        f"overflow to non-finite entries")
-            sums[idx] = matrix
-        keys = sorted(sums)
-        index = np.array(keys, dtype=np.int64).reshape(len(keys), len(legs))
-        blocks = np.array([sums[k] for k in keys], complex).reshape(-1, d, d)
-        blocks += 0.0  # as if summed from +0.0: -0.0 entries become +0.0
-        kept = blocks.view(np.uint64).any(axis=(1, 2))
-        if np.count_nonzero(kept) < len(kept):
-            index, blocks = index[kept], blocks[kept]
-        return cls(site, tuple(legs), tuple(shape), index, blocks)
 
     def __repr__(self):
         return (f"TTNOTensor(site={self.site}, shape={self.shape}, "
@@ -141,6 +116,80 @@ class TTNO:
         return dims
 
 
+def tensors_from_blocks(specs) -> dict[int, TTNOTensor]:
+    """Tensors from ``(site, legs, shape, pairs)`` specs, each holding the
+    sums of its ``(multi-index, d x d matrix)`` pairs: matrices on one
+    multi-index add up in pair order, as if from a block of ``+0.0``, and
+    sums whose entries are all ``+0.0`` are not stored.  A sum that is not
+    finite raises ValidationError naming the first such site in ``specs``
+    and its first such multi-index."""
+    heads, groups = [], {}
+    for site, legs, shape, pairs in specs:
+        # per d: each block's first matrix, and the row and matrix of each
+        # later pair on a multi-index
+        first, rows, later = groups.setdefault(shape[-1], ([], [], []))
+        sums = dict(reversed(pairs))  # each multi-index's first matrix
+        keys = sorted(sums)
+        if len(sums) < len(pairs):
+            row, seen = {k: r for r, k in enumerate(keys, len(first))}, set()
+            for idx, m in pairs:
+                if idx in seen:
+                    rows.append(row[idx])
+                    later.append(m)
+                seen.add(idx)
+        first += [sums[k] for k in keys]
+        heads.append((site, tuple(legs), tuple(shape), keys))
+    stacks = {}
+    for d, (first, rows, later) in groups.items():
+        blocks = stacks[d] = np.array(first, complex).reshape(-1, d, d)
+        with np.errstate(over="ignore", invalid="ignore"):
+            np.add.at(blocks, rows, np.array(later, complex).reshape(-1, d, d))
+        blocks += 0.0  # as if summed from +0.0: -0.0 entries become +0.0
+    tensors, bad = _tensors(heads, stacks, drop_zeros=True)
+    if bad:
+        t, k = bad
+        raise ValidationError(
+            f"site {t.site}: the matrices summed into block "
+            f"{tuple(t.index[k].tolist())} overflow to non-finite entries")
+    return tensors
+
+
+def _tensors(heads, stacks: dict[int, np.ndarray], drop_zeros: bool):
+    """The tensors of ``(site, legs, shape, multi-indices)`` heads, in their
+    order, whose blocks are stacked per dimension ``d`` in ``stacks[d]``:
+    each holds rows of that array and of one int64 array of multi-indices.
+    Blocks of only ``+0.0`` entries are dropped if ``drop_zeros``, else
+    refused as a dump's.  Also returns the first tensor and row with a
+    non-finite entry, or None."""
+    tensors, clean = dict.fromkeys(h[0] for h in heads), True
+    for d, blocks in stacks.items():
+        hs = [h for h in heads if h[2][-1] == d]
+        kept = blocks.view(np.uint64).any(axis=(1, 2))
+        if drop_zeros and not kept.all():
+            rows, blocks = iter(kept.tolist()), blocks[kept]
+            hs = [(*h[:3], [k for k in h[3] if next(rows)]) for h in hs]
+        index = np.fromiter(chain.from_iterable(chain.from_iterable(
+            h[3] for h in hs)), np.int64)
+        row = pos = 0
+        for site, legs, shape, keys in hs:
+            n, width = len(keys), len(legs)
+            tensors[site] = TTNOTensor(site, legs, shape, index[
+                pos:pos + n * width].reshape(n, width), blocks[row:row + n])
+            row, pos = row + n, pos + n * width
+        clean &= bool((drop_zeros or kept.all()) and np.isfinite(blocks).all())
+    for t in () if clean else tensors.values():
+        zero = np.flatnonzero(~t.blocks.view(np.uint64).any(axis=(1, 2)))
+        if len(zero):
+            raise ValidationError(
+                f"ttno dump, site {t.site}: block {zero[0]} at index "
+                f"{t.index[zero[0]].tolist()} holds only +0.0 entries, "
+                f"which are not stored")
+        bad = np.flatnonzero(~np.isfinite(t.blocks).all(axis=(1, 2)))
+        if len(bad):
+            return tensors, (t, bad[0])
+    return tensors, None
+
+
 def emit_tensors(diagram: StateDiagram,
                  registry: OperatorRegistry | None = None) -> TTNO:
     """Tensors from the diagram.  A vertex's bond index is its position in
@@ -182,16 +231,16 @@ def emit_tensors(diagram: StateDiagram,
                 f"site {site}: the matrix of operator {op.label!r} "
                 f"overflows to non-finite entries")
     dims, eps, phys = diagram.bond_dimensions(), diagram.eps, tree.phys_dims
-    tensors: dict[int, TTNOTensor] = {}
-    for s in tree.nodes:
-        legs = _in_leg_order(r, s, tree.incident[s])
-        # where each leg's vertex sits in a hyperedge key, after its op_id
-        slots = _in_leg_order(r, s, range(1, len(legs) + 1))
-        pairs = [(tuple([index[y[i]] for i in slots]), matrices[y[0]])
-                 for y in eps[s]]
-        tensors[s] = TTNOTensor.from_blocks(
-            s, legs, (*[dims[e] for e in legs], phys[s], phys[s]), pairs)
-    return TTNO(tree, tensors)
+
+    def specs():
+        for s in tree.nodes:
+            legs = _in_leg_order(r, s, tree.incident[s])
+            # where each leg's vertex sits in a hyperedge key, after its op_id
+            slots = _in_leg_order(r, s, range(1, len(legs) + 1))
+            yield s, legs, (*[dims[e] for e in legs], phys[s], phys[s]), [
+                (tuple([index[y[i]] for i in slots]), matrices[y[0]])
+                for y in eps[s]]
+    return TTNO(tree, tensors_from_blocks(specs()))
 
 
 def contract_to_dense(ttno: TTNO) -> np.ndarray:
@@ -244,10 +293,11 @@ def dense_element_count(ttno: TTNO) -> int:
 
 
 def _parsed_floats(obj: dict) -> dict:
-    """``json.load`` hook: a tensor entry's ``re`` and ``im`` lists become
-    float arrays as soon as the entry is parsed, so that only one tensor's
-    floats are Python objects at a time.  A value that is not a flat list
-    of numbers is left as parsed, for ``read_ttno`` to reject."""
+    """The reader's JSON hook, after ``UniqueKeys``: a tensor entry's ``re``
+    and ``im`` lists become float arrays as soon as the entry is parsed, so
+    that only one tensor's floats are Python objects at a time.  A value
+    that is not a flat list of numbers is left as parsed, for ``read_ttno``
+    to reject."""
     for key in ("re", "im"):
         if isinstance(obj.get(key), list):
             try:
@@ -335,9 +385,9 @@ def write_ttno(ttno: TTNO, path: str) -> None:
         fh.write("}}")
 
 
-def _read_tensor(tree: TreeTopology, s: int, td) -> TTNOTensor:
-    """Check one parsed tensor entry against the tree and build its index
-    and blocks."""
+def _read_tensor(tree: TreeTopology, s: int, td) -> tuple:
+    """Check one parsed tensor entry against the tree, and return its site,
+    legs, shape and list of multi-indices."""
     def bad(message: str) -> ValidationError:
         return ValidationError(f"ttno dump, site {s}: {message}")
 
@@ -352,9 +402,9 @@ def _read_tensor(tree: TreeTopology, s: int, td) -> TTNOTensor:
                   f"{[list(e) for e in legs]}")
     shape, d = td["shape"], tree.phys_dims[s]
     if (not isinstance(shape, list) or len(shape) != len(legs) + 2
-            or not all(type(n) is int and n >= 1 for n in shape)):
+            or not all(type(n) is int and 1 <= n < 2 ** 63 for n in shape)):
         raise bad(f"shape {shape!r} is not a list of {len(legs) + 2} "
-                  f"positive integers")
+                  f"integers from 1 to 2**63 - 1")
     if shape[-2:] != [d, d]:
         raise bad(f"physical dimensions {shape[-2:]} disagree with the "
                   f"tree's {d}")
@@ -386,18 +436,7 @@ def _read_tensor(tree: TreeTopology, s: int, td) -> TTNOTensor:
         if td[key].size != len(rows) * d * d:
             raise bad(f"{key!r} holds {td[key].size} numbers, not "
                       f"{len(rows)} blocks x {d * d}")
-    blocks = np.empty((len(rows), d, d), dtype=complex)
-    # real and imaginary parts are set apart: re + 1j * im would turn an
-    # imaginary -0.0 into +0.0
-    blocks.real = td["re"].reshape(-1, d, d)
-    blocks.imag = td["im"].reshape(-1, d, d)
-    kept = blocks.view(np.uint64).any(axis=(1, 2))
-    if np.count_nonzero(kept) < len(kept):
-        zero = np.flatnonzero(~kept)[0]
-        raise bad(f"block {zero} at index {rows[zero]} holds only +0.0 "
-                  f"entries, which are not stored")
-    index = np.array(rows, dtype=np.int64).reshape(len(rows), len(bond))
-    return TTNOTensor(s, legs, tuple(shape), index, blocks)
+    return s, legs, tuple(shape), rows
 
 
 def read_ttno(path: str) -> TTNO:
@@ -405,13 +444,17 @@ def read_ttno(path: str) -> TTNO:
     written.  Malformed or inconsistent content, a NaN, an infinite or a
     boolean entry among them, raises ValidationError naming the site or
     field at fault; a ``ttno-v1`` dump must be rebuilt from its inputs."""
+    keys = UniqueKeys()
     try:
         with open(path) as fh:
             text = fh.read()
-        data = json.loads(text, object_hook=_parsed_floats)
+        data = json.loads(text, object_pairs_hook=lambda pairs: _parsed_floats(
+            keys(pairs)))
     except (json.JSONDecodeError, UnicodeDecodeError) as exc:
         raise ValidationError(f"ttno dump {path}: not valid JSON "
                               f"({exc})") from exc
+    if keys.repeat:
+        raise ValidationError(f"ttno dump {path}: {keys.repeat}")
     # the hook reads a true or false among numbers as 1.0 or 0.0; the writer
     # prints neither, so only a dump that holds one is read again below
     booleans = "true" in text or "false" in text
@@ -422,7 +465,10 @@ def read_ttno(path: str) -> TTNO:
         raise ValidationError(
             f"ttno dump: format {data.get('format')!r} is not read, only "
             f"'ttno-v2'; rebuild the dump with `ttno build` or `ttno oqs`")
-    tree = TreeTopology.from_json_dict(data.get("tree"))
+    try:
+        tree = TreeTopology.from_json_dict(data.get("tree"))
+    except ValidationError as exc:
+        raise ValidationError(f"ttno dump, tree: {exc}") from exc
     entries = data.get("tensors")
     if not isinstance(entries, dict):
         raise ValidationError("ttno dump: 'tensors' must be an object "
@@ -435,11 +481,20 @@ def read_ttno(path: str) -> TTNO:
         if key not in sites:
             raise ValidationError(f"ttno dump: tensor for {key!r}, which is "
                                   f"not a site of the tree")
-    tensors = {sites[k]: _read_tensor(tree, sites[k], td)
-               for k, td in entries.items()}
-    # nor NaN, Infinity or a literal that overflows, such as 1e400
-    if booleans or not all(np.isfinite(t.blocks).all()
-                           for t in tensors.values()):
+    heads, groups, stacks = [], {}, {}
+    for k, td in entries.items():
+        heads.append(_read_tensor(tree, sites[k], td))
+        groups.setdefault(heads[-1][2][-1], []).append(td)
+    for d, tds in groups.items():
+        blocks = stacks[d] = np.empty(
+            (sum(td["re"].size for td in tds) // d // d, d, d), complex)
+        # real and imaginary parts are set apart: re + 1j * im would turn an
+        # imaginary -0.0 into +0.0
+        blocks.real = np.concatenate([td["re"] for td in tds]).reshape(-1, d, d)
+        blocks.imag = np.concatenate([td["im"] for td in tds]).reshape(-1, d, d)
+    tensors, bad = _tensors(heads, stacks, drop_zeros=False)
+    # a NaN, Infinity, overflowing literal (1e400) or boolean: name it
+    if booleans or bad:
         with open(path) as fh:
             raw = json.load(fh)["tensors"]
         for k, td in raw.items():
@@ -450,5 +505,8 @@ def read_ttno(path: str) -> TTNO:
                             f"ttno dump, site {k}: {key!r} entry {i} is "
                             f"{json.dumps(x)}, not a finite number")
     ttno = TTNO(tree, tensors)
-    ttno.bond_dimensions()  # shared-edge consistency
+    try:
+        ttno.bond_dimensions()  # shared-edge consistency
+    except ValidationError as exc:
+        raise ValidationError(f"ttno dump: {exc}") from exc
     return ttno

@@ -24,7 +24,7 @@ from .errors import (DenseCapExceededError, UnknownOperatorError,
                      ValidationError)
 from .operators import (Hamiltonian, OperatorRegistry, ProductTerm,
                         SiteOperator, to_dense)
-from .tree import TreeTopology
+from .tree import TreeTopology, UniqueKeys
 
 EXIT_OK = 0
 EXIT_PARSE = 2
@@ -34,14 +34,18 @@ EXIT_CAP = 5
 
 
 def _load_json(path: str):
+    keys = UniqueKeys()
     try:
         with open(path) as fh:
-            return json.load(fh)
+            data = json.load(fh, object_pairs_hook=keys)
     except json.JSONDecodeError as exc:
         raise _ParseFailure(
             f"{path}: line {exc.lineno} column {exc.colno}: {exc.msg}") from exc
     except (OSError, UnicodeDecodeError) as exc:
         raise _ParseFailure(f"{path}: {exc}") from exc
+    if keys.repeat:
+        raise ValidationError(f"{path}: {keys.repeat}")
+    return data
 
 
 class _ParseFailure(Exception):

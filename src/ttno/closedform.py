@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .assembly import TTNO, TTNOTensor, canonical_legs
+from .assembly import TTNO, canonical_legs, tensors_from_blocks
 from .errors import ValidationError
 from .operators import (DEFAULT_REGISTRY, Hamiltonian, OperatorRegistry,
                         ProductTerm, SiteOperator)
@@ -90,7 +90,7 @@ def nn_ttno(tree: TreeTopology, interaction: NNInteraction,
     registry = registry or DEFAULT_REGISTRY
     dims = nn_bond_dimensions(tree, interaction)
 
-    tensors: dict[int, TTNOTensor] = {}
+    specs = []
     for s in tree.nodes:
         legs = canonical_legs(tree, s)
         d = tree.phys_dim(s)
@@ -123,8 +123,8 @@ def nn_ttno(tree: TreeTopology, interaction: NNInteraction,
         if s in interaction.single_site:
             z = registry.resolve(interaction.single_site[s])
             put({} if parent is None else {p_axis: 2}, z)
-        tensors[s] = TTNOTensor.from_blocks(s, legs, shape, pairs)
-    return TTNO(tree, tensors)
+        specs.append((s, legs, shape, pairs))
+    return TTNO(tree, tensors_from_blocks(specs))
 
 
 # -- Cayley trees --------------------------------------------------------------

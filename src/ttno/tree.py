@@ -42,6 +42,31 @@ def json_key_int(key: str) -> int | None:
     return n if str(n) == key else None
 
 
+class UniqueKeys:
+    """``object_pairs_hook`` for ``json.load``: each object becomes a dict,
+    but the first key that one object gives twice, whose last value the
+    default would keep silently, is named by ``repeat``, with the keys and
+    list positions that lead to it."""
+    repeat = _at = None
+
+    def __call__(self, pairs: list) -> dict:
+        obj = dict(pairs)
+        if self._at is not None:  # climbing from the object at fault
+            for k, v in pairs:
+                for i, x in enumerate(v if type(v) is list else [v]):
+                    if x is self._at:
+                        self._path[:0] = [k] if x is v else [k, i]
+                        self._at = obj
+                        self.repeat = (f"{self._key} in "
+                                       f"{' > '.join(map(str, self._path))}")
+        elif len(obj) < len(pairs):
+            seen = set()
+            key = next(k for k, _ in pairs if k in seen or seen.add(k))
+            self.repeat = self._key = f"key {key!r} is given twice"
+            self._at, self._path = obj, []
+        return obj
+
+
 def edge_key(a: int, b: int) -> Edge:
     """Canonical (sorted) form of an undirected edge."""
     return (a, b) if a <= b else (b, a)

@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 from ttno.assembly import (TTNO, TTNOTensor,
                            canonical_legs, contract_to_dense,
                            dense_element_count, element_count, emit_tensors,
-                           read_ttno, write_ttno)
+                           read_ttno, tensors_from_blocks, write_ttno)
 from ttno.closedform import (CayleyTreeSpec, cayley_tree, nn_ttno,
                              uniform_nn_interaction)
 from ttno.diagram import StateDiagram, from_hamiltonian
@@ -73,9 +73,9 @@ def test_single_term_tensors_have_one_slice_each(tree):
 def test_from_blocks_sums_pairs_and_drops_zero_sums():
     x = np.array([[0, 1], [1, 0]], dtype=complex)
     z = np.array([[1, 0], [0, -1]], dtype=complex)
-    t = TTNOTensor.from_blocks(7, ((7, 8), (7, 9)), (2, 3, 2, 2), [
+    (t,) = tensors_from_blocks([(7, ((7, 8), (7, 9)), (2, 3, 2, 2), [
         ((1, 2), x), ((0, 1), z), ((1, 2), 0.5 * z), ((1, 0), x),
-        ((1, 0), -x), ((0, 0), np.full((2, 2), -0.0))])
+        ((1, 0), -x), ((0, 0), np.full((2, 2), -0.0))])]).values()
     # sorted in row-major order; X - X and +0.0 + (-0.0) are +0.0, dropped
     assert t.index.tolist() == [[0, 1], [1, 2]]
     assert t.index.dtype == np.int64 and t.blocks.dtype == complex
@@ -89,9 +89,48 @@ def test_from_blocks_sums_pairs_and_drops_zero_sums():
     assert not t.elements.any(axis=(2, 3))[0, 0]  # rebuilt from the blocks
 
 
+def test_from_blocks_sums_in_pair_order_bit_exactly():
+    # four matrices on one multi-index sum left to right, as in Python; a
+    # sum that cancels to +0.0 is dropped, and -0.0 entries become +0.0
+    rng = np.random.default_rng(3)
+    ms = [rng.standard_normal((2, 2)) * 10.0 ** rng.integers(-8, 8, (2, 2))
+          + 1j * rng.standard_normal((2, 2)) for _ in range(4)]
+    neg = np.array([[complex(-0.0, -0.0), 1.0], [complex(0.0, -0.0), 2.0]])
+    y = rng.standard_normal((2, 2)) + 0j
+    tensors = tensors_from_blocks([
+        (2, ((1, 2),), (3, 2, 2),
+         [((0,), ms[0]), ((2,), neg), ((0,), ms[1]), ((1,), y),
+          ((0,), ms[2]), ((1,), -y), ((0,), ms[3])]),
+        (1, ((1, 2),), (3, 2, 2), [((0,), ms[3]), ((1,), ms[0])])])
+    t = tensors[2]
+    assert list(tensors) == [2, 1]
+    assert t.index.tolist() == [[0], [2]]  # y + (-y) is dropped
+    want = ((ms[0] + ms[1]) + ms[2]) + ms[3]
+    assert t.blocks[0].tobytes() == want.tobytes()
+    stored = t.blocks[1].view(np.uint64)
+    assert not (stored == np.array(-0.0).view(np.uint64)).any()
+    assert np.array_equal(t.blocks[1], neg)
+    assert tensors[1].blocks.tobytes() == np.array([ms[3], ms[0]]).tobytes()
+
+
+def test_from_blocks_names_the_site_whose_sum_overflows():
+    # both sites sum pairs on one multi-index; only the later one overflows
+    big = np.diag([1.5e308, 0.0]).astype(complex)
+    one = np.eye(2, dtype=complex)
+    specs = [(s, ((4, 5),), (2, 2, 2), pairs) for s, pairs in (
+        (4, [((1,), one), ((1,), one), ((0,), big)]),
+        (5, [((0,), one), ((1,), big), ((1,), one), ((1,), big)]))]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValidationError, match=(
+                r"^site 5: the matrices summed into block \(1,\) overflow "
+                r"to non-finite entries")):
+            tensors_from_blocks(specs)
+
+
 def test_tensors_compare_by_identity_and_print_briefly(tree):
     z = np.array([[1, 0], [0, -1]], dtype=complex)
-    a, b = (TTNOTensor.from_blocks(3, ((2, 3),), (2, 2, 2), [((1,), z)])
+    a, b = (tensors_from_blocks([(3, ((2, 3),), (2, 2, 2), [((1,), z)])])[3]
             for _ in range(2))
     assert a == a and a != b  # no elementwise comparison of the arrays
     assert repr(a) == "TTNOTensor(site=3, shape=(2, 2, 2), blocks=1)"
@@ -636,6 +675,175 @@ def test_read_accepts_tensor_without_blocks(tmp_path, demo_hamiltonian):
     assert t.index.shape == (0, 1) and t.index.dtype == np.int64
     assert t.blocks.shape == (0, 2, 2) and t.blocks.dtype == complex
     assert not t.elements.any()
+
+
+@pytest.mark.parametrize("edit, message", [
+    (lambda text: text.replace('{"format": "ttno-v2"',
+                               '{"format": "ttno-v1", "format": "ttno-v2"'),
+     "key 'format' is given twice$"),
+    (lambda text: text.replace('"tensors": {"1": ',
+                               '"tensors": {"8": {}, "1": '),
+     "key '8' is given twice in tensors$"),
+    (lambda text: text.replace('"5": {"legs"', '"5": {"re": [], "legs"'),
+     "key 're' is given twice in tensors > 5$"),
+    (lambda text: text.replace('"tree": {', '"tree": {"root": 5, '),
+     "key 'root' is given twice in tree$"),
+], ids=["format", "site", "re", "tree_root"])
+def test_read_refuses_repeated_keys(tmp_path, demo_hamiltonian, edit,
+                                    message):
+    # json.load kept the last value of a repeated key, so each of these read
+    p = tmp_path / "demo.json"
+    write_ttno(emit_tensors(from_hamiltonian(demo_hamiltonian)), str(p))
+    text = edit(p.read_text())
+    assert text != p.read_text()
+    p.write_text(text)
+    with pytest.raises(ValidationError, match=f"^ttno dump {p}: {message}"):
+        read_ttno(str(p))
+
+
+def test_tensors_share_block_arrays_without_overlap(tmp_path):
+    # the blocks of all tensors of one physical dimension are one array and
+    # their multi-indices one more; each tensor holds its own rows,
+    # including a tensor whose only sum cancels to no block
+    tree = TreeTopology([(0, 1), (1, 2), (1, 3)], root=1,
+                        phys_dims={1: 4, 3: 4})
+    rng = np.random.default_rng(8)
+
+    def matrix(d):
+        return rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+
+    x = matrix(2)
+    specs = []
+    for s in tree.nodes:
+        legs, d = canonical_legs(tree, s), tree.phys_dim(s)
+        pairs = [(tuple(rng.integers(0, 2, len(legs)).tolist()), matrix(d))
+                 for _ in range(4)]
+        specs.append((s, legs, (*[2] * len(legs), d, d),
+                      [((1,), x), ((1,), -x)] if s == 2 else pairs))
+    emitted = TTNO(tree, tensors_from_blocks(specs))
+    assert len(emitted.tensors[2].index) == 0
+    p = tmp_path / "mixed.json"
+    write_ttno(emitted, str(p))
+    back = read_ttno(str(p))
+    star = emit_tensors(from_hamiltonian(
+        oqs_hamiltonian(OQSSpec(2, 2, boson_dim=4), "star")))
+    for ttno in (emitted, back, star):
+        assert {t.phys_dim for t in ttno.tensors.values()} == {2, 4}
+        tensors = list(ttno.tensors.values())
+        for t in tensors:
+            assert t.blocks.shape == (len(t.index), t.phys_dim, t.phys_dim)
+            assert t.index.shape == (len(t.index), len(t.legs))
+        for i, a in enumerate(tensors):
+            for b in tensors[i + 1:]:
+                assert not np.shares_memory(a.blocks, b.blocks)
+                assert not np.shares_memory(a.index, b.index)
+        for d in (2, 4):
+            ts = [t for t in tensors if t.phys_dim == d]
+            for t in ts:
+                assert t.blocks.base is ts[0].blocks.base is not None
+                assert t.index.base is ts[0].index.base is not None
+
+
+def test_read_refuses_bond_dimension_beyond_int64(tmp_path, demo_hamiltonian):
+    # a bond dimension and block index past int64 raised OverflowError
+    p = tmp_path / "demo.json"
+    write_ttno(emit_tensors(from_hamiltonian(demo_hamiltonian)), str(p))
+    p.write_text(_edit(lambda d: _tensor(d, 8).update(
+        shape=[2 ** 70, 2, 2], index=[[0], [2 ** 65]]))(p.read_text()))
+    with pytest.raises(ValidationError, match=(
+            r"^ttno dump, site 8: shape \[1180591620717411303424, 2, 2\] is "
+            r"not a list of 3 integers from 1 to 2\*\*63 - 1")):
+        read_ttno(str(p))
+
+
+class Obj(dict):
+    """A parsed JSON object; the pairs in ``twice`` are written before its
+    items, so that a key in both is given twice."""
+    twice = ()
+
+
+def to_json(x) -> str:
+    """``x`` as JSON text: an ``Obj`` with its repeated pairs, a ``bytes``
+    value as the raw token it holds, anything else as ``json.dumps`` writes
+    it (NaN and Infinity included)."""
+    if isinstance(x, dict):
+        return "{" + ", ".join(f"{json.dumps(k)}: {to_json(v)}" for k, v in (
+            *getattr(x, "twice", ()), *x.items())) + "}"
+    if isinstance(x, list):
+        return "[" + ", ".join(map(to_json, x)) + "]"
+    return x.decode() if isinstance(x, bytes) else json.dumps(x)
+
+
+def objects(x):
+    """Every JSON object within ``x``, ``x`` first."""
+    if isinstance(x, dict):
+        yield x
+        x = list(x.values())
+    for v in x if isinstance(x, list) else ():
+        yield from objects(v)
+
+
+# values of the wrong type or range: huge, negative and fractional numbers,
+# NaN and Infinity (floats), and literals that overflow a double
+ODD_VALUES = st.one_of(
+    st.booleans(), st.none(), st.text("0x.-", max_size=3),
+    st.lists(st.integers(-1, 3), max_size=3), st.floats(),
+    st.integers(-2 ** 70, 2 ** 70),
+    st.sampled_from([-1, 0, 3, 2 ** 63, 2 ** 64, 10 ** 400, 0.5, -0.0,
+                     b"1e400", b"-1e999", b"[[]]"]))
+
+
+FIELDS = ("legs", "shape", "index", "re", "im")
+
+
+@given(data=st.data())
+def check_mutated_dump(path, text, data):
+    doc = json.loads(text, object_pairs_hook=Obj)
+    for _ in range(data.draw(st.integers(1, 3))):
+        kind = data.draw(st.sampled_from(("swap", "missing", "extra",
+                                          "repeat")))
+        obj = data.draw(st.sampled_from(list(objects(doc))))
+        if kind == "swap":  # in a tensor's field, or in a list inside it
+            holder, key = obj, data.draw(st.sampled_from(FIELDS))
+            value = obj.get(key)
+            while isinstance(value, list) and value and data.draw(
+                    st.booleans()):
+                holder, key = value, data.draw(st.integers(0, len(value) - 1))
+                value = holder[key]
+            holder[key] = data.draw(ODD_VALUES)
+        elif kind == "extra":
+            obj[data.draw(st.sampled_from(["x", "9", "0", *FIELDS]))] = (
+                data.draw(ODD_VALUES))
+        elif obj:
+            key = data.draw(st.sampled_from(sorted(obj)))
+            if kind == "missing":
+                del obj[key]
+            else:
+                obj.twice = [(key, data.draw(st.one_of(st.just(obj[key]),
+                                                       ODD_VALUES)))]
+    path.write_text(to_json(doc))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        try:
+            ttno = read_ttno(str(path))
+        except ValidationError as exc:
+            assert str(exc).startswith("ttno dump"), str(exc)
+            return
+        write_ttno(ttno, str(path))
+        first = path.read_bytes()
+        write_ttno(read_ttno(str(path)), str(path))
+    assert path.read_bytes() == first
+
+
+def test_read_mutated_dump_refuses_or_round_trips(tmp_path, demo_hamiltonian,
+                                                  hypothesis_home):
+    # a dump with up to three values of the wrong type or range, or keys
+    # missing, extra or given twice, is read to a TTNO that writes back
+    # stably, or refused with a ValidationError about the dump; nothing
+    # else escapes, not even a warning
+    p = tmp_path / "demo.json"
+    write_ttno(emit_tensors(from_hamiltonian(demo_hamiltonian)), str(p))
+    check_mutated_dump(tmp_path / "mutated.json", p.read_text())
 
 
 def test_read_parses_one_tensor_of_floats_at_a_time(tmp_path):

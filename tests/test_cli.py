@@ -152,6 +152,29 @@ def test_build_refuses_non_canonical_site_keys(tmp_path, capsys, tree_json,
     assert main(["build", str(tree), str(ham), "--out", str(out)]) == EXIT_OK
 
 
+@pytest.mark.parametrize("tree_text, ham_text, at_fault, message", [
+    ('{"root": 2, "root": 1, "edges": [[1, 2]]}',
+     json.dumps({"terms": [PAIR_TERM]}), "tree", "key 'root' is given twice"),
+    (json.dumps({"root": 1, "edges": [[1, 2]]}),
+     '{"terms": [{"factors": {"1": "X"}}, {"factors": {"1": "X", "1": "Z"}}]}',
+     "ham", "key '1' is given twice in terms > 1 > factors"),
+    ('{"root": 1, "edges": [[1, 2]], "phys_dims": {"2": 3, "2": 2}}',
+     json.dumps({"terms": [PAIR_TERM]}), "tree",
+     "key '2' is given twice in phys_dims"),
+], ids=["tree_root", "factors_site", "phys_dims_site"])
+def test_build_refuses_repeated_keys(tmp_path, capsys, tree_text, ham_text,
+                                     at_fault, message):
+    # json.load kept the last value of a repeated key: these built, exit 0
+    tree, ham = tmp_path / "tree.json", tmp_path / "ham.json"
+    tree.write_text(tree_text)
+    ham.write_text(ham_text)
+    out = tmp_path / "o.json"
+    rc = main(["build", str(tree), str(ham), "--out", str(out)])
+    assert rc == EXIT_VALIDATION
+    assert f"{tmp_path / at_fault}.json: {message}\n" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_build_site_mismatch(files):
     tmp, tree, _ = files
     ham = tmp / "mism.json"
