@@ -20,9 +20,10 @@ The writer formats each distinct block once per dump, with one
 ``json.dumps`` call per part for all of a tensor's new blocks, and joins a
 tensor's lists from block texts; its table of texts is emptied before it
 would hold more blocks than the largest tensor so far, so it holds about
-two tensors' texts at a time.  The reader holds one tensor's entries as
-Python objects at a time, one array per parsed list.  The dense
-``ttno-v1`` format is not read: rebuild such a dump from its inputs.
+two tensors' texts at a time.  The reader parses the dump once, holds one
+tensor's entries as Python objects at a time, one array per parsed list,
+and names a bad entry from what it parsed.  The dense ``ttno-v1`` format
+is not read: rebuild such a dump from its inputs.
 """
 
 from __future__ import annotations
@@ -292,20 +293,24 @@ def dense_element_count(ttno: TTNO) -> int:
 # -- dump format ------------------------------------------------------------
 
 
+_FIELDS = ("legs", "shape", "index", "re", "im")  # of a tensor entry
+
+
 def _parsed_floats(obj: dict) -> dict:
     """The reader's JSON hook, after ``UniqueKeys``: a tensor entry's ``re``
     and ``im`` lists become float arrays as soon as the entry is parsed, so
-    that only one tensor's floats are Python objects at a time.  A value
-    that is not a flat list of numbers is left as parsed, for ``read_ttno``
-    to reject."""
-    for key in ("re", "im"):
-        if isinstance(obj.get(key), list):
-            try:
-                values = np.array(obj[key])
-            except (TypeError, ValueError):  # ragged nesting
-                continue
-            if values.ndim == 1 and values.dtype.kind in "fi":
-                obj[key] = values.astype(float, copy=False)
+    that only one tensor's floats are Python objects at a time.  A list is
+    converted if every entry is an int or a float, an integer to the float
+    it rounds to (past the float range, an infinity, refused as ``1e400``
+    is); any other list is left for ``_read_tensor`` to word."""
+    if all(key in obj for key in _FIELDS):
+        for key in ("re", "im"):
+            values = obj[key]
+            if type(values) is list and set(map(type, values)) <= {int, float}:
+                try:
+                    obj[key] = np.array(values, float)
+                except OverflowError:  # float(int) raises, float(str) rounds
+                    obj[key] = np.array([float(str(x)) for x in values])
     return obj
 
 
@@ -393,7 +398,7 @@ def _read_tensor(tree: TreeTopology, s: int, td) -> tuple:
 
     if not isinstance(td, dict):
         raise bad("the tensor entry must be an object")
-    for key in ("legs", "shape", "index", "re", "im"):
+    for key in _FIELDS:
         if key not in td:
             raise bad(f"the tensor has no {key!r}")
     legs = canonical_legs(tree, s)
@@ -431,10 +436,18 @@ def _read_tensor(tree: TreeTopology, s: int, td) -> tuple:
                           f"{rows[k - 1]}; the index must be strictly "
                           f"increasing in row-major order")
     for key in ("re", "im"):
-        if not isinstance(td[key], np.ndarray):  # left so by the hook
+        values = td[key]
+        # the hook left a list: name a boolean if it is the first non-number
+        for i, x in enumerate(values if type(values) is list else ()):
+            if type(x) not in (int, float):
+                if type(x) is bool:
+                    raise bad(f"{key!r} entry {i} is {json.dumps(x)}, not a "
+                              f"finite number")
+                break
+        if not isinstance(values, np.ndarray):
             raise bad(f"{key!r} must be a flat list of numbers")
-        if td[key].size != len(rows) * d * d:
-            raise bad(f"{key!r} holds {td[key].size} numbers, not "
+        if values.size != len(rows) * d * d:
+            raise bad(f"{key!r} holds {values.size} numbers, not "
                       f"{len(rows)} blocks x {d * d}")
     return s, legs, tuple(shape), rows
 
@@ -447,18 +460,14 @@ def read_ttno(path: str) -> TTNO:
     keys = UniqueKeys()
     try:
         with open(path) as fh:
-            text = fh.read()
-        data = json.loads(text, object_pairs_hook=lambda pairs: _parsed_floats(
-            keys(pairs)))
-    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+            data = json.load(fh, object_pairs_hook=lambda pairs: (
+                _parsed_floats(keys(pairs))))
+    except ValueError as exc:
+        # a decode error, or an integer literal past int's digit limit
         raise ValidationError(f"ttno dump {path}: not valid JSON "
                               f"({exc})") from exc
     if keys.repeat:
         raise ValidationError(f"ttno dump {path}: {keys.repeat}")
-    # the hook reads a true or false among numbers as 1.0 or 0.0; the writer
-    # prints neither, so only a dump that holds one is read again below
-    booleans = "true" in text or "false" in text
-    del text  # not held while the tensors are built
     if not isinstance(data, dict):
         raise ValidationError("ttno dump: must be a JSON object")
     if data.get("format") != "ttno-v2":
@@ -493,17 +502,14 @@ def read_ttno(path: str) -> TTNO:
         blocks.real = np.concatenate([td["re"] for td in tds]).reshape(-1, d, d)
         blocks.imag = np.concatenate([td["im"] for td in tds]).reshape(-1, d, d)
     tensors, bad = _tensors(heads, stacks, drop_zeros=False)
-    # a NaN, Infinity, overflowing literal (1e400) or boolean: name it
-    if booleans or bad:
-        with open(path) as fh:
-            raw = json.load(fh)["tensors"]
-        for k, td in raw.items():
-            for key in ("re", "im"):
-                for i, x in enumerate(td[key]):
-                    if type(x) is bool or not math.isfinite(x):
-                        raise ValidationError(
-                            f"ttno dump, site {k}: {key!r} entry {i} is "
-                            f"{json.dumps(x)}, not a finite number")
+    if bad:  # a NaN, Infinity or overflowing literal (1e400): name it
+        t = bad[0]
+        for key, part in ("re", t.blocks.real), ("im", t.blocks.imag):
+            wrong = np.flatnonzero(~np.isfinite(part))
+            if len(wrong):
+                raise ValidationError(
+                    f"ttno dump, site {t.site}: {key!r} entry {wrong[0]} is "
+                    f"{json.dumps(part.flat[wrong[0]])}, not a finite number")
     ttno = TTNO(tree, tensors)
     try:
         ttno.bond_dimensions()  # shared-edge consistency

@@ -24,7 +24,7 @@ from .errors import (DenseCapExceededError, UnknownOperatorError,
                      ValidationError)
 from .operators import (Hamiltonian, OperatorRegistry, ProductTerm,
                         SiteOperator, to_dense)
-from .tree import TreeTopology, UniqueKeys
+from .tree import TreeTopology, UniqueKeys, as_int
 
 EXIT_OK = 0
 EXIT_PARSE = 2
@@ -41,7 +41,8 @@ def _load_json(path: str):
     except json.JSONDecodeError as exc:
         raise _ParseFailure(
             f"{path}: line {exc.lineno} column {exc.colno}: {exc.msg}") from exc
-    except (OSError, UnicodeDecodeError) as exc:
+    except (OSError, ValueError) as exc:
+        # ValueError: not UTF-8, or an integer literal past int's digit limit
         raise _ParseFailure(f"{path}: {exc}") from exc
     if keys.repeat:
         raise ValidationError(f"{path}: {keys.repeat}")
@@ -68,14 +69,12 @@ def load_hamiltonian(tree: TreeTopology, data: dict) -> tuple[Hamiltonian,
     registry = OperatorRegistry()
     for label, spec in operators.items():
         try:
-            dim = spec["dim"]
-            if isinstance(dim, (bool, float)):
-                raise TypeError(f"int() would read or round {dim!r}")
-            dim = int(dim)
-            flat = spec["matrix"]
+            dim, flat = as_int(spec["dim"]), spec["matrix"]
+            if dim is None or any(type(x) is bool for e in flat for x in e):
+                raise TypeError("int() would read '2' as 2, complex() true")
             mat = np.array([complex(re, im) for re, im in flat],
                            dtype=complex)
-        except (KeyError, TypeError, ValueError) as exc:
+        except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise ValidationError(f"operator {label!r}: needs an integer "
                                   f"'dim' and a [re, im] 'matrix'") from exc
         if dim < 1:
@@ -95,7 +94,7 @@ def load_hamiltonian(tree: TreeTopology, data: dict) -> tuple[Hamiltonian,
             if isinstance(re, bool) or isinstance(im, bool):
                 raise TypeError("complex() would read a bool as a number")
             coeff = complex(re, im)
-        except (TypeError, ValueError) as exc:
+        except (TypeError, ValueError, OverflowError) as exc:
             raise ValidationError(f"term {i}: 'coeff' must be a [re, im] "
                                   f"pair of numbers") from exc
         if not cmath.isfinite(coeff):

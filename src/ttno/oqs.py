@@ -17,6 +17,7 @@ what yields the compact chain profile (5,6)/(6,6)/(6,5).
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 
 from .errors import ValidationError
@@ -94,21 +95,12 @@ def oqs_terms(spec: OQSSpec) -> list[ProductTerm]:
     return terms
 
 
-def _pick_root(edges, nodes) -> int:
-    """Smallest non-leaf site (smallest site for degenerate trees)."""
-    degree = {n: 0 for n in nodes}
-    for a, b in edges:
-        degree[a] += 1
-        degree[b] += 1
-    interior = [n for n in sorted(nodes) if degree[n] > 1]
-    return interior[0] if interior else min(nodes)
-
-
 def _topology(spec: OQSSpec, edges) -> TreeTopology:
-    """The tree over all sites of ``spec`` with the given edges."""
-    nodes = list(range(n_sites(spec)))
-    return TreeTopology(edges, _pick_root(edges, nodes), _phys_dims(spec),
-                        nodes=nodes)
+    """The tree over all sites of ``spec`` with the given edges, rooted at
+    its smallest non-leaf site (site 0 for one or two sites)."""
+    degree = Counter(s for e in edges for s in e)
+    root = min((s for s, k in degree.items() if k > 1), default=0)
+    return TreeTopology(edges, root, _phys_dims(spec))
 
 
 def chain_topology(spec: OQSSpec) -> TreeTopology:

@@ -1,8 +1,10 @@
 """Rooted unordered trees of quantum sites.
 
-Sites are opaque non-negative integers.  The tree is stored undirected with
-the root recorded separately, so re-rooting is a cheap pure function.
-Canonical iteration order is ascending site id everywhere.
+Sites are opaque non-negative integers: the endpoints of the edges, or the
+root alone for a single-site tree (``TreeTopology([], root)``).  The tree is
+stored undirected with the root recorded separately, so re-rooting is a
+cheap pure function.  Canonical iteration order is ascending site id
+everywhere.
 
 Every rooted view of a tree is a :class:`Rooting`.  ``TreeTopology.rooting``,
 at the chosen root, answers the parent, child, leaf, depth, distance and
@@ -164,31 +166,21 @@ class TreeTopology:
     Parameters
     ----------
     edges:
-        Iterable of site pairs.  May be empty for a single-site system.
+        Iterable of site pairs; the sites are their endpoints.  Empty for
+        the single-site tree at ``root``.
     root:
-        Root site.  Must be a member of the node set.
+        Root site.  Must be an endpoint of an edge if there are any.
     phys_dims:
         Optional map site -> physical dimension (default 2 per site).
-    nodes:
-        Optional explicit node set; required for a single-site tree,
-        otherwise inferred from the edges.
     """
 
-    def __init__(self, edges, root, phys_dims=None, nodes=None):
+    def __init__(self, edges, root, phys_dims=None):
         site_id = as_int(root)
         if site_id is None:
             raise ValidationError(f"root {root!r} is not an integer site id")
         root = site_id
         edge_set: set[Edge] = set()
         node_set: set[int] = set()
-        for node in nodes if nodes is not None else ():
-            site_id = as_int(node)
-            if site_id is None:
-                raise ValidationError(f"node {node!r} is not an integer "
-                                      f"site id")
-            if site_id < 0:
-                raise ValidationError("site ids must be non-negative")
-            node_set.add(site_id)
         for edge in edges:
             try:
                 a, b = edge
@@ -208,8 +200,10 @@ class TreeTopology:
             edge_set.add(e)
             node_set.add(a)
             node_set.add(b)
-        if not node_set:
-            raise ValidationError("tree must contain at least one site")
+        if not edge_set:
+            if root < 0:
+                raise ValidationError("site ids must be non-negative")
+            node_set.add(root)
         if root not in node_set:
             raise ValidationError(f"root {root} is not a site")
         if len(edge_set) != len(node_set) - 1:
@@ -222,11 +216,19 @@ class TreeTopology:
         self.edges: tuple[Edge, ...] = tuple(sorted(edge_set))
         self.root: int = root
 
+        # sorted edges (a, b), a < b, list each site's neighbours and edges
+        # in ascending order; ``incident[s]`` is the edges of ``s`` in
+        # neighbour order, for every rooting
         adj: dict[int, list[int]] = {s: [] for s in self.nodes}
-        for a, b in self.edges:
+        incident: dict[int, list[Edge]] = {s: [] for s in self.nodes}
+        for e in self.edges:
+            a, b = e
             adj[a].append(b)
             adj[b].append(a)
-        self._adj = {s: tuple(sorted(ns)) for s, ns in adj.items()}
+            incident[a].append(e)
+            incident[b].append(e)
+        self._adj = {s: tuple(ns) for s, ns in adj.items()}
+        self.incident = {s: tuple(es) for s, es in incident.items()}
 
         self.phys_dims: dict[int, int] = {s: 2 for s in self.nodes}
         if phys_dims:
@@ -292,12 +294,6 @@ class TreeTopology:
         return set(self.rooting.order[a:b])
 
     @cached_property
-    def incident(self) -> dict[int, tuple[Edge, ...]]:
-        """The edges of each site in neighbour order, for every rooting."""
-        return {s: tuple(edge_key(s, n) for n in nbrs)
-                for s, nbrs in self._adj.items()}
-
-    @cached_property
     def last_leaf_rooting(self) -> Rooting:
         """This tree rooted at its last leaf, ``leaves()[-1]``, computed
         once per tree."""
@@ -308,15 +304,13 @@ class TreeTopology:
     def re_root(self, new_root: int) -> "TreeTopology":
         """Same undirected tree, rooted elsewhere."""
         self._check(new_root)
-        return TreeTopology(self.edges, new_root, dict(self.phys_dims),
-                            nodes=self.nodes)
+        return TreeTopology(self.edges, new_root, dict(self.phys_dims))
 
     def __eq__(self, other):
         return (isinstance(other, TreeTopology)
                 and self.edges == other.edges
                 and self.root == other.root
-                and self.phys_dims == other.phys_dims
-                and self.nodes == other.nodes)
+                and self.phys_dims == other.phys_dims)
 
     def __repr__(self):
         return (f"TreeTopology({len(self.nodes)} sites, root={self.root}, "
@@ -347,8 +341,5 @@ class TreeTopology:
         if not isinstance(phys, dict):
             raise ValidationError("tree JSON 'phys_dims' must be an object "
                                   "mapping site ids to dimensions")
-        nodes = None
-        if not edges:
-            nodes = [root]
-        return cls(edges, root, phys, nodes=nodes)
+        return cls(edges, root, phys)
 

@@ -1,6 +1,7 @@
 import hashlib
 import json
 import math
+import re
 import tracemalloc
 import warnings
 from collections import Counter
@@ -362,7 +363,7 @@ def test_dump_round_trip_bit_exact(tmp_path, demo_hamiltonian):
     t8 = edited.tensors[8]
     edited.tensors[8] = replace(t8, index=t8.index[:0], blocks=t8.blocks[:0])
     # a single-site tree: a tensor without bond legs
-    lone = TreeTopology([], root=0, nodes=[0])
+    lone = TreeTopology([], root=0)
     single = emit_tensors(from_hamiltonian(Hamiltonian(lone, [ProductTerm(
         2.0, {0: SiteOperator("X", 2)})])))
     for name, ttno in [("demo", demo), ("edited", edited),
@@ -487,7 +488,7 @@ def block_ttnos(draw):
     edges = [(k, draw(st.integers(0, k - 1))) for k in range(1, n)]
     dims = draw(st.lists(st.sampled_from((1, 2, 3)), min_size=n, max_size=n))
     tree = TreeTopology(edges, draw(st.integers(0, n - 1)),
-                        dict(enumerate(dims)), nodes=range(n))
+                        dict(enumerate(dims)))
     bond = {e: draw(st.integers(1, 3)) for e in tree.edges}
     finite = draw(st.booleans())
     pools = {d: [bits_block(draw, d, finite)
@@ -698,6 +699,81 @@ def test_read_refuses_repeated_keys(tmp_path, demo_hamiltonian, edit,
     assert text != p.read_text()
     p.write_text(text)
     with pytest.raises(ValidationError, match=f"^ttno dump {p}: {message}"):
+        read_ttno(str(p))
+
+
+@pytest.mark.parametrize("entry", [math.nan, True],
+                         ids=["nan", "true"])
+def test_read_parses_the_dump_once(tmp_path, demo_hamiltonian, monkeypatch,
+                                   entry):
+    # a NaN or a boolean entry was named by parsing the dump a second time
+    p = tmp_path / "demo.json"
+    write_ttno(emit_tensors(from_hamiltonian(demo_hamiltonian)), str(p))
+    p.write_text(_edit(lambda d: _tensor(d, 5)["re"].__setitem__(1, entry))(
+        p.read_text()))
+    parses = []
+    decode = json.JSONDecoder.decode
+    monkeypatch.setattr(json.JSONDecoder, "decode", lambda self, text: (
+        parses.append(1), decode(self, text))[1])
+    with pytest.raises(ValidationError, match=(
+            f"site 5: 're' entry 1 is {json.dumps(entry)}, not a finite")):
+        read_ttno(str(p))
+    assert len(parses) == 1
+
+
+@pytest.mark.parametrize("entry", [2 ** 64, 2 ** 1024 - 2 ** 970 - 1],
+                         ids=["2**64", "largest_rounding_to_a_float"])
+def test_read_takes_integer_entries_past_int64(tmp_path, demo_hamiltonian,
+                                               entry):
+    # numpy made a list holding 2**64 uint64, and the reader refused it as
+    # "'re' must be a flat list of numbers"
+    p = tmp_path / "demo.json"
+    write_ttno(emit_tensors(from_hamiltonian(demo_hamiltonian)), str(p))
+    p.write_text(_edit(lambda d: _tensor(d, 8)["re"].__setitem__(0, entry))(
+        p.read_text()))
+    assert read_ttno(str(p)).tensors[8].blocks.real.flat[0] == float(entry)
+
+
+@pytest.mark.parametrize("entry, message", [
+    (10 ** 400, "'im' entry 2 is Infinity, not a finite number"),
+    (2 ** 1024 - 2 ** 970, "'im' entry 2 is Infinity, not a finite number"),
+    (-2 ** 1024, "'im' entry 2 is -Infinity, not a finite number"),
+], ids=["10**400", "rounds_past_max", "minus_2**1024"])
+def test_read_refuses_integers_no_float_holds(tmp_path, demo_hamiltonian,
+                                              entry, message):
+    # an integer that rounds past the largest float is refused as 1e400 is;
+    # it was called "'im' must be a flat list of numbers"
+    p = tmp_path / "demo.json"
+    write_ttno(emit_tensors(from_hamiltonian(demo_hamiltonian)), str(p))
+    p.write_text(_edit(lambda d: _tensor(d, 8)["im"].__setitem__(2, entry))(
+        p.read_text()))
+    with pytest.raises(ValidationError,
+                       match=f"^ttno dump, site 8: {re.escape(message)}$"):
+        read_ttno(str(p))
+
+
+def test_read_converts_only_tensor_entries(tmp_path, demo_hamiltonian):
+    # a tree object's "re" list became an array, shown by its numpy repr
+    p = tmp_path / "demo.json"
+    write_ttno(emit_tensors(from_hamiltonian(demo_hamiltonian)), str(p))
+    p.write_text(_edit(lambda d: d["tree"]["phys_dims"].update(re=[1, 2]))(
+        p.read_text()))
+    with pytest.raises(ValidationError, match=re.escape(
+            "ttno dump, tree: phys_dims entry 're': [1, 2] is not an integer "
+            "pair")):
+        read_ttno(str(p))
+
+
+def test_read_refuses_integer_past_the_digit_limit(tmp_path,
+                                                   demo_hamiltonian):
+    # Python's int() refuses a literal of more than 4,300 digits, and
+    # json raised that ValueError from read_ttno
+    p = tmp_path / "demo.json"
+    write_ttno(emit_tensors(from_hamiltonian(demo_hamiltonian)), str(p))
+    p.write_text(_edit(lambda d: _tensor(d, 8)["re"].__setitem__(0, 0.125))(
+        p.read_text()).replace("0.125", "1" * 5000))
+    with pytest.raises(ValidationError, match=f"^ttno dump {p}: not valid "
+                                              f"JSON .*4300 digits"):
         read_ttno(str(p))
 
 

@@ -1,19 +1,23 @@
+import io
 import json
 import os
 import subprocess
 import sys
 import warnings
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from ttno.assembly import (dense_element_count, element_count, read_ttno,
                            write_ttno)
 from ttno.cli import (EXIT_CAP, EXIT_OK, EXIT_PARSE, EXIT_VALIDATION,
                       load_hamiltonian, main, verify_dump_against)
 from ttno.operators import random_hamiltonian
-from ttno.tree import TreeTopology
+from ttno.tree import TreeTopology, json_key_int
 
 from conftest import DEMO_EDGES, refuse_allocation
 from oracles import pick_nonleaf_root, random_tree_edges
@@ -302,6 +306,128 @@ def test_build_refuses_overflowing_block_sum(tmp_path, capsys):
     assert capsys.readouterr().err == (
         "validation error: site 0: the matrices summed into block () "
         "overflow to non-finite entries\n")
+
+
+Q_MATRIX = [[0, 0], [1, 0.5], [1, -0.5], [0, 0]]
+
+
+@pytest.mark.parametrize("operator", [
+    {"dim": "2", "matrix": Q_MATRIX},
+    {"dim": " 2", "matrix": Q_MATRIX},
+    {"dim": 2, "matrix": [[True, 0]] + Q_MATRIX[1:]},
+    {"dim": 2, "matrix": Q_MATRIX[:3] + [[1, False]]},
+], ids=["dim_string", "dim_spaced_string", "entry_true", "entry_false"])
+def test_build_refuses_coerced_operator_values(tmp_path, capsys, operator):
+    # int() read "2" and " 2" as 2, and complex() read true as 1 and false
+    # as 0: these built, exit 0
+    rc, wrote = build_refusing_overflow(tmp_path, TREE_JSON, {
+        "operators": {"Q": operator}, "terms": [
+            {"coeff": [1, 0], "factors": {"1": "Q", "2": "X"}}]})
+    assert rc == EXIT_VALIDATION and not wrote
+    assert capsys.readouterr().err == (
+        "validation error: operator 'Q': needs an integer 'dim' and a "
+        "[re, im] 'matrix'\n")
+
+
+@pytest.mark.parametrize("ham, message", [
+    ({"operators": {"Q": {"dim": 2, "matrix": [[10 ** 400, 0]]
+                          + Q_MATRIX[1:]}}, "terms": [PAIR_TERM]},
+     "operator 'Q': needs an integer 'dim' and a [re, im] 'matrix'"),
+    ({"terms": [PAIR_TERM, {"coeff": [0, -10 ** 400], "factors": {}}]},
+     "term 1: 'coeff' must be a [re, im] pair of numbers"),
+], ids=["matrix_entry", "coeff"])
+def test_build_refuses_integers_no_float_holds(tmp_path, capsys, ham,
+                                               message):
+    # complex() raised OverflowError, a traceback from the CLI
+    rc, wrote = build_refusing_overflow(tmp_path, TREE_JSON, ham)
+    assert rc == EXIT_VALIDATION and not wrote
+    assert capsys.readouterr().err == f"validation error: {message}\n"
+
+
+def test_build_integer_past_the_digit_limit_is_a_parse_error(files, capsys):
+    # Python's int() refuses a literal of more than 4,300 digits: json
+    # raised that ValueError from the CLI
+    tmp, tree, _ = files
+    ham = tmp / "long.json"
+    ham.write_text(json.dumps({"terms": [PAIR_TERM]}).replace(
+        "[1, 0]", f"[{'1' * 5000}, 0]"))
+    out = tmp / "o.json"
+    assert main(["build", tree, str(ham), "--out", str(out)]) == EXIT_PARSE
+    assert capsys.readouterr().err.startswith(f"parse error: {ham}: Exceeds")
+    assert not out.exists()
+
+
+FUZZ_HAM_JSON = {
+    "operators": {"Q": {"dim": 2, "matrix": Q_MATRIX}},
+    "terms": HAM_JSON["terms"] + [
+        {"coeff": [0.5, -0.25], "factors": {"3": "Q", "8": "Z"}}]}
+
+# JSON values of every type: numbers of every range, NaN and Infinity
+# among the floats, and strings that int() or a registry would take
+JSON_VALUES = st.one_of(
+    st.booleans(), st.none(), st.integers(-3, 3), st.floats(),
+    st.text("0129 .xX-", max_size=3),
+    st.lists(st.integers(0, 2), max_size=2),
+    st.dictionaries(st.sampled_from("ab"), st.integers(0, 2), max_size=1),
+    st.sampled_from([2 ** 64, 10 ** 400, -10 ** 400, "2", " 2", "Z", "Q"]))
+
+
+def _is_number(x) -> bool:
+    return type(x) in (int, float)
+
+
+# what each swapped value must be for the build to be able to succeed
+TAKES = {"coeff": _is_number, "matrix": _is_number,
+         "dim": lambda x: type(x) is int,
+         "key": lambda x: json_key_int(x) is not None,
+         "label": lambda x: type(x) is str}
+
+
+@given(data=st.data())
+def check_hamiltonian_swap(tree, ham, out, data):
+    doc = json.loads(json.dumps(FUZZ_HAM_JSON))
+    terms, q = doc["terms"], doc["operators"]["Q"]
+    kind = data.draw(st.sampled_from(sorted(TAKES)))
+    value = data.draw(JSON_VALUES)
+    term = data.draw(st.sampled_from(terms))
+    site = data.draw(st.sampled_from(sorted(term["factors"])))
+    if kind == "coeff":
+        term["coeff"][data.draw(st.integers(0, 1))] = value
+    elif kind == "matrix":
+        data.draw(st.sampled_from(q["matrix"]))[
+            data.draw(st.integers(0, 1))] = value
+    elif kind == "dim":
+        q["dim"] = value
+    elif kind == "label":
+        term["factors"][site] = value
+    else:  # the key spells the value
+        value = value if isinstance(value, str) else json.dumps(value)
+        term["factors"] = {value if k == site else k: label
+                           for k, label in term["factors"].items()}
+    ham.write_text(json.dumps(doc))
+    if out.exists():
+        out.unlink()
+    err = io.StringIO()
+    with warnings.catch_warnings(), redirect_stderr(err), redirect_stdout(
+            io.StringIO()):
+        warnings.simplefilter("error")
+        rc = main(["build", str(tree), str(ham), "--out", str(out)])
+    if rc == EXIT_OK:
+        assert TAKES[kind](value) and out.exists()
+    else:
+        assert rc == EXIT_VALIDATION, err.getvalue()
+        assert not out.exists()
+
+
+def test_build_swapped_hamiltonian_value_refused_or_built(files,
+                                                          hypothesis_home):
+    # one value of the Hamiltonian JSON (a coeff part, a matrix entry, the
+    # dim, a factor key or label) swapped for a value of any JSON type:
+    # the build exits 0 or 3, and 0 only if the value is of the type the
+    # field takes; nothing escapes, not even a warning, and a refused build
+    # writes no dump
+    tmp, tree, _ = files
+    check_hamiltonian_swap(Path(tree), tmp / "fuzz.json", tmp / "out.json")
 
 
 def test_build_random40_without_dense_tensors(tmp_path):

@@ -32,7 +32,7 @@ def path_keys(diagram):
 
 
 @pytest.mark.parametrize("topology", [
-    demo_tree(), demo_tree(root=3), TreeTopology([], root=0, nodes=[0])])
+    demo_tree(), demo_tree(root=3), TreeTopology([], root=0)])
 def test_empty_diagram(topology):
     g = StateDiagram(topology)
     g.validate()
@@ -107,7 +107,7 @@ def test_add_duplicate_term_rejected(demo_hamiltonian):
     # from_hamiltonian takes the term keys from the Hamiltonian's table,
     # so a raw term that folds onto one of them is refused too
     x = SiteOperator("X", 2)
-    single = TreeTopology([], root=0, nodes=[0])
+    single = TreeTopology([], root=0)
     h = Hamiltonian(single, [ProductTerm(1.0, {0: x.scaled(2)})])
     g = from_hamiltonian(h)
     with pytest.raises(DuplicateTermError, match="term already represented"):
@@ -514,8 +514,7 @@ def oracle_suite():
     rng = np.random.default_rng(6060)
     for trial in range(320):
         n = int(rng.integers(1, 32))
-        tree = TreeTopology(random_tree_edges(rng, n), int(rng.integers(n)),
-                            nodes=range(n))
+        tree = TreeTopology(random_tree_edges(rng, n), int(rng.integers(n)))
         support = (None, 2, 3, 4)[trial % 4]
         k = n if support is None else min(support, n)
         n_possible = sum(math.comb(n, j) * 3 ** j for j in range(1, k + 1))
@@ -573,8 +572,7 @@ X2, Y2, Z2 = (SiteOperator(label, 2) for label in "XYZ")
     ([(1, 2), (2, 3), (2, 4)], 2, [{3: X2}, {}, {1: Z2}, (-1.0, {})]),
 ])
 def test_matches_reference_construction_on_edge_cases(edges, root, terms):
-    nodes = {s for e in edges for s in e} or {root}
-    tree = TreeTopology(edges, root, nodes=nodes)
+    tree = TreeTopology(edges, root)
     h = Hamiltonian(tree, [ProductTerm(*t) if isinstance(t, tuple)
                            else ProductTerm(1.0, t) for t in terms])
     assert_matches_reference(h)

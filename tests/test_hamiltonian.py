@@ -128,20 +128,20 @@ def test_term_equality_is_order_insensitive():
 
 
 def test_to_dense_single_site():
-    t = TreeTopology([], root=1, nodes=[1])
+    t = TreeTopology([], root=1)
     h = Hamiltonian(t, [ProductTerm(1.0, {1: SiteOperator("X", 2)})])
     assert np.allclose(to_dense(h), X)
 
 
 def test_duplicate_terms_rejected():
-    t = TreeTopology([], root=1, nodes=[1])
+    t = TreeTopology([], root=1)
     dup = ProductTerm(1.0, {1: SiteOperator("X", 2)})
     with pytest.raises(DuplicateTermError):
         Hamiltonian(t, [dup, ProductTerm(1.0, {1: SiteOperator("X", 2)})])
 
 
 def test_duplicates_detected_after_folding():
-    t = TreeTopology([], root=0, nodes=[0])
+    t = TreeTopology([], root=0)
     a = ProductTerm(2.0, {0: SiteOperator("X", 2)})
     b = ProductTerm(1.0, {0: SiteOperator("X", 2).scaled(2.0)})
     with pytest.raises(DuplicateTermError):
@@ -200,7 +200,7 @@ def test_random_hamiltonian_terms_distinct(tree):
 
 
 def test_random_hamiltonian_pigeonhole():
-    single = TreeTopology([], root=0, nodes=[0])
+    single = TreeTopology([], root=0)
     random_hamiltonian(single, 3, ("X", "Y", "Z"), seed=1)  # exactly possible
     with pytest.raises(ValidationError):
         random_hamiltonian(single, 4, ("X", "Y", "Z"), seed=1)
@@ -315,7 +315,7 @@ def test_random_stream_pinned():
     demo = demo_tree()
     mixed = TreeTopology([(0, 1), (1, 2)], root=1, phys_dims={2: 4})
     pair = TreeTopology([(0, 1)], root=0)
-    single = TreeTopology([], root=0, nodes=[0])
+    single = TreeTopology([], root=0)
     hs = [random40_hamiltonian(1)]
     hs += [random_hamiltonian(demo, n, ("X", "Y", "Z"), None, seed=[1, n, i])
            for n in (5, 10, 20, 30) for i in range(3)]

@@ -8,7 +8,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from ttno.errors import ValidationError
-from ttno.tree import TreeTopology
+from ttno.tree import TreeTopology, edge_key
 
 from conftest import (DEMO_EDGES, ball, boundary, component_without_edge,
                       demo_tree, tree_from_json, tree_to_json)
@@ -117,7 +117,7 @@ def _random_rooted_trees(seed, count):
         ends = np.flatnonzero(degree == 1)
         root = (int(rng.choice(ends)) if k % 4 == 0 and len(ends)
                 else int(rng.integers(n)))
-        yield rng, edges, TreeTopology(edges, root, nodes=range(n))
+        yield rng, edges, TreeTopology(edges, root)
 
 
 def _preorder(edges, root):
@@ -148,6 +148,31 @@ def test_rooting_is_a_preorder_with_ascending_children():
                 below = (set(tree.nodes) if s == r.root else
                          component_without_edge(tree, (s, r.up[s]), s))
                 assert set(r.order[a:b]) == below
+
+
+def test_neighbours_and_incident_edges_ascend():
+    # one pass over the sorted edges lists each site's neighbours and edges
+    # in ascending order, whatever the order and orientation of the input
+    for rng, edges, tree in _random_rooted_trees(13, 60):
+        edges = [e[::-1] if rng.integers(2) else e for e in edges]
+        rng.shuffle(edges)
+        shuffled = TreeTopology(edges, tree.root)
+        assert shuffled == tree
+        for s in tree.nodes:
+            nbrs = shuffled.neighbours(s)
+            assert list(nbrs) == sorted(
+                {b for a, b in edges if a == s} | {a for a, b in edges
+                                                   if b == s})
+            assert shuffled.incident[s] == tuple(edge_key(s, n)
+                                                 for n in nbrs)
+
+
+def test_single_site_tree():
+    tree = TreeTopology([], 5)
+    assert (tree.nodes, tree.edges, tree.root) == ((5,), (), 5)
+    assert tree.neighbours(5) == () and tree.incident == {5: ()}
+    assert tree.leaves() == (5,) and tree.phys_dims == {5: 2}
+    assert tree == TreeTopology.from_json_dict({"root": 5, "edges": []})
 
 
 def test_steiner_matches_cut_oracle():
@@ -254,21 +279,18 @@ def test_json_site_keys_in_canonical_form_only(phys_dims, message):
     assert tree.phys_dims == {1: 2, 2: 2, 10: 3}
 
 
-@pytest.mark.parametrize("edges, root, nodes, phys_dims, message", [
-    ([], 1, [1.0], None, "node 1.0"),
-    ([(0, 1)], 0, [True], None, "node True"),
-    ([], 1, ["1"], None, "node '1'"),
-    ([], -1, [-1], None, "non-negative"),
-    ([(0, 1)], 0, None, {True: 3, 0.9: 5}, "phys_dims entry True: 3"),
-    ([(0, 1)], 0, None, {0.9: 5}, "phys_dims entry 0.9: 5"),
-    ([(0, 1)], 0, None, {1: 3, "1": 4}, "keys 1 and '1' both name site 1"),
+@pytest.mark.parametrize("edges, root, phys_dims, message", [
+    ([], -1, None, "site ids must be non-negative"),
+    ([(0, 1)], -1, None, "root -1 is not a site"),
+    ([(0, 1)], 0, {True: 3, 0.9: 5}, "phys_dims entry True: 3"),
+    ([(0, 1)], 0, {0.9: 5}, "phys_dims entry 0.9: 5"),
+    ([(0, 1)], 0, {1: 3, "1": 4}, "keys 1 and '1' both name site 1"),
 ])
-def test_python_site_ids_checked(edges, root, nodes, phys_dims, message):
-    # the nodes and the phys_dims keys went unchecked: nodes=[True] added
-    # site True, and {True: 3, 0.9: 5} set sites 1 and 0
+def test_python_site_ids_checked(edges, root, phys_dims, message):
+    # the phys_dims keys went unchecked: {True: 3, 0.9: 5} set sites 1 and 0
     with pytest.raises(ValidationError, match=re.escape(message)):
-        TreeTopology(edges, root, phys_dims, nodes=nodes)
-    tree = TreeTopology([(0, 1)], 0, {np.int64(1): 3}, nodes=[np.int64(1)])
+        TreeTopology(edges, root, phys_dims)
+    tree = TreeTopology([(0, 1)], 0, {np.int64(1): 3})
     assert tree.nodes == (0, 1) and tree.phys_dims == {0: 2, 1: 3}
     assert all(type(x) is int for x in (*tree.nodes, *tree.phys_dims))
 
