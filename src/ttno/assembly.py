@@ -16,14 +16,15 @@ emission and read.  The dense array is built only on request, to verify.
 Dump format ``ttno-v2``: ``{"format": "ttno-v2", "tree": ..., "tensors":
 {"<site>": {"legs", "shape", "index", "re", "im"}}}``, where ``re`` and
 ``im`` hold the blocks' entries, row-major and concatenated, all finite.
-The writer formats each distinct block once per dump, with one
-``json.dumps`` call per part for all of a tensor's new blocks, and joins a
-tensor's lists from block texts; its table of texts is emptied before it
-would hold more blocks than the largest tensor so far, so it holds about
-two tensors' texts at a time.  The reader parses the dump once, holds one
-tensor's entries as Python objects at a time, one array per parsed list,
-and names a bad entry from what it parsed.  The dense ``ttno-v1`` format
-is not read: rebuild such a dump from its inputs.
+The writer keeps one table from a block's bytes to its ``re`` and ``im``
+texts, so each distinct block is formatted once per dump: a tensor's new
+blocks take one ``json.dumps`` call per part, split at once into block
+texts, and every tensor's lists are joins of block texts.  The table is
+emptied before it would hold more blocks than the largest tensor so far,
+so it holds about two tensors' texts at a time.  The reader parses the
+dump once, holds one tensor's entries as Python objects at a time, one
+array per parsed list, and names a bad entry from what it parsed.  The
+dense ``ttno-v1`` format is not read: rebuild such a dump from its inputs.
 """
 
 from __future__ import annotations
@@ -319,8 +320,6 @@ def _block_texts(text: str, size: int) -> list[str]:
     JSON list ``text``: ``"[a, b, c, d]"`` gives ``["a, b", "c, d"]`` for
     ``size`` 2."""
     entries = text[1:-1].split(", ")
-    if size == 1:
-        return entries
     return [", ".join(entries[k:k + size])
             for k in range(0, len(entries), size)]
 
@@ -333,18 +332,12 @@ def write_ttno(ttno: TTNO, path: str) -> None:
     tensor entry is one write, and each distinct block is formatted once
     per dump: a table maps a block's bytes to the texts of its ``re`` and
     ``im`` entries.  A tensor's blocks that are not in the table are
-    formatted together, one ``json.dumps`` call per part.  When those are
-    all of its blocks, the two texts are its lists, and they are split
-    into block texts only when a later tensor repeats one of the blocks;
-    otherwise its lists are joins of block texts.  The table is emptied
+    formatted together, one ``json.dumps`` call per part, and split into
+    block texts; its lists are joins of block texts.  The table is emptied
     before it would hold more blocks than the largest tensor so far, so
     memory holds about two tensors' texts at a time.
     """
     texts: dict[bytes, tuple[str, str]] = {}  # block bytes -> re, im text
-    # blocks whose texts are still parts of one tensor's whole lists: block
-    # bytes -> tensor number, and tensor number -> its blocks and lists
-    pending: dict[bytes, int] = {}
-    lists: dict[int, tuple[list[bytes], str, str]] = {}
     largest = 0
     with open(path, "w") as fh:
         fh.write('{"format": "ttno-v2", "tree": ')
@@ -355,34 +348,17 @@ def write_ttno(ttno: TTNO, path: str) -> None:
             keys = np.ascontiguousarray(t.blocks, dtype=complex).reshape(
                 len(t.blocks), size).view(f"V{16 * size}").ravel().tolist()
             largest = max(largest, len(keys))
-            new = [k for k in dict.fromkeys(keys)
-                   if k not in texts and k not in pending]
-            if len(texts) + len(pending) + len(new) > largest:
+            new = [k for k in dict.fromkeys(keys) if k not in texts]
+            if len(texts) + len(new) > largest:
                 texts.clear()
-                pending.clear()
-                lists.clear()
                 new = list(dict.fromkeys(keys))
             if new:
                 entries = np.frombuffer(b"".join(new), complex)
-                re = json.dumps(entries.real.tolist())
-                im = json.dumps(entries.imag.tolist())
-                if len(new) == len(keys):
-                    lists[i] = new, re, im
-                    pending.update(dict.fromkeys(new, i))
-                else:
-                    texts.update(zip(new, zip(_block_texts(re, size),
-                                              _block_texts(im, size))))
-            if i not in lists:
-                # equal blocks have equal sizes: those lists hold blocks of
-                # ``size`` entries too
-                for j in {pending[k] for k in keys if k in pending}:
-                    blocks, re, im = lists.pop(j)
-                    texts.update(zip(blocks, zip(_block_texts(re, size),
-                                                 _block_texts(im, size))))
-                    for k in blocks:
-                        del pending[k]
-                re = f"[{', '.join([texts[k][0] for k in keys])}]"
-                im = f"[{', '.join([texts[k][1] for k in keys])}]"
+                texts.update(zip(new, zip(
+                    _block_texts(json.dumps(entries.real.tolist()), size),
+                    _block_texts(json.dumps(entries.imag.tolist()), size))))
+            re = f"[{', '.join([texts[k][0] for k in keys])}]"
+            im = f"[{', '.join([texts[k][1] for k in keys])}]"
             head = json.dumps({"legs": t.legs, "shape": t.shape,
                                "index": t.index.tolist()})
             fh.write(f'{", " if i else ""}"{s}": {head[:-1]}, "re": {re}, '

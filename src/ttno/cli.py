@@ -53,6 +53,16 @@ class _ParseFailure(Exception):
     pass
 
 
+def _number(x):
+    """``x`` for ``complex()``: a bool is refused, and an integer no float
+    holds is the infinity it rounds to, as ``read_ttno`` reads it."""
+    if type(x) is bool:
+        raise TypeError("complex() would read a bool as a number")
+    if type(x) is int and abs(x) > sys.float_info.max:
+        return float(str(x))  # float(x) raises OverflowError
+    return x
+
+
 def load_hamiltonian(tree: TreeTopology, data: dict) -> tuple[Hamiltonian,
                                                               OperatorRegistry]:
     """Hamiltonian and operator registry from parsed JSON; every malformed
@@ -70,11 +80,11 @@ def load_hamiltonian(tree: TreeTopology, data: dict) -> tuple[Hamiltonian,
     for label, spec in operators.items():
         try:
             dim, flat = as_int(spec["dim"]), spec["matrix"]
-            if dim is None or any(type(x) is bool for e in flat for x in e):
-                raise TypeError("int() would read '2' as 2, complex() true")
-            mat = np.array([complex(re, im) for re, im in flat],
-                           dtype=complex)
-        except (KeyError, TypeError, ValueError, OverflowError) as exc:
+            if dim is None:
+                raise TypeError("int() would read '2' as 2")
+            mat = np.array([complex(_number(re), _number(im))
+                            for re, im in flat], dtype=complex)
+        except (KeyError, TypeError, ValueError) as exc:
             raise ValidationError(f"operator {label!r}: needs an integer "
                                   f"'dim' and a [re, im] 'matrix'") from exc
         if dim < 1:
@@ -90,11 +100,9 @@ def load_hamiltonian(tree: TreeTopology, data: dict) -> tuple[Hamiltonian,
         if not isinstance(raw_factors, dict):
             raise ValidationError(f"term {i}: needs an object 'factors'")
         try:
-            re, im = raw.get("coeff", [1.0, 0.0])
-            if isinstance(re, bool) or isinstance(im, bool):
-                raise TypeError("complex() would read a bool as a number")
+            re, im = map(_number, raw.get("coeff", [1.0, 0.0]))
             coeff = complex(re, im)
-        except (TypeError, ValueError, OverflowError) as exc:
+        except (TypeError, ValueError) as exc:
             raise ValidationError(f"term {i}: 'coeff' must be a [re, im] "
                                   f"pair of numbers") from exc
         if not cmath.isfinite(coeff):

@@ -68,15 +68,20 @@ channels; the graft visits only the sites that send nothing, in site
 order, so vertex uids and hyperedge order are those of a graft over every
 site.
 
-Messages are looked up in per-site hash indexes instead of scans.
-``eps[s]`` is the full index of site ``s``, so the graft asks once whether
-the new path's hyperedge exists.  The *open* index of a site's i-th incident
-edge maps ``(op_id, vertices on the other edges)`` to the tuple of
-hyperedges with that key in creation order (at a leaf the key is the
-operator alone): the candidates of the message the site sends over edge i.
-It holds a hyperedge only if it was the first at its site on its vertex of
-edge i.  A later one shares that vertex, and since counts never fall it
-could never be a message.
+The graft never finds the path's hyperedge at a site already.  A site
+``_match`` returns gets a fresh vertex, or has only marks its neighbours
+sent into it (a site that sends a mark holds the path's hyperedge and is
+not returned).  Each such mark is the one vertex the term's path on the
+sender's side runs through, so the site holds the path's hyperedge only if
+the whole path exists, and the duplicate check refuses that term first.
+
+Messages are looked up in per-site hash indexes instead of scans.  The
+*open* index of a site's i-th incident edge maps ``(op_id, vertices on the
+other edges)`` to the tuple of hyperedges with that key in creation order
+(at a leaf the key is the operator alone): the candidates of the message
+the site sends over edge i.  It holds a hyperedge only if it was the first
+at its site on its vertex of edge i.  A later one shares that vertex, and
+since counts never fall it could never be a message.
 """
 
 from __future__ import annotations
@@ -146,7 +151,7 @@ class StateDiagram:
         return v
 
     def _new_hyperedge(self, site: int, op: SiteOperator,
-                       vs: tuple[int, ...]) -> tuple[int, ...]:
+                       vs: tuple[int, ...]) -> None:
         """The hyperedge of ``op`` at ``site`` on the vertices ``vs``, one
         per incident edge in incident-edge order, filed in the indexes."""
         y = (op.op_id, *vs)
@@ -161,7 +166,6 @@ class StateDiagram:
             if counts[v] == 1:
                 key = y[:i + 1] + y[i + 2:]
                 index[key] = index.get(key, ()) + (y,)
-        return y
 
     @classmethod
     def from_single_term(cls, tree: TreeTopology,
@@ -295,7 +299,7 @@ class StateDiagram:
 
     def _graft(self, term: ProductTerm, sites, marks: dict) -> None:
         """At each of ``sites`` in order, give every unmarked edge a fresh
-        vertex and add the path's hyperedge if it is missing; then refresh
+        vertex and add the path's hyperedge, never there yet; then refresh
         the identity messages the new hyperedges can change: at the new
         hyperedge's site, a message whose vertex it now shares, and a
         missing message over an edge where the new hyperedge is an
@@ -318,8 +322,6 @@ class StateDiagram:
                 vs.append(v)
             vs = tuple(vs)
             want = factors.get(s) or self._identity[s]
-            if (want.op_id, *vs) in self.eps[s]:
-                continue
             self._new_hyperedge(s, want, vs)
             # the slots j where the new hyperedge is an identity that
             # carries the incoming identity message on every slot but j

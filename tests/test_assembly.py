@@ -19,7 +19,8 @@ from ttno.assembly import (TTNO, TTNOTensor,
 from ttno.closedform import (CayleyTreeSpec, cayley_tree, nn_ttno,
                              uniform_nn_interaction)
 from ttno.diagram import StateDiagram, from_hamiltonian
-from ttno.errors import DenseCapExceededError, ValidationError
+from ttno.errors import (DenseCapExceededError, UnknownOperatorError,
+                         ValidationError)
 from ttno.operators import (Hamiltonian, OperatorRegistry, ProductTerm,
                             SiteOperator, random_hamiltonian, to_dense)
 from ttno.oqs import OQSSpec, oqs_hamiltonian
@@ -234,6 +235,16 @@ def test_colliding_hyperedges_sum():
     y = np.array([[0, -1j], [1j, 0]])
     z = np.array([[1, 0], [0, -1]])
     assert np.allclose(mid[0, 0], y + z)
+
+
+def test_emission_refuses_unknown_operator():
+    # a ValidationError from the registry is not taken for a matrix too
+    # large to allocate
+    pair = TreeTopology([(0, 1)], root=0)
+    h = Hamiltonian(pair, [ProductTerm(1.0, {0: SiteOperator("Q", 2)})])
+    with pytest.raises(UnknownOperatorError,
+                       match="no matrix for label 'Q' at dim 2"):
+        emit_tensors(from_hamiltonian(h))
 
 
 def test_emission_refuses_non_finite_matrices():
@@ -651,13 +662,17 @@ def _tensor(data, s):
      "site 5: 're' entry 3 is true, not a finite number"),
     (_edit(lambda d: _tensor(d, 5)["im"].__setitem__(0, False)),
      "site 5: 'im' entry 0 is false, not a finite number"),
+    (lambda text: f"[{text}]", "ttno dump: must be a JSON object"),
+    (_edit(lambda d: _tensor(d, 8)["shape"].__setitem__(0, 5)),
+     r"ttno dump: bond dimension mismatch on \(7, 8\)"),
 ], ids=["truncated", "format_v1", "missing_site", "unknown_site",
         "missing_field", "legs", "shape_length", "shape_type", "phys_dim",
         "index_range", "index_negative", "index_type", "index_duplicate",
         "index_order", "zero_block", "re_length", "im_length", "re_type",
         "index_true", "index_false", "index_short", "index_bare_int",
         "index_huge", "index_huge_negative", "index_not_list", "re_nan",
-        "im_infinity", "re_overflow", "re_bool", "im_bool"])
+        "im_infinity", "re_overflow", "re_bool", "im_bool", "not_object",
+        "bond_mismatch"])
 def test_read_rejects_malformed_dump(tmp_path, demo_hamiltonian, corrupt,
                                      message):
     p = tmp_path / "demo.json"

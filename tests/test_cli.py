@@ -115,6 +115,14 @@ PAIR_TERM = {"coeff": [1, 0], "factors": {"1": "X", "2": "X"}}
     (TREE_JSON, {"operators": [], "terms": [PAIR_TERM]},
      "'operators' must be"),
     (dict(TREE_JSON, phys_dims=[]), HAM_JSON, "'phys_dims' must be"),
+    (TREE_JSON, {"operators": {"Q": {"dim": 2, "matrix": [[0, 0]] * 3}},
+                 "terms": [PAIR_TERM]},
+     "matrix for 'Q' must hold 4 row-major entries"),
+    (TREE_JSON, {"operators": {"Q": {"dim": 0, "matrix": []}},
+                 "terms": [PAIR_TERM]}, "operator 'Q': 'dim' 0 must be >= 1"),
+    (TREE_JSON, {"terms": [PAIR_TERM, {"factors": [["1", "X"]]}]},
+     "term 1: needs an object 'factors'"),
+    (TREE_JSON, {"terms": []}, "hamiltonian has no terms"),
 ])
 def test_build_malformed_fields(tmp_path, capsys, tree_json, ham_json,
                                 message):
@@ -332,13 +340,14 @@ def test_build_refuses_coerced_operator_values(tmp_path, capsys, operator):
 @pytest.mark.parametrize("ham, message", [
     ({"operators": {"Q": {"dim": 2, "matrix": [[10 ** 400, 0]]
                           + Q_MATRIX[1:]}}, "terms": [PAIR_TERM]},
-     "operator 'Q': needs an integer 'dim' and a [re, im] 'matrix'"),
+     "operator 'Q': matrix entries must be finite"),
     ({"terms": [PAIR_TERM, {"coeff": [0, -10 ** 400], "factors": {}}]},
-     "term 1: 'coeff' must be a [re, im] pair of numbers"),
+     "term 1: 'coeff' [0, -inf] is not finite"),
 ], ids=["matrix_entry", "coeff"])
 def test_build_refuses_integers_no_float_holds(tmp_path, capsys, ham,
                                                message):
-    # complex() raised OverflowError, a traceback from the CLI
+    # complex() raised OverflowError, a traceback from the CLI; such an
+    # integer is read as the infinity it rounds to, and refused as 1e400 is
     rc, wrote = build_refusing_overflow(tmp_path, TREE_JSON, ham)
     assert rc == EXIT_VALIDATION and not wrote
     assert capsys.readouterr().err == f"validation error: {message}\n"

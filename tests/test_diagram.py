@@ -7,6 +7,8 @@ from collections import Counter
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 import ttno.diagram
 import ttno.operators
@@ -115,6 +117,11 @@ def test_add_duplicate_term_rejected(demo_hamiltonian):
     # the terms cannot change under the table
     with pytest.raises(AttributeError):
         h.terms.append(ProductTerm(1.0, {0: SiteOperator("Z", 2)}))
+
+
+def test_from_hamiltonian_refuses_no_terms(tree):
+    with pytest.raises(ValidationError, match="Hamiltonian has no terms"):
+        from_hamiltonian(Hamiltonian(tree, []))
 
 
 def test_demo_path_products(demo_hamiltonian):
@@ -392,7 +399,40 @@ def _file_unbroken(g):
     g._broken.add(next(s for s, v in g._up_id.items() if v is not None))
 
 
+def _collect_unknown_edge(g):
+    g.w[(8, 9)] = []
+
+
+def _share_vertex(g):
+    a, b = list(g.w)[:2]
+    g.w[b].append(g.w[a][0])
+
+
+def _drop_vertex(g):
+    g.w[(1, 2)].pop()
+
+
+def _add_unknown_operator(g):
+    y = next(iter(g.eps[2]))
+    g.eps[2][(max(g.ops) + 1, *y[1:])] = None
+
+
+def _add_crossed_hyperedge(g):
+    y = next(iter(g.eps[2]))
+    g.eps[2][(y[0], y[2], y[1], *y[3:])] = None
+
+
+def _add_orphan_vertex(g):
+    g._new_vertex((1, 2))
+
+
 @pytest.mark.parametrize("corrupt, message", [
+    (_collect_unknown_edge, r"vertex collection for unknown edge \(8, 9\)"),
+    (_share_vertex, "vertex 0 in two collections"),
+    (_drop_vertex, "vertex collections do not hold the uids 0 to"),
+    (_add_unknown_operator, "at site 2 needs a known operator"),
+    (_add_crossed_hyperedge, "at site 2 touches a vertex of another edge"),
+    (_add_orphan_vertex, "unconnected on side"),
     (_repeat_open, "open index"), (_drop_open, "open index"),
     (_refile_open, "open index"),
     (_miscount_vertex, "hyperedge count of vertex 0"),
@@ -590,6 +630,47 @@ def test_caches_exact_after_every_term():
         for spins, baths, boson_dim in ((2, 1, 2), (3, 2, 3), (5, 3, 2)):
             build(oqs_hamiltonian(OQSSpec(spins, baths, g=0.3 - 0.8j,
                                           boson_dim=boson_dim), kind))
+
+
+@st.composite
+def tree_terms(draw):
+    """The edges of a random, star or chain tree of 1-15 sites, and 1-30
+    distinct terms on it of up to 4 factors X, Y or Z and coefficient 1,
+    -1 or 2: few labels, so that paths share vertices often."""
+    n = draw(st.integers(1, 15))
+    shape = draw(st.sampled_from(("random", "star", "chain")))
+    edges = [(draw(st.integers(0, k - 1)) if shape == "random"
+              else 0 if shape == "star" else k - 1, k) for k in range(1, n)]
+    terms = draw(st.lists(st.builds(
+        ProductTerm, st.sampled_from((1.0, -1.0, 2.0)),
+        st.dictionaries(st.integers(0, n - 1), st.sampled_from((X2, Y2, Z2)),
+                        max_size=4)), min_size=1, max_size=30))
+    return edges, list(dict.fromkeys(terms))
+
+
+@given(system=tree_terms())
+def check_graft_adds_only_missing_hyperedges(system):
+    edges, terms = system
+    for root in range(len(edges) + 1):
+        h = Hamiltonian(TreeTopology(edges, root), terms)
+        g = from_hamiltonian(h)
+        g.validate()
+        assert g.dump() == reference_diagram(h).dump()
+
+
+@pytest.mark.filterwarnings("ignore:root has a single neighbour")
+def test_graft_adds_only_missing_hyperedges(monkeypatch, hypothesis_home):
+    # the graft adds the path's hyperedge without looking for it first: at
+    # every site it visits the hyperedge is missing (module docstring of
+    # ttno.diagram), on any tree at any root
+    new_hyperedge = StateDiagram._new_hyperedge
+
+    def checked(self, site, op, vs):
+        assert (op.op_id, *vs) not in self.eps[site], (site, op, vs)
+        return new_hyperedge(self, site, op, vs)
+
+    monkeypatch.setattr(StateDiagram, "_new_hyperedge", checked)
+    check_graft_adds_only_missing_hyperedges()
 
 
 def test_marks_depend_on_the_order_of_leaf_climbs():

@@ -1,5 +1,6 @@
 import hashlib
 import math
+import re
 
 import numpy as np
 import pytest
@@ -80,6 +81,16 @@ def test_registry_refuses_non_finite_matrix():
 def test_non_finite_coefficient_rejected(coeff):
     with pytest.raises(ValidationError, match="not finite"):
         ProductTerm(coeff, {0: SiteOperator("X", 2)})
+
+
+@pytest.mark.parametrize("factors, message", [
+    ({9: SiteOperator("X", 2)}, "term acts on unknown site 9"),
+    ({2: SiteOperator("X", 3)},
+     "operator 'X' (dim 3) does not match site 2 (dim 2)"),
+])
+def test_hamiltonian_refuses_factors_off_the_tree(tree, factors, message):
+    with pytest.raises(ValidationError, match=re.escape(message)):
+        Hamiltonian(tree, [pauli_term({1: "X"}), ProductTerm(1.0, factors)])
 
 
 def test_fold_unit_coefficient_is_noop():

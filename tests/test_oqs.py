@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -9,6 +11,7 @@ from ttno.operators import to_dense
 from ttno.oqs import (OQSSpec, boson_site, chain_topology, ftp_topology,
                       n_sites, oqs_hamiltonian, oqs_terms, reported_bond_dims,
                       spin_site, star_topology)
+from ttno.svdref import optimal_bond_dims
 
 from oqs_fixtures import (chain_fixture_kind, chain_reference_matrices,
                           operator_matrices_equivalent)
@@ -173,6 +176,32 @@ def test_element_count_comparison_ftp_vs_chain():
                    for m in range(1, 7)}
     assert not dense_cross[1]
     assert all(dense_cross[m] for m in range(2, 7))
+
+
+def dense_count_at(tree, dims):
+    """Entries of the dense tensors on ``tree`` at the bond dimensions
+    ``dims``: per site, the product of its bond dimensions times d^2."""
+    return sum(math.prod(dims[e] for e in tree.incident[s])
+               * tree.phys_dim(s) ** 2 for s in tree.nodes)
+
+
+def test_crossover_at_optimal_bond_dims():
+    # the paper's claim: the fork layout needs fewer tensor entries than the
+    # chain (the MPO) from three baths per spin on, both at their optimal
+    # bond dimensions; the construction's chain sits above its optimum,
+    # which moves the crossover to two baths (test above)
+    for n in range(4, 9):
+        for m in range(1, 7):
+            counts = {}
+            for kind in ("chain", "ftp"):
+                h = oqs_hamiltonian(OQSSpec(n, m, boson_dim=2), kind)
+                counts[kind] = dense_count_at(h.tree, optimal_bond_dims(h))
+            assert (counts["ftp"] < counts["chain"]) == (m >= 3), (
+                n, m, counts)
+    # the count is the library's at the construction's bond dimensions
+    g = from_hamiltonian(h)
+    assert dense_count_at(h.tree, g.bond_dimensions()) == (
+        dense_element_count(emit_tensors(g)))
 
 
 def test_star_spin_tensor_grows_exponentially_with_baths():

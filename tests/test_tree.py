@@ -217,6 +217,8 @@ def test_invariant_violations_rejected():
         TreeTopology([(0, 1), (2, 3), (3, 4), (4, 2)], root=2)
     with pytest.raises(ValidationError):
         TreeTopology([(0, 0)], root=0)  # self-loop
+    with pytest.raises(ValidationError, match="site ids must be non-negative"):
+        TreeTopology([(0, 1), (1, -2)], root=0)
     with pytest.raises(ValidationError):
         TreeTopology([(0, 1)], root=7)  # root not a node
     with pytest.raises(ValidationError):
