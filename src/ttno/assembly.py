@@ -38,7 +38,8 @@ from itertools import chain
 import numpy as np
 
 from .diagram import StateDiagram
-from .errors import DenseCapExceededError, ValidationError
+from .errors import (DenseCapExceededError, UnknownOperatorError,
+                     ValidationError)
 from .operators import DEFAULT_REGISTRY, OperatorRegistry, dense_size
 from .tree import Edge, Rooting, TreeTopology, UniqueKeys
 
@@ -200,11 +201,18 @@ def emit_tensors(diagram: StateDiagram,
     vertices in leg order.  Hyperedges on the same multi-index accumulate
     additively (their matrices sum into one block).  An operator whose
     matrix cannot be allocated raises DenseCapExceededError naming it, its
-    dimension and the lowest site of that dimension; one whose matrix, or
-    a block sum, is not finite raises ValidationError naming the site."""
+    dimension and the lowest site of that dimension; a label the registry
+    does not know raises UnknownOperatorError, and a matrix, or a block
+    sum, that is not finite raises ValidationError, both naming the site."""
     registry = registry or DEFAULT_REGISTRY
     tree = diagram.tree
     r = tree.rooting
+
+    def site_of(k: int) -> int:
+        """The lowest site with a hyperedge of ``op_id`` k."""
+        return min(s for s in tree.nodes
+                   if any(y[0] == k for y in diagram.eps[s]))
+
     # uid -> bond index
     index = [0] * diagram.n_vertices()
     for vs in diagram.w.values():
@@ -216,6 +224,8 @@ def emit_tensors(diagram: StateDiagram,
             # an overflow is refused below, not warned about
             with np.errstate(over="ignore", invalid="ignore"):
                 m = matrices[k] = registry.resolve(op)
+        except UnknownOperatorError as exc:
+            raise UnknownOperatorError(f"site {site_of(k)}: {exc}") from exc
         except ValidationError:
             raise
         except (MemoryError, ValueError) as exc:
@@ -227,10 +237,8 @@ def emit_tensors(diagram: StateDiagram,
                 f"{op.label!r} ({gib:.2f} GiB) cannot be allocated; shrink "
                 f"the physical dimension") from exc
         if not np.isfinite(m).all():
-            site = min(s for s in tree.nodes
-                       if any(y[0] == k for y in diagram.eps[s]))
             raise ValidationError(
-                f"site {site}: the matrix of operator {op.label!r} "
+                f"site {site_of(k)}: the matrix of operator {op.label!r} "
                 f"overflows to non-finite entries")
     dims, eps, phys = diagram.bond_dimensions(), diagram.eps, tree.phys_dims
 
@@ -339,7 +347,7 @@ def write_ttno(ttno: TTNO, path: str) -> None:
     """
     texts: dict[bytes, tuple[str, str]] = {}  # block bytes -> re, im text
     largest = 0
-    with open(path, "w") as fh:
+    with open(path, "w", encoding="utf-8") as fh:
         fh.write('{"format": "ttno-v2", "tree": ')
         fh.write(json.dumps(ttno.tree.to_json_dict()))
         fh.write(', "tensors": {')
@@ -435,7 +443,7 @@ def read_ttno(path: str) -> TTNO:
     field at fault; a ``ttno-v1`` dump must be rebuilt from its inputs."""
     keys = UniqueKeys()
     try:
-        with open(path) as fh:
+        with open(path, encoding="utf-8") as fh:
             data = json.load(fh, object_pairs_hook=lambda pairs: (
                 _parsed_floats(keys(pairs))))
     except ValueError as exc:

@@ -36,7 +36,7 @@ EXIT_CAP = 5
 def _load_json(path: str):
     keys = UniqueKeys()
     try:
-        with open(path) as fh:
+        with open(path, encoding="utf-8") as fh:
             data = json.load(fh, object_pairs_hook=keys)
     except json.JSONDecodeError as exc:
         raise _ParseFailure(
@@ -91,8 +91,11 @@ def load_hamiltonian(tree: TreeTopology, data: dict) -> tuple[Hamiltonian,
             raise ValidationError(f"operator {label!r}: 'dim' {dim} must be "
                                   f">= 1")
         if len(flat) != dim * dim:
+            # no list holds 2**63 entries: a longer count is not spelled out
+            n = str(dim * dim)
+            n = n if len(n) < 20 else f"'dim' squared ({len(n)} digits)"
             raise ValidationError(
-                f"matrix for {label!r} must hold {dim * dim} row-major entries")
+                f"matrix for {label!r} must hold {n} row-major entries")
         registry.register(label, mat.reshape(dim, dim))
     terms = []
     for i, raw in enumerate(raw_terms):
@@ -147,7 +150,7 @@ def _write(path: str | None, text: str) -> None:
         sys.stdout.write(text)
         return
     try:
-        with open(path, "w") as fh:
+        with open(path, "w", encoding="utf-8") as fh:
             fh.write(text)
     except OSError as exc:
         raise _ParseFailure(f"{path}: {exc}") from exc
@@ -163,7 +166,7 @@ def _check_writable(*paths: str | None) -> None:
             continue
         existed = os.path.exists(path)
         try:
-            open(path, "a").close()
+            open(path, "a", encoding="utf-8").close()
         except OSError as exc:
             raise _ParseFailure(f"{path}: {exc}") from exc
         if not existed:
@@ -305,7 +308,7 @@ def cmd_oqs(args) -> int:
 
 def cmd_plotdata(args) -> int:
     try:
-        with open(args.csv) as fh:
+        with open(args.csv, encoding="utf-8") as fh:
             rows = list(csv.DictReader(fh))
     except (OSError, UnicodeDecodeError) as exc:
         raise _ParseFailure(f"{args.csv}: {exc}") from exc

@@ -36,6 +36,12 @@ each support) or wholly above it, less the matched strings.  These sums are
 exact, integer multiples of 2^-1074: in floats, a fold whose strings are all
 matched leaves a residue of ~1e-16 where the true value is 0, and its square
 root is a singular value far above the rank tolerance.
+
+C is block-diagonal up to a permutation, so its singular values are those of
+its blocks, found by a union-find over the rows joined through shared
+columns.  A block of one row or one column has one, its 2-norm; any other
+block folds its rows, then its columns, of one entry (no fold crosses a
+block) and takes one SVD, in float64 when its entries are all real.
 """
 
 from __future__ import annotations
@@ -50,7 +56,7 @@ from functools import lru_cache
 import numpy as np
 
 from . import diagram as sd
-from .errors import ValidationError
+from .errors import UnknownOperatorError, ValidationError
 from .operators import (DEFAULT_REGISTRY, Hamiltonian, OperatorRegistry,
                         SiteOperator, random_hamiltonian)
 from .tree import Edge, TreeTopology
@@ -101,14 +107,25 @@ def _gram_schmidt(d: int, matrices: tuple[bytes, ...]
 def _site_expansions(h: Hamiltonian, registry: OperatorRegistry
                      ) -> dict[int, dict[int, tuple[tuple[int, complex], ...]]]:
     """Per site, op_id -> expansion of the operator in the Gram-Schmidt
-    basis of the site's operators, taken in first-seen order."""
+    basis of the site's operators, taken in first-seen order.  A label the
+    registry does not know raises UnknownOperatorError naming the first
+    term and the site that use it."""
     seen: dict[int, dict[int, SiteOperator]] = {}
     for term in h.terms:
         for s, op in term.factors.items():
             seen.setdefault(s, {}).setdefault(op.op_id, op)
+
+    def matrix_bytes(s: int, op: SiteOperator) -> bytes:
+        try:
+            return registry.resolve(op).tobytes()
+        except UnknownOperatorError as exc:
+            i = next(i for i, t in enumerate(h.terms)
+                     if t.factors.get(s) == op)
+            raise UnknownOperatorError(f"term {i}, site {s}: {exc}") from exc
+
     return {s: dict(zip(ops, _gram_schmidt(
                 h.tree.phys_dim(s),
-                tuple(registry.resolve(op).tobytes() for op in ops.values()))))
+                tuple(matrix_bytes(s, op) for op in ops.values()))))
             for s, ops in seen.items()}
 
 
@@ -151,22 +168,46 @@ def _fold_single_entry_rows(rows) -> list[dict]:
     return kept
 
 
-def _schmidt_rank(rows) -> int:
+def _schmidt_rank(rows: list[dict]) -> int:
     """Numerical rank of the sparse matrix ``rows`` ({col: value} each)."""
-    rows = _fold_single_entry_rows(rows)
-    cols: dict[BasisString, dict[int, complex]] = {}
+    # union-find over the rows, joined through the columns they share
+    root = list(range(len(rows)))
+
+    def find(i: int) -> int:
+        while root[i] != i:
+            root[i] = i = root[root[i]]
+        return i
+
+    owner: dict[BasisString, int] = {}
     for i, row in enumerate(rows):
-        for col, c in row.items():
-            cols.setdefault(col, {})[i] = c
-    cols = _fold_single_entry_rows(cols.values())
-    mat = np.zeros((len(cols), len(rows)), dtype=complex)
-    for j, col in enumerate(cols):
-        for i, c in col.items():
-            mat[j, i] = c
-    sv = np.linalg.svd(mat, compute_uv=False)
-    if sv.size == 0 or sv[0] == 0.0:
-        return 0
-    return int(np.count_nonzero(sv > RANK_REL_TOL * sv[0]))
+        for col in row:
+            if (j := owner.setdefault(col, i)) != i:
+                root[find(i)] = find(j)
+    blocks: dict[int, list[dict]] = {}
+    for i, row in enumerate(rows):
+        blocks.setdefault(find(i), []).append(row)
+    sv = []
+    for block in blocks.values():
+        # one row, or rows of one entry (then all in one column): the one
+        # singular value is the block's 2-norm
+        if len(block) == 1 or all(len(row) == 1 for row in block):
+            sv.append(math.hypot(*[abs(c) for row in block
+                                   for c in row.values()]))
+            continue
+        block = _fold_single_entry_rows(block)
+        cols: dict[BasisString, dict[int, complex]] = {}
+        for i, row in enumerate(block):
+            for col, c in row.items():
+                cols.setdefault(col, {})[i] = c
+        cols = _fold_single_entry_rows(cols.values())
+        mat = np.zeros((len(cols), len(block)), dtype=complex)
+        for j, col in enumerate(cols):
+            for i, c in col.items():
+                mat[j, i] = c
+        sv.extend(np.linalg.svd(mat if mat.imag.any() else mat.real,
+                                compute_uv=False))
+    top = max(sv)
+    return int(sum(s > RANK_REL_TOL * top for s in sv)) if top else 0
 
 
 def optimal_bond_dims(h: Hamiltonian,

@@ -247,6 +247,17 @@ def test_emission_refuses_unknown_operator():
         emit_tensors(from_hamiltonian(h))
 
 
+def test_emission_unknown_operator_names_its_site():
+    # Q acts only on site 2 of the chain 0-1-2
+    chain = TreeTopology([(0, 1), (1, 2)], root=1)
+    x = SiteOperator("X", 2)
+    h = Hamiltonian(chain, [ProductTerm(1.0, {0: x, 1: x}),
+                            ProductTerm(1.0, {1: x, 2: SiteOperator("Q", 2)})])
+    with pytest.raises(UnknownOperatorError,
+                       match="^site 2: no matrix for label 'Q' at dim 2$"):
+        emit_tensors(from_hamiltonian(h))
+
+
 def test_emission_refuses_non_finite_matrices():
     # a folded coefficient that overflows an operator's matrix, and two
     # finite matrices whose sum in one block overflows; the refusal comes

@@ -353,6 +353,52 @@ def test_build_refuses_integers_no_float_holds(tmp_path, capsys, ham,
     assert capsys.readouterr().err == f"validation error: {message}\n"
 
 
+def test_build_refuses_huge_dim_in_a_short_message(files, capsys):
+    # the message printed dim ** 2, 801 digits of an 844-character line
+    tmp, tree, _ = files
+    ham = tmp / "huge.json"
+    ham.write_text(json.dumps({
+        "operators": {"Q": {"dim": 10 ** 400, "matrix": [[1, 0]]}},
+        "terms": [PAIR_TERM]}))
+    out = tmp / "o.json"
+    assert main(["build", tree, str(ham), "--out", str(out)]) == (
+        EXIT_VALIDATION)
+    err = capsys.readouterr().err
+    assert "'Q'" in err and len(err) < 300, err
+    assert not out.exists()
+
+
+def test_cli_files_are_utf8_whatever_the_locale(files):
+    # every file the CLI opens names its encoding: under
+    # -X warn_default_encoding an open() without one warns, and the
+    # warning is an error here
+    tmp, tree, ham = files
+    script = (
+        "import sys\n"
+        "from ttno.cli import main\n"
+        "tree, ham, tmp = sys.argv[1:]\n"
+        "sys.exit(max(main(argv) for argv in (\n"
+        "    ['build', tree, ham, '--out', tmp + '/o.json',\n"
+        "     '--report', tmp + '/r.csv', '--verify'],\n"
+        "    ['bench', tree, '--terms', '5', '--samples', '2', '--seed', '1',\n"
+        "     '--out', tmp + '/d.csv', '--summary', tmp + '/s.csv'],\n"
+        "    ['plotdata', tmp + '/d.csv', '--out-prefix', tmp + '/p'])))\n")
+    env = dict(os.environ)
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [src, env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-X", "warn_default_encoding",
+         "-W", "error::EncodingWarning", "-c", script, tree, ham, str(tmp)],
+        env=env, capture_output=True, text=True, encoding="utf-8",
+        timeout=120)
+    assert proc.returncode == EXIT_OK, proc.stderr
+    assert proc.stderr == ""
+    for name in ("o.json", "r.csv", "d.csv", "s.csv", "p_hist.dat",
+                 "p_rdiff.dat", "p_diag.dat"):
+        assert (tmp / name).stat().st_size > 0, name
+
+
 def test_build_integer_past_the_digit_limit_is_a_parse_error(files, capsys):
     # Python's int() refuses a literal of more than 4,300 digits: json
     # raised that ValueError from the CLI

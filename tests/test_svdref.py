@@ -1,16 +1,19 @@
 import itertools
+import math
 import time
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from ttno.diagram import from_hamiltonian
-from ttno.errors import ValidationError
+from ttno.errors import UnknownOperatorError, ValidationError
 from ttno.operators import (DEFAULT_DENSE_CAP, Hamiltonian, OperatorRegistry,
                             ProductTerm, SiteOperator, random_hamiltonian,
                             to_dense)
 from ttno.oqs import TOPOLOGIES, OQSSpec, oqs_hamiltonian
-from ttno.svdref import (BenchRecord, BondReport, detail_csv,
+from ttno.svdref import (RANK_REL_TOL, BenchRecord, BondReport, detail_csv,
                          optimal_bond_dims, r_diff, run_bench, summary_csv)
 from ttno.tree import TreeTopology
 
@@ -114,6 +117,118 @@ def test_matches_dense_on_user_matrices():
         h, registry = user_matrix_system(rng)
         assert (optimal_bond_dims(h, registry)
                 == dense_bond_dims(h, registry)), i
+
+
+@st.composite
+def user_matrix_systems(draw):
+    """A random tree of 2-6 sites, site 0 of dimension 2 or 3 and the others
+    of dimension 2; per dimension, user operators A and B and a linearly
+    dependent C = a A + b B, all real or all complex; 1-10 distinct terms
+    of up to 3 factors from A, B, C (and X, Z at dimension 2), with real or
+    complex coefficients."""
+    n = draw(st.integers(2, 6))
+    edges = [(draw(st.integers(0, k - 1)), k) for k in range(1, n)]
+    dims = {s: 2 for s in range(n)}
+    dims[0] = draw(st.sampled_from((2, 3)))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    im = draw(st.sampled_from((0.0, 1.0)))
+    registry = OperatorRegistry()
+    for d in set(dims.values()):
+        a, b = (rng.normal(size=(d, d)) + im * 1j * rng.normal(size=(d, d))
+                for _ in range(2))
+        registry.register("A", a)
+        registry.register("B", b)
+        x, y = rng.normal(size=2) + im * 1j * rng.normal(size=2)
+        registry.register("C", x * a + y * b)
+    labels = {2: "ABCXZ", 3: "ABC"}
+    factors = st.dictionaries(st.integers(0, n - 1), st.integers(0, 4),
+                              max_size=3)
+    coeff = st.builds(complex, st.sampled_from((1.0, -0.5, 2.0)),
+                      st.sampled_from((0.0, 0.0, 0.75)))
+    terms = draw(st.dictionaries(
+        factors.map(lambda f: tuple(sorted(f.items()))), coeff,
+        min_size=1, max_size=10))
+    tree = TreeTopology(edges, pick_nonleaf_root(edges, n), dims)
+    return Hamiltonian(tree, [
+        ProductTerm(c, {s: SiteOperator(labels[dims[s]][k % len(
+            labels[dims[s]])], dims[s]) for s, k in key})
+        for key, c in terms.items()]), registry
+
+
+@given(system=user_matrix_systems())
+def check_blocks_match_dense(system, seen):
+    h, registry = system
+    seen["oracle"] = True
+    dims = optimal_bond_dims(h, registry)
+    seen["oracle"] = False
+    assert dims == dense_bond_dims(h, registry)
+
+
+def test_blocks_match_dense_on_random_user_matrices(monkeypatch,
+                                                    hypothesis_home):
+    # every path of the per-block rank: LAPACK in complex and in float64
+    # for blocks of several rows and columns, and the 2-norm of a block of
+    # one row with several entries
+    seen = {"oracle": False, "dtypes": set(), "row_entries": 0}
+    svd, hypot = np.linalg.svd, math.hypot
+
+    def recording_svd(a, *args, **kwargs):
+        if seen["oracle"]:
+            seen["dtypes"].add(a.dtype)
+        return svd(a, *args, **kwargs)
+
+    def recording_hypot(*xs):
+        if seen["oracle"]:
+            seen["row_entries"] = max(seen["row_entries"], len(xs))
+        return hypot(*xs)
+
+    monkeypatch.setattr(np.linalg, "svd", recording_svd)
+    monkeypatch.setattr(math, "hypot", recording_hypot)
+    check_blocks_match_dense(seen=seen)
+    assert seen["dtypes"] == {np.dtype(complex), np.dtype(float)}
+    assert seen["row_entries"] >= 2
+
+
+@pytest.mark.parametrize("small, rank", [(1 + 1e-6, 2), (1 - 1e-6, 1)])
+def test_threshold_across_one_entry_blocks(small, rank):
+    # X x X and Z x Z are blocks of one entry each: the smaller singular
+    # value is held against RANK_REL_TOL times the other block's
+    pair = TreeTopology([(0, 1)], root=0)
+    x, z = SiteOperator("X", 2), SiteOperator("Z", 2)
+    h = Hamiltonian(pair, [ProductTerm(1.0, {0: x, 1: x}),
+                           ProductTerm(RANK_REL_TOL * small, {0: z, 1: z})])
+    assert optimal_bond_dims(h) == {(0, 1): rank}
+
+
+@pytest.mark.parametrize("small, rank", [(1 + 1e-6, 3), (1 - 1e-6, 2)])
+def test_threshold_inside_a_two_by_two_block(small, rank):
+    # Y and Z on both sites make one 2 x 2 block with singular values
+    # 2e-10 and 1e-10 * small; sigma_0 = 1 is X x X, another block, so the
+    # SVD's smaller value is held against RANK_REL_TOL * 1, not against
+    # the largest value of its own block
+    def rotation(t):
+        return np.array([[math.cos(t), -math.sin(t)],
+                         [math.sin(t), math.cos(t)]])
+
+    c = (rotation(0.3) @ np.diag([2.0, small]) @ rotation(0.7).T
+         * RANK_REL_TOL)
+    pair = TreeTopology([(0, 1)], root=0)
+    op = {a: SiteOperator(a, 2) for a in "XYZ"}
+    h = Hamiltonian(pair, [ProductTerm(1.0, {0: op["X"], 1: op["X"]})] + [
+        ProductTerm(c[i, j], {0: op[a], 1: op[b]})
+        for i, a in enumerate("YZ") for j, b in enumerate("YZ")])
+    assert optimal_bond_dims(h) == {(0, 1): rank}
+
+
+def test_unknown_label_names_term_and_site():
+    pair = TreeTopology([(0, 1)], root=0)
+    x, q = SiteOperator("X", 2), SiteOperator("Q", 2)
+    h = Hamiltonian(pair, [ProductTerm(1.0, {0: x, 1: x}),
+                           ProductTerm(1.0, {0: x, 1: q})])
+    with pytest.raises(UnknownOperatorError,
+                       match="^term 1, site 1: no matrix for label 'Q' "
+                             "at dim 2$"):
+        optimal_bond_dims(h)
 
 
 X_MATRIX = np.array([[0.0, 1.0], [1.0, 0.0]])
