@@ -24,7 +24,7 @@ from .errors import (DenseCapExceededError, UnknownOperatorError,
                      ValidationError)
 from .operators import (Hamiltonian, OperatorRegistry, ProductTerm,
                         SiteOperator, to_dense)
-from .tree import TreeTopology, UniqueKeys, as_int
+from .tree import TreeTopology, UniqueKeys, _known_keys, as_int
 
 EXIT_OK = 0
 EXIT_PARSE = 2
@@ -69,6 +69,7 @@ def load_hamiltonian(tree: TreeTopology, data: dict) -> tuple[Hamiltonian,
     field raises ValidationError naming the field and the term or site."""
     if not isinstance(data, dict):
         raise ValidationError("hamiltonian JSON must be an object")
+    _known_keys(data, "hamiltonian JSON", "operators", "terms")
     operators = data.get("operators", {})
     if not isinstance(operators, dict):
         raise ValidationError("hamiltonian JSON 'operators' must be an "
@@ -78,6 +79,8 @@ def load_hamiltonian(tree: TreeTopology, data: dict) -> tuple[Hamiltonian,
         raise ValidationError("hamiltonian JSON 'terms' must be a list")
     registry = OperatorRegistry()
     for label, spec in operators.items():
+        if isinstance(spec, dict):
+            _known_keys(spec, f"operator {label!r}", "dim", "matrix")
         try:
             dim, flat = as_int(spec["dim"]), spec["matrix"]
             if dim is None:
@@ -102,6 +105,7 @@ def load_hamiltonian(tree: TreeTopology, data: dict) -> tuple[Hamiltonian,
         raw_factors = raw.get("factors", {}) if isinstance(raw, dict) else None
         if not isinstance(raw_factors, dict):
             raise ValidationError(f"term {i}: needs an object 'factors'")
+        _known_keys(raw, f"term {i}", "coeff", "factors")
         try:
             re, im = map(_number, raw.get("coeff", [1.0, 0.0]))
             coeff = complex(re, im)
@@ -139,7 +143,10 @@ def load_hamiltonian(tree: TreeTopology, data: dict) -> tuple[Hamiltonian,
                 raise UnknownOperatorError(
                     f"term {i}, site {site}: {exc}") from exc
             factors[site] = SiteOperator(label, tree.phys_dim(site))
-        terms.append(ProductTerm(coeff, factors))
+        try:
+            terms.append(ProductTerm(coeff, factors))
+        except ValidationError as exc:  # a zero coeff, or an "I" factor
+            raise ValidationError(f"term {i}: {exc}") from exc
     if not terms:
         raise ValidationError("hamiltonian has no terms")
     return Hamiltonian(tree, terms), registry
@@ -257,25 +264,23 @@ def cmd_bench(args) -> int:
 
 def cmd_cayley(args) -> int:
     spec = closedform.CayleyTreeSpec(args.degree, args.depth)
-    rows = []
-    mismatch_in_regime = False
     if args.all_to_all:
-        cf = closedform.all_to_all_bound(spec)
-        bf = closedform.brute_force_all_to_all_bond(spec)
-        rows.append([spec.degree, spec.depth, "all", cf, bf])
-        mismatch_in_regime = cf != bf
+        rows = [[spec.degree, spec.depth, "all",
+                 closedform.all_to_all_bound(spec),
+                 closedform.brute_force_all_to_all_bond(spec)]]
     else:
         chis = ([args.range] if args.range is not None
-                else list(range(1, 2 * spec.depth)))
-        for chi in chis:
-            cf = closedform.fixed_range_bond_bound(spec, chi)
-            bf = closedform.brute_force_root_bond(spec, chi)
-            rows.append([spec.degree, spec.depth, chi, cf, bf])
-            if chi <= spec.depth and cf != bf:
-                mismatch_in_regime = True
+                else range(1, 2 * spec.depth))
+        rows = [[spec.degree, spec.depth, chi,
+                 closedform.fixed_range_bond_bound(spec, chi),
+                 closedform.brute_force_root_bond(spec, chi)] for chi in chis]
     _write(args.out, svdref.csv_text(
         ["degree", "depth", "chi", "closed_form", "brute_force"], rows))
-    return EXIT_VALIDATION if mismatch_in_regime else EXIT_OK
+    wrong = [row for row in rows if row[3] != row[4]]
+    for degree, depth, chi, cf, bf in wrong:
+        print(f"verification FAILED: degree {degree}, depth {depth}, chi "
+              f"{chi}: closed form {cf} != brute force {bf}", file=sys.stderr)
+    return EXIT_VERIFY if wrong else EXIT_OK
 
 
 def cmd_oqs(args) -> int:

@@ -1,9 +1,9 @@
 """Closed-form constructions and bounds.
 
 Two families: an explicit TTNO for nearest-neighbour interactions on an
-arbitrary tree (optionally with single-site terms), and bond-dimension
-arithmetic for fixed-range / all-to-all two-site interactions on full
-Cayley trees, cross-checked against brute-force pair counting.
+arbitrary tree (optionally with single-site terms), and formulas for the
+root bond dimension of fixed-range / all-to-all two-site interactions on
+full Cayley trees, cross-checked against brute-force pair counting.
 """
 
 from __future__ import annotations
@@ -70,20 +70,21 @@ def uniform_nn_interaction(tree: TreeTopology, label: str = "X",
 
 def nn_bond_dimensions(tree: TreeTopology,
                        interaction: NNInteraction) -> dict[Edge, int]:
-    """2 on bonds into bare leaves, 3 elsewhere (or where a leaf has a field)."""
+    """3 on each bond whose child is not a leaf or carries a field, else 2:
+    only then can a term act inside the child's subtree (index value 2)."""
     dims = {}
     for e in tree.edges:
         child = e[0] if tree.parent(e[0]) == e[1] else e[1]
-        inside = tree.subtree(child)
-        has_inner = (not tree.is_leaf(child)) or any(
-            s in interaction.single_site for s in inside)
-        dims[e] = 3 if has_inner else 2
+        inner = not tree.is_leaf(child) or child in interaction.single_site
+        dims[e] = 3 if inner else 2
     return dims
 
 
 def nn_ttno(tree: TreeTopology, interaction: NNInteraction,
             registry: OperatorRegistry | None = None) -> TTNO:
-    """Explicit TTNO for sum of per-edge interactions (+ single-site terms)."""
+    """Explicit TTNO for sum of per-edge interactions (+ single-site terms),
+    each block at its multi-index in leg order: the parent leg's value
+    (none at the root), then the children's, all 0 but at most one."""
     if tree.is_leaf(tree.root) and len(tree.nodes) > 2:
         raise ValidationError("root must not be a leaf (re-root the tree first)")
     interaction.validate(tree)
@@ -95,34 +96,25 @@ def nn_ttno(tree: TreeTopology, interaction: NNInteraction,
         legs = canonical_legs(tree, s)
         d = tree.phys_dim(s)
         shape = tuple(dims[e] for e in legs) + (d, d)
-        pairs = []
         eye = np.eye(d, dtype=complex)
         parent = tree.parent(s)
-        p_axis = 0 if parent is not None else None
-        child_axes = {c: (1 if parent is not None else 0) + i
-                      for i, c in enumerate(tree.children(s))}
-
-        def put(index_map: dict[int, int], matrix: np.ndarray) -> None:
-            idx = [0] * len(legs)
-            for axis, val in index_map.items():
-                idx[axis] = val
-            pairs.append((tuple(idx), matrix))
-
+        kids = tree.children(s)
+        zeros = (0,) * len(kids)
+        done, pairs = (), []
         if parent is not None:
-            put({}, eye)  # trivial everywhere at and below this site
+            done = (2,)  # the parent leg once a term has acted at or below s
             op_p = interaction.edge_ops[edge_key(parent, s)][s]
-            put({p_axis: 1}, registry.resolve(op_p))
-        for c, axis in child_axes.items():
+            pairs += [((0,) + zeros, eye),
+                      ((1,) + zeros, registry.resolve(op_p))]
+        for i, c in enumerate(kids):
             e = edge_key(s, c)
-            op_c = interaction.edge_ops[e][s]
-            started = {axis: 1} if parent is None else {axis: 1, p_axis: 2}
-            put(started, registry.resolve(op_c))
+            pairs.append((done + zeros[:i] + (1,) + zeros[i + 1:],
+                          registry.resolve(interaction.edge_ops[e][s])))
             if dims[e] == 3:
-                passthrough = {axis: 2} if parent is None else {axis: 2, p_axis: 2}
-                put(passthrough, eye)
+                pairs.append((done + zeros[:i] + (2,) + zeros[i + 1:], eye))
         if s in interaction.single_site:
             z = registry.resolve(interaction.single_site[s])
-            put({} if parent is None else {p_axis: 2}, z)
+            pairs.append((done + zeros, z))
         specs.append((s, legs, shape, pairs))
     return TTNO(tree, tensors_from_blocks(specs))
 
@@ -160,30 +152,18 @@ def cayley_tree(spec: CayleyTreeSpec) -> TreeTopology:
     return TreeTopology(edges, root=0)
 
 
-def _cross_subtree_pairs(spec: CayleyTreeSpec, chi: int) -> int:
-    """Pairs (c, c') at distance ``chi`` through the root with c, c' in two
-    fixed distinct child subtrees: one term per shell split."""
-    kappa = spec.degree
-    lo = max(1, chi - spec.depth)
-    hi = min(spec.depth, chi - 1)
-    return sum((kappa - 1) ** (delta - 1) * (kappa - 1) ** (chi - delta - 1)
-               for delta in range(lo, hi + 1))
-
-
 def fixed_range_bond_bound(spec: CayleyTreeSpec, chi: int) -> int:
-    """Maximum bond dimension for all pairwise interactions at distance chi.
-
-    For chi <= depth this is the closed form 2 + chi*(degree-1)^(chi-1);
-    beyond the depth the shell-split sum is evaluated directly (the closed
-    form's prefactor becomes 2*depth - chi + 1).
-    """
+    """Maximum bond dimension for all pairwise interactions at distance chi,
+    ``2 + min(chi, 2*depth - chi + 1) * (degree-1)^(chi-1)``: the two
+    trivial values plus one per pair across a root edge.  Such a pair has a
+    site at distance ``delta`` from the root inside the edge's subtree, one
+    of ``(degree-1)^(delta-1)``, and one at ``chi - delta`` outside it, one
+    of ``(degree-1)^(chi-delta)`` (the root at 0).  Both distances are at
+    most ``depth``: ``min(chi, 2*depth - chi + 1)`` values of ``delta``."""
     kappa, depth = spec.degree, spec.depth
     if not 1 <= chi <= 2 * depth - 1:
         raise ValidationError(f"chi must be in 1..{2 * depth - 1}")
-    if chi <= depth:
-        return 2 + chi * (kappa - 1) ** (chi - 1)
-    cross = (kappa - 1) * _cross_subtree_pairs(spec, chi)
-    return 2 + cross  # no root-anchored pairs beyond the depth
+    return 2 + min(chi, 2 * depth - chi + 1) * (kappa - 1) ** (chi - 1)
 
 
 def _site_pairs(tree: TreeTopology, in_range) -> list[tuple[int, int]]:

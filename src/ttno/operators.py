@@ -266,8 +266,10 @@ class Hamiltonian:
                         f"site {s} (dim {phys_dims[s]})")
             f = fold_coefficient(t, root, root_dim)
             k = f.key()
-            if k in folded:
-                raise DuplicateTermError(f"duplicate term {t!r}")
+            if k in folded:  # the i-th key in ``folded`` is term i's
+                raise DuplicateTermError(
+                    f"term {len(folded)} repeats term "
+                    f"{list(folded).index(k)}: {t!r}")
             folded[k] = f
 
     def folded_terms(self) -> list[ProductTerm]:

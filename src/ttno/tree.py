@@ -69,6 +69,15 @@ class UniqueKeys:
         return obj
 
 
+def _known_keys(obj: dict, where: str, *allowed: str) -> None:
+    """Refuse the first key of ``obj`` that nothing reads, which would be
+    dropped silently (``coef`` for ``coeff``); ``where`` names ``obj``."""
+    for key in obj:
+        if key not in allowed:
+            raise ValidationError(f"{where}: unknown key {key!r}, not one "
+                                  f"of {', '.join(map(repr, allowed))}")
+
+
 def edge_key(a: int, b: int) -> Edge:
     """Canonical (sorted) form of an undirected edge."""
     return (a, b) if a <= b else (b, a)
@@ -329,6 +338,7 @@ class TreeTopology:
     def from_json_dict(cls, data: dict) -> "TreeTopology":
         if not isinstance(data, dict):
             raise ValidationError("tree JSON must be an object")
+        _known_keys(data, "tree JSON", "root", "edges", "phys_dims")
         try:
             edges = data["edges"]
             root = data["root"]

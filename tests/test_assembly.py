@@ -790,6 +790,17 @@ def test_read_converts_only_tensor_entries(tmp_path, demo_hamiltonian):
         read_ttno(str(p))
 
 
+def test_read_refuses_unknown_tree_key(tmp_path, demo_hamiltonian):
+    # the tree object is read as a tree file is: an extra key was dropped
+    p = tmp_path / "demo.json"
+    write_ttno(emit_tensors(from_hamiltonian(demo_hamiltonian)), str(p))
+    p.write_text(_edit(lambda d: d["tree"].update(phys_dim={"1": 3}))(
+        p.read_text()))
+    with pytest.raises(ValidationError, match=re.escape(
+            "ttno dump, tree: tree JSON: unknown key 'phys_dim'")):
+        read_ttno(str(p))
+
+
 def test_read_refuses_integer_past_the_digit_limit(tmp_path,
                                                    demo_hamiltonian):
     # Python's int() refuses a literal of more than 4,300 digits, and

@@ -14,8 +14,10 @@ from hypothesis import strategies as st
 
 from ttno.assembly import (dense_element_count, element_count, read_ttno,
                            write_ttno)
+from ttno import closedform
 from ttno.cli import (EXIT_CAP, EXIT_OK, EXIT_PARSE, EXIT_VALIDATION,
-                      load_hamiltonian, main, verify_dump_against)
+                      EXIT_VERIFY, load_hamiltonian, main,
+                      verify_dump_against)
 from ttno.operators import random_hamiltonian
 from ttno.tree import TreeTopology, json_key_int
 
@@ -185,6 +187,66 @@ def test_build_refuses_repeated_keys(tmp_path, capsys, tree_text, ham_text,
     assert rc == EXIT_VALIDATION
     assert f"{tmp_path / at_fault}.json: {message}\n" in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("tree_json, ham_json, message", [
+    (dict(TREE_JSON, phys_dim={"1": 3}), HAM_JSON,
+     "tree JSON: unknown key 'phys_dim', not one of 'root', 'edges', "
+     "'phys_dims'"),
+    (TREE_JSON, dict(HAM_JSON, term=[PAIR_TERM]),
+     "hamiltonian JSON: unknown key 'term', not one of 'operators', "
+     "'terms'"),
+    (TREE_JSON, {"terms": [PAIR_TERM, {"coef": [2, 0],
+                                       "factors": {"1": "X"}}]},
+     "term 1: unknown key 'coef', not one of 'coeff', 'factors'"),
+    (TREE_JSON, {"terms": [PAIR_TERM, {"factor": {"1": "X"}}]},
+     "term 1: unknown key 'factor', not one of 'coeff', 'factors'"),
+    (TREE_JSON, {"operators": {"Q": {"dim": 2, "matrix": [[0, 0]] * 4,
+                                     "hermitian": True}},
+                 "terms": [PAIR_TERM]},
+     "operator 'Q': unknown key 'hermitian', not one of 'dim', 'matrix'"),
+], ids=["tree", "hamiltonian", "term_coef", "term_factor", "operator"])
+def test_build_refuses_unknown_keys(tmp_path, capsys, tree_json, ham_json,
+                                    message):
+    # a key nothing reads was dropped: "coef" built coefficient 1, "factor"
+    # the identity term, and "phys_dim" left every dimension at 2
+    tree, ham = tmp_path / "tree.json", tmp_path / "ham.json"
+    tree.write_text(json.dumps(tree_json))
+    ham.write_text(json.dumps(ham_json))
+    out = tmp_path / "o.json"
+    rc = main(["build", str(tree), str(ham), "--out", str(out)])
+    assert rc == EXIT_VALIDATION
+    assert capsys.readouterr().err == f"validation error: {message}\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("terms, message", [
+    ([PAIR_TERM, {"coeff": [0, 0], "factors": {"1": "Y"}}],
+     "term 1: term coefficient must be non-zero"),
+    ([PAIR_TERM, {"factors": {"1": "Y", "2": "I"}}],
+     "term 1: identity factor at site 2: identities are implicit"),
+    ([PAIR_TERM, {"factors": {"3": "Z"}}, dict(PAIR_TERM)],
+     "term 2 repeats term 0: ProductTerm(1 * [X@1 X@2])"),
+], ids=["zero_coeff", "identity_factor", "repeat"])
+def test_build_refusals_name_the_term(tmp_path, capsys, terms, message):
+    tree, ham = tmp_path / "tree.json", tmp_path / "ham.json"
+    tree.write_text(json.dumps(TREE_JSON))
+    ham.write_text(json.dumps({"terms": terms}))
+    out = tmp_path / "o.json"
+    rc = main(["build", str(tree), str(ham), "--out", str(out)])
+    assert rc == EXIT_VALIDATION
+    assert capsys.readouterr().err == f"validation error: {message}\n"
+    assert not out.exists()
+
+
+def test_build_verify_mismatch(files, monkeypatch, capsys):
+    tmp, tree, ham = files
+    monkeypatch.setattr("ttno.cli.to_dense",
+                        lambda h, registry: np.zeros((256, 256)))
+    rc = main(["build", tree, ham, "--out", str(tmp / "o.json"), "--verify"])
+    assert rc == EXIT_VERIFY
+    assert capsys.readouterr().err == ("verification FAILED: contraction "
+                                       "differs from dense build\n")
 
 
 def test_build_site_mismatch(files):
@@ -601,6 +663,16 @@ def test_bench_refuses_malformed_flag(files, capsys, flag, value):
     assert f"{flag} {value}" in capsys.readouterr().err
 
 
+def test_bench_refuses_empty_terms(files, capsys):
+    tmp, tree, _ = files
+    rc = main(["bench", tree, "--terms", "", "--samples", "2", "--seed", "1",
+               "--out", str(tmp / "d.csv")])
+    assert rc == EXIT_VALIDATION
+    assert capsys.readouterr().err == ("validation error: --terms must list "
+                                       "at least one term count\n")
+    assert not (tmp / "d.csv").exists()
+
+
 def test_bench_refuses_repeated_label(files):
     # a separate process under a timeout, so that a draw that never ends
     # fails the test instead of hanging the suite
@@ -712,6 +784,42 @@ def test_cayley_all_to_all(tmp_path):
     assert row[3] == row[4]
 
 
+@pytest.mark.parametrize("depth, bad_chi", [(3, 2), (3, 5)],
+                         ids=["within_depth", "beyond_depth"])
+def test_cayley_disagreement_is_a_verification_mismatch(
+        tmp_path, monkeypatch, capsys, depth, bad_chi):
+    # a disagreement exited 3 with no message, and 0 beyond the depth
+    spec = closedform.CayleyTreeSpec(3, depth)
+    right = closedform.brute_force_root_bond
+    monkeypatch.setattr(closedform, "brute_force_root_bond",
+                        lambda spec, chi: right(spec, chi) + (chi == bad_chi))
+    out = tmp_path / "c.csv"
+    rc = main(["cayley", "--degree", "3", "--depth", str(depth),
+               "--out", str(out)])
+    assert rc == EXIT_VERIFY
+    cf = closedform.fixed_range_bond_bound(spec, bad_chi)
+    assert capsys.readouterr().err == (
+        f"verification FAILED: degree 3, depth {depth}, chi {bad_chi}: "
+        f"closed form {cf} != brute force {cf + 1}\n")
+    rows = out.read_text().splitlines()
+    assert rows[bad_chi] == f"3,{depth},{bad_chi},{cf},{cf + 1}"
+    assert len(rows) == 2 * depth
+
+
+def test_cayley_all_to_all_disagreement(tmp_path, monkeypatch, capsys):
+    monkeypatch.setattr(closedform, "brute_force_all_to_all_bond",
+                        lambda spec: 1)
+    out = tmp_path / "c.csv"
+    rc = main(["cayley", "--degree", "2", "--depth", "2", "--all-to-all",
+               "--out", str(out)])
+    assert rc == EXIT_VERIFY
+    assert capsys.readouterr().err == (
+        "verification FAILED: degree 2, depth 2, chi all: closed form 7 != "
+        "brute force 1\n")
+    assert out.read_text() == ("degree,depth,chi,closed_form,brute_force\n"
+                               "2,2,all,7,1\n")
+
+
 def test_cayley_invalid_degree():
     assert main(["cayley", "--degree", "1", "--depth", "2"]) == EXIT_VALIDATION
 
@@ -777,6 +885,23 @@ def test_plotdata_empty_csv(tmp_path):
     header_only.write_text("seed,n_terms,edge,alg_dim,opt_dim\n")
     assert main(["plotdata", str(header_only),
                  "--out-prefix", str(tmp_path / "p")]) == EXIT_PARSE
+
+
+@pytest.mark.parametrize("text, message", [
+    ("seed,n_terms,edge,alg_dim,opt_dim\n", "empty or header-only CSV"),
+    ("seed,n_terms,edge,alg_dim\n1,5,0-1,2\n",
+     "need columns ['alg_dim', 'n_terms', 'opt_dim']"),
+    ("seed,n_terms,edge,alg_dim,opt_dim\n1,5,0-1,2,2\n1,5,1-2,x,3\n",
+     "bad row {'seed': '1', 'n_terms': '5', 'edge': '1-2', 'alg_dim': 'x', "
+     "'opt_dim': '3'}"),
+], ids=["header_only", "missing_column", "bad_row"])
+def test_plotdata_refuses_malformed_csv(tmp_path, capsys, text, message):
+    detail = tmp_path / "d.csv"
+    detail.write_text(text)
+    rc = main(["plotdata", str(detail), "--out-prefix", str(tmp_path / "p")])
+    assert rc == EXIT_PARSE
+    assert capsys.readouterr().err == f"parse error: {detail}: {message}\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["d.csv"]
 
 
 def test_user_label_colliding_with_derived_label(tmp_path):

@@ -151,6 +151,16 @@ def test_duplicate_terms_rejected():
         Hamiltonian(t, [dup, ProductTerm(1.0, {1: SiteOperator("X", 2)})])
 
 
+def test_duplicate_names_both_terms():
+    t = TreeTopology([(0, 1)], root=0)
+    x0, z1 = SiteOperator("X", 2), SiteOperator("Z", 2)
+    terms = [ProductTerm(1.0, {0: x0}), ProductTerm(1.0, {1: z1}),
+             ProductTerm(2.0, {0: x0}), ProductTerm(1.0, {1: z1})]
+    with pytest.raises(DuplicateTermError, match=re.escape(
+            "term 3 repeats term 1: ProductTerm(1 * [Z@1])")):
+        Hamiltonian(t, terms)
+
+
 def test_duplicates_detected_after_folding():
     t = TreeTopology([], root=0)
     a = ProductTerm(2.0, {0: SiteOperator("X", 2)})
@@ -335,3 +345,18 @@ def test_random_stream_pinned():
            random_hamiltonian(single, 3, ("X", "Y", "Z"), 1, seed=5)]
     assert _term_stream(hs) == (
         "ba733f3f95ac98eff425c17adea68dd35819851c355de6113591071a19b511a2")
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda tree: SiteOperator("", 2), "operator label must be non-empty"),
+    (lambda tree: SiteOperator("X", 0), "operator dimension must be >= 1"),
+    (lambda tree: OperatorRegistry().register("Q", np.zeros((2, 3))),
+     "matrix for 'Q' must be square"),
+    (lambda tree: random_hamiltonian(tree, 0, ("X",), seed=1),
+     "n_terms must be >= 1"),
+    (lambda tree: random_hamiltonian(tree, 1, ("X",), max_support=0, seed=1),
+     "max_support must be >= 1"),
+], ids=["empty_label", "dim_zero", "non_square", "no_terms", "no_support"])
+def test_refusals_by_message(tree, call, message):
+    with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
+        call(tree)
