@@ -389,9 +389,10 @@ def build_parser() -> argparse.ArgumentParser:
     c = sub.add_parser("cayley", help="fixed-range bond bounds on Cayley trees")
     c.add_argument("--degree", type=int, required=True)
     c.add_argument("--depth", type=int, required=True)
-    c.add_argument("--range", type=int, default=None, dest="range",
-                   help="interaction range (default: sweep 1..2*depth-1)")
-    c.add_argument("--all-to-all", action="store_true")
+    reach = c.add_mutually_exclusive_group()
+    reach.add_argument("--range", type=int, default=None, dest="range",
+                       help="interaction range (default: sweep 1..2*depth-1)")
+    reach.add_argument("--all-to-all", action="store_true")
     c.add_argument("--out", default="-", help="output CSV (default stdout)")
     c.set_defaults(func=cmd_cayley)
 

@@ -166,28 +166,22 @@ def fixed_range_bond_bound(spec: CayleyTreeSpec, chi: int) -> int:
     return 2 + min(chi, 2 * depth - chi + 1) * (kappa - 1) ** (chi - 1)
 
 
-def _site_pairs(tree: TreeTopology, in_range) -> list[tuple[int, int]]:
-    """Site pairs ``a < b`` (node order) whose distance satisfies
-    ``in_range``."""
-    nodes = tree.nodes
-    return [(a, b) for i, a in enumerate(nodes) for b in nodes[i + 1:]
-            if in_range(tree.distance(a, b))]
-
-
 def _max_root_crossing(spec: CayleyTreeSpec, in_range) -> int:
     """Pairs whose distance satisfies ``in_range`` and whose route crosses a
-    root edge, plus the two trivial index values; max over root edges."""
+    root edge, plus the two trivial index values; max over root edges.  A
+    pair crosses the root edge above each endpoint when the endpoints lie
+    in different root subtrees (the root lies in none)."""
     tree = cayley_tree(spec)
-    pairs = _site_pairs(tree, in_range)
-    best = 0
-    for child in tree.children(tree.root):
-        inside = tree.subtree(child)
-        crossing = 0
-        for a, b in pairs:
-            if (a in inside) != (b in inside):
-                crossing += 1
-        best = max(best, crossing + 2)
-    return best
+    nodes, kids = tree.nodes, tree.children(tree.root)
+    top = {s: c for c in kids for s in tree.subtree(c)}
+    crossing = dict.fromkeys((None, *kids), 0)  # None: ends at the root
+    for i, a in enumerate(nodes):
+        for b in nodes[i + 1:]:
+            ends = (top.get(a), top.get(b))
+            if ends[0] != ends[1] and in_range(tree.distance(a, b)):
+                for c in ends:
+                    crossing[c] += 1
+    return max(crossing[c] for c in kids) + 2
 
 
 def brute_force_root_bond(spec: CayleyTreeSpec, chi: int) -> int:

@@ -8,6 +8,7 @@ matrices are resolved on demand through an :class:`OperatorRegistry`.
 
 from __future__ import annotations
 
+import itertools
 import math
 import os
 from dataclasses import dataclass, field
@@ -60,6 +61,7 @@ def format_scalar(c: complex) -> str:
 # (base label, dim, scale) -> small int; ids are only ever compared for
 # equality, so sharing one table across the process is harmless
 _OPERATOR_IDS: dict[tuple[str, int, complex], int] = {}
+_REGISTRY_STATES = itertools.count()  # OperatorRegistry.state values
 
 
 @dataclass(eq=False)
@@ -136,9 +138,12 @@ class OperatorRegistry:
     bosonic annihilation/creation/number operators B, Bdag, N for any
     dimension.  A factory operator is built once per (label, dimension) and
     handed out read-only; a label registered for that dimension wins.
+    ``state`` is drawn from one process-wide counter at creation and at
+    every ``register``: no two registry states share it.
     """
 
     def __init__(self):
+        self.state = next(_REGISTRY_STATES)
         self._matrices: dict[tuple[str, int], np.ndarray] = {}
         self._factories: dict[str, callable] = {}
         self._factories[IDENTITY_LABEL] = lambda d: np.eye(d, dtype=complex)
@@ -161,6 +166,7 @@ class OperatorRegistry:
             raise ValidationError(
                 f"operator {label!r}: the label is reserved for the identity")
         self._matrices[(label, m.shape[0])] = m
+        self.state = next(_REGISTRY_STATES)
 
     def lookup(self, label: str, dim: int) -> np.ndarray:
         key = (label, dim)
@@ -259,11 +265,13 @@ class Hamiltonian:
         for t in self.terms:
             for s, op in t.factors.items():
                 if s not in phys_dims:
-                    raise ValidationError(f"term acts on unknown site {s}")
+                    raise ValidationError(
+                        f"term {len(folded)} acts on unknown site {s}")
                 if op.dim != phys_dims[s]:
                     raise ValidationError(
-                        f"operator {op.label!r} (dim {op.dim}) does not match "
-                        f"site {s} (dim {phys_dims[s]})")
+                        f"term {len(folded)}: operator {op.label!r} (dim "
+                        f"{op.dim}) does not match site {s} (dim "
+                        f"{phys_dims[s]})")
             f = fold_coefficient(t, root, root_dim)
             k = f.key()
             if k in folded:  # the i-th key in ``folded`` is term i's
@@ -281,17 +289,37 @@ class Hamiltonian:
 
 def to_dense(h: Hamiltonian, *,
              registry: OperatorRegistry | None = None) -> np.ndarray:
-    """Dense matrix of ``h``, Kronecker factors in ascending site order."""
+    """Dense matrix of ``h``, Kronecker factors in ascending site order,
+    each term added through one strided view of the output: the diagonal of
+    an identity site, the d x d axes of an operator (none at dimension 1)."""
     registry = registry or DEFAULT_REGISTRY
     tree = h.tree
     total = dense_size(tree)
     out = np.zeros((total, total), dtype=complex)
+    layout, place = [], total  # per site: its place value, in bytes
+    for s in tree.nodes:
+        place //= tree.phys_dim(s)
+        layout.append((s, tree.phys_dim(s), place * out.itemsize))
     for term in h.terms:
-        block = np.array([[term.coefficient]], dtype=complex)
-        for s in tree.nodes:
-            op = term.factors.get(s) or identity(tree.phys_dim(s))
-            block = np.kron(block, registry.resolve(op))
-        out += block
+        # one leading axis keeps ``block`` an array, so every product takes
+        # the Kronecker product's ufunc path, never numpy's scalar one
+        block = np.array([term.coefficient], dtype=complex)
+        shape, strides = [1], [0]
+        for s, d, step in layout:
+            op = term.factors.get(s)
+            if op is None:
+                if d > 1:
+                    block = block[..., None]
+                    shape += [d]
+                    strides += [step * (total + 1)]
+            elif d == 1:
+                block = block * registry.resolve(op)[0, 0]
+            else:
+                block = np.multiply.outer(block, registry.resolve(op))
+                shape += [d, d]
+                strides += [step * total, step]
+        view = np.lib.stride_tricks.as_strided(out, shape, strides)
+        view += block
     return out
 
 

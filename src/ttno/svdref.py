@@ -10,25 +10,25 @@ Per site, the operators used there are expanded by Gram-Schmidt in an
 orthonormal basis of their span under the normalised Hilbert-Schmidt
 product tr(A^dag B) / d, with the identity as basis element 0; the per-site
 Gram matrices are resolved through the registry, so bosons and user
-matrices (also linearly dependent ones) are handled.  An expansion depends
-only on the site dimension and the bytes of the operators' matrices in
-first-seen order, so it is memoised (a bounded LRU cache) under exactly that
-key: a study that draws many Hamiltonians from one operator alphabet expands
-each site once, and two registries that give one label different matrices
-never share an entry.  Products of these basis elements are orthonormal, so
-H becomes one sparse coefficient vector over basis strings, and cutting
-every string at an edge turns it into a matrix C whose singular values are
-those of the dense matricization times one common factor.  Identity sites
-carry basis element 0 and drop out.
+matrices (also linearly dependent ones) are handled.  The expansions are
+memoised (a bounded cache) under the registry's ``state``, which changes
+with every ``register``, the dimension and the operators' ids in first-seen
+order.  Products of basis elements are orthonormal, so H becomes one sparse
+coefficient vector over basis strings, sorted tuples of ints ``pos * K + m``
+for element ``m >= 1`` at the site of preorder position ``pos`` on the tree
+rooted at its last leaf (``tree.last_leaf_rooting``), K the largest d^2 on
+the tree.  Cutting every string at an edge turns it into a matrix C whose
+singular values are those of the dense matricization times one common
+factor.
 
-The cut is support-local.  Sites are named by their preorder position on
-the tree rooted at its last leaf (``tree.last_leaf_rooting``), so the sites
-below an edge hold one range of positions and the part of a string below
-it is one slice, found by bisection.  A string enters only the edges it
-crosses, those of the Steiner tree of its support (``Rooting.steiner``).
-A string wholly on one side of an edge is a row (or column) of C with one
-entry, at the identity of the other side.  It enters C only where a crossing string has the same
-part on that side, found by a dict lookup per crossing row and column; the
+The cut is support-local.  The part of a string below an edge, whose sites
+hold the positions ``[a, b)``, lies between ``a * K`` and ``b * K``, found
+by bisection, and a string enters only the edges of the Steiner tree of its
+support (``Rooting.steiner``).  A string wholly on one side of an edge is a
+row (or column) of C with one entry, at the identity of the other side.  It
+enters C only where a crossing string has the same part on that side: one
+loop over the crossing rows gives a row its lower part's entry in the
+identity column and collects the top row's matched strings above.  The
 others fold into one row and one column, a unitary that keeps the singular
 values.  The folded norms come from the sum of |c|^2 over the strings wholly
 below the edge (a subtree sum, accumulated at the lowest common ancestor of
@@ -51,7 +51,6 @@ import io
 import math
 from bisect import bisect_left
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
@@ -72,23 +71,23 @@ GRAM_REL_TOL = 1e-12
 _FIX = 1074
 _FIX_ONE = 1 << _FIX
 
-# (preorder position on tree.last_leaf_rooting, basis index >= 1) pairs,
-# ascending in position
-BasisString = tuple[tuple[int, int], ...]
+# ints pos * K + m, ascending, as the module docstring sets out
+BasisString = tuple[int, ...]
+# (registry state, d, op ids) -> _gram_schmidt of their matrices
+_EXPANSIONS: dict[tuple, tuple] = {}
 
 
-@lru_cache(maxsize=256)
-def _gram_schmidt(d: int, matrices: tuple[bytes, ...]
+def _gram_schmidt(d: int, matrices
                   ) -> tuple[tuple[tuple[int, complex], ...], ...]:
-    """[(basis index, coefficient)] of each d x d matrix (raw complex bytes,
-    row-major) in a Gram-Schmidt basis of the identity and the matrices, in
-    the given order; index 0 is the identity."""
+    """[(basis index, coefficient)] of each d x d matrix in a Gram-Schmidt
+    basis of the identity and the matrices, in the given order; index 0 is
+    the identity."""
     # unscaled vectors and vdot / d: the identity has unit norm and
     # orthogonal Paulis or bosonic ladders give exact zeros
     basis = [np.eye(d, dtype=complex).ravel()]
     out = []
-    for raw in matrices:
-        resid = np.frombuffer(raw, dtype=complex)
+    for matrix in matrices:
+        resid = matrix.ravel()
         cut = GRAM_REL_TOL * math.sqrt(np.vdot(resid, resid).real / d)
         coeffs = []
         for b in basis:
@@ -104,46 +103,65 @@ def _gram_schmidt(d: int, matrices: tuple[bytes, ...]
     return tuple(out)
 
 
-def _site_expansions(h: Hamiltonian, registry: OperatorRegistry
-                     ) -> dict[int, dict[int, tuple[tuple[int, complex], ...]]]:
-    """Per site, op_id -> expansion of the operator in the Gram-Schmidt
-    basis of the site's operators, taken in first-seen order.  A label the
-    registry does not know raises UnknownOperatorError naming the first
-    term and the site that use it."""
-    seen: dict[int, dict[int, SiteOperator]] = {}
+def _site_expansions(h: Hamiltonian, registry: OperatorRegistry,
+                     base: dict[int, int]
+                     ) -> dict[int, dict[int, list[tuple[int, complex]]]]:
+    """Per site, op_id -> (``base[s] + m``, or 0 for m = 0, coefficient) of
+    the operator in the Gram-Schmidt basis of the site's operators in
+    first-seen order.  A label the registry does not know raises
+    UnknownOperatorError naming the first term and the site that use it."""
+    by_site: dict[int, dict[int, SiteOperator]] = {}
     for term in h.terms:
         for s, op in term.factors.items():
-            seen.setdefault(s, {}).setdefault(op.op_id, op)
+            by_site.setdefault(s, {}).setdefault(op.op_id, op)
 
-    def matrix_bytes(s: int, op: SiteOperator) -> bytes:
+    def matrix(s: int, op: SiteOperator) -> np.ndarray:
         try:
-            return registry.resolve(op).tobytes()
+            return registry.resolve(op)
         except UnknownOperatorError as exc:
             i = next(i for i, t in enumerate(h.terms)
                      if t.factors.get(s) == op)
             raise UnknownOperatorError(f"term {i}, site {s}: {exc}") from exc
 
-    return {s: dict(zip(ops, _gram_schmidt(
-                h.tree.phys_dim(s),
-                tuple(matrix_bytes(s, op) for op in ops.values()))))
-            for s, ops in seen.items()}
+    out = {}
+    for s, ops in by_site.items():
+        d = h.tree.phys_dim(s)
+        key = (registry.state, d, tuple(ops))
+        exps = _EXPANSIONS.get(key)
+        if exps is None:
+            exps = _gram_schmidt(d, [matrix(s, op) for op in ops.values()])
+            if len(_EXPANSIONS) >= 256:
+                del _EXPANSIONS[next(iter(_EXPANSIONS))]
+            _EXPANSIONS[key] = exps
+        out[s] = {i: [(base[s] + m if m else 0, c) for m, c in exp]
+                  for i, exp in zip(ops, exps)}
+    return out
 
 
 def _basis_coefficients(h: Hamiltonian, registry: OperatorRegistry,
-                        pos: dict[int, int]) -> dict[BasisString, complex]:
-    """H as coefficients over orthonormal product basis strings, sites
-    named by ``pos``."""
-    expansions = _site_expansions(h, registry)
+                        base: dict[int, int]) -> dict[BasisString, complex]:
+    """H as coefficients over orthonormal product basis strings, the site
+    ``s`` of element ``m`` named by ``base[s] + m``."""
+    expansions = _site_expansions(h, registry, base)
     out: dict[BasisString, complex] = {}
     for term in h.terms:
-        strings = [((), term.coefficient)]
+        # factors of one component go straight into ``ones`` until one
+        # branches; the coefficients multiply in ascending site order
+        ones, c, strings = [], term.coefficient, None
         for s, op in sorted(term.factors.items()):
-            p = pos[s]
-            strings = [(key + ((p, m),) if m else key, c * k)
-                       for key, c in strings
-                       for m, k in expansions[s][op.op_id]]
-        for key, c in strings:
-            key = tuple(sorted(key))
+            exp = expansions[s][op.op_id]
+            if strings is None and len(exp) == 1:
+                (v, x), = exp
+                c *= x
+                if v:
+                    ones.append(v)
+                continue
+            if strings is None:
+                strings = [((), c)]
+            strings = [(key + (v,) if v else key, b * x)
+                       for key, b in strings for v, x in exp]
+        for key, c in [((), c)] if strings is None else strings:
+            key = tuple(sorted([*ones, *key]))
             out[key] = out.get(key, 0.0) + c
     return out
 
@@ -170,22 +188,21 @@ def _fold_single_entry_rows(rows) -> list[dict]:
 
 def _schmidt_rank(rows: list[dict]) -> int:
     """Numerical rank of the sparse matrix ``rows`` ({col: value} each)."""
-    # union-find over the rows, joined through the columns they share
+    # union-find over the rows, joined through shared columns: the roots met
+    # point to the row in hand, so one backward pass resolves every row
     root = list(range(len(rows)))
-
-    def find(i: int) -> int:
-        while root[i] != i:
-            root[i] = i = root[root[i]]
-        return i
-
     owner: dict[BasisString, int] = {}
     for i, row in enumerate(rows):
         for col in row:
-            if (j := owner.setdefault(col, i)) != i:
-                root[find(i)] = find(j)
+            j = owner.setdefault(col, i)
+            while root[j] != j:
+                root[j] = j = root[root[j]]
+            root[j] = i
+    for i in range(len(rows) - 1, -1, -1):
+        root[i] = root[root[i]]
     blocks: dict[int, list[dict]] = {}
     for i, row in enumerate(rows):
-        blocks.setdefault(find(i), []).append(row)
+        blocks.setdefault(root[i], []).append(row)
     sv = []
     for block in blocks.values():
         # one row, or rows of one entry (then all in one column): the one
@@ -217,48 +234,48 @@ def optimal_bond_dims(h: Hamiltonian,
     tree = h.tree
     r = tree.last_leaf_rooting
     up, span, order = r.up, r.span, r.order
-    pos = {s: i for i, s in enumerate(order)}
-    coeffs = _basis_coefficients(h, registry or DEFAULT_REGISTRY, pos)
+    k = max(d * d for d in tree.phys_dims.values())
+    base = {s: i * k for i, s in enumerate(order)}
+    coeffs = _basis_coefficients(h, registry or DEFAULT_REGISTRY, base)
     c0 = coeffs.pop((), 0.0)
     # edges are named by their endpoint t away from the last leaf; the
     # sites below edge t hold the positions span[t]
-    crossing: dict[int, dict[BasisString, dict[BasisString, complex]]] = {}
-    crossing_w: dict[int, int] = {}
+    crossing = {t: {} for t in order}  # t -> {part below: {above: c}}
+    crossing_w = dict.fromkeys(order, 0)
     lca_w = dict.fromkeys(order, 0)
     total = 0
     for key, c in coeffs.items():
         w = _fixed(c)
         total += w
-        ps = [p for p, _ in key]
-        steiner, lca = r.steiner(order[p] for p in ps)
+        steiner, lca = r.steiner([order[v // k] for v in key])
         lca_w[lca] += w
         for t in steiner:
             a, b = span[t]
-            i = bisect_left(ps, a)
-            j = bisect_left(ps, b, i)
-            crossing.setdefault(t, {}).setdefault(
-                key[i:j], {})[key[:i] + key[j:]] = c
-            crossing_w[t] = crossing_w.get(t, 0) + w
+            i = bisect_left(key, a * k)
+            j = bisect_left(key, b * k, i)
+            crossing[t].setdefault(key[i:j], {})[key[:i] + key[j:]] = c
+            crossing_w[t] += w
     # below[t]: |c|^2 of the strings wholly below edge t
     below = {}
     for t in reversed(order):
-        below[t] = lca_w[t] + sum(below[k] for k in r.kids[t])
+        below[t] = lca_w[t] + sum(below[kid] for kid in r.kids[t])
 
     out: dict[Edge, int] = {}
     for e in tree.edges:
         t = e[0] if up[e[0]] == e[1] else e[1]
-        rows = crossing.get(t, {})
+        rows = crossing[t]
         fold_below = below[t]
-        fold_above = total - below[t] - crossing_w.get(t, 0)
+        fold_above = total - below[t] - crossing_w[t]
         # the row of the strings with nothing below the cut: the identity
-        # and the one-sided strings above that a crossing column matches
+        # and the one-sided strings above that a crossing column matches;
+        # a row whose part below the cut is a string gets that string's
+        # entry in the identity column
         top = {(): c0}
-        for row in rows.values():
-            for key in row:
-                if key in coeffs and key not in top:
-                    top[key] = coeffs[key]
-                    fold_above -= _fixed(coeffs[key])
         for key, row in rows.items():
+            for col in row:
+                if col in coeffs and col not in top:
+                    top[col] = coeffs[col]
+                    fold_above -= _fixed(coeffs[col])
             if key in coeffs:
                 row[()] = coeffs[key]
                 fold_below -= _fixed(coeffs[key])

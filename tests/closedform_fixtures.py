@@ -4,8 +4,7 @@ check the closed-form bounds against."""
 import numpy as np
 
 from ttno.assembly import TTNO
-from ttno.closedform import (CayleyTreeSpec, _site_pairs, nn_ttno,
-                             uniform_nn_interaction)
+from ttno.closedform import CayleyTreeSpec, nn_ttno, uniform_nn_interaction
 from ttno.errors import ValidationError
 from ttno.operators import (Hamiltonian, OperatorRegistry, ProductTerm,
                             SiteOperator)
@@ -37,6 +36,14 @@ def cayley_shell_count(spec: CayleyTreeSpec, radius: int) -> int:
     if radius > spec.depth:
         return 0
     return (spec.degree - 1) ** (radius - 1)
+
+
+def _site_pairs(tree: TreeTopology, in_range) -> list[tuple[int, int]]:
+    """Site pairs ``a < b`` (node order) whose distance satisfies
+    ``in_range``."""
+    nodes = tree.nodes
+    return [(a, b) for i, a in enumerate(nodes) for b in nodes[i + 1:]
+            if in_range(tree.distance(a, b))]
 
 
 def _pair_interaction_terms(tree: TreeTopology, pairs) -> list[ProductTerm]:

@@ -2,7 +2,8 @@
 
 These deliberately avoid the package's own code paths: BFS on a raw edge
 list, an element-wise Kronecker sum, and a recursive-attachment random tree
-generator.  Two build on package code.  The dense rank oracle uses
+generator.  Three build on package code.  The Kronecker chain is the
+reference for the in-place ``to_dense``.  The dense rank oracle uses
 ``to_dense`` (itself checked against the element-wise sum) and stands apart
 from the term-based ``optimal_bond_dims`` it checks.  The reference diagram
 construction uses the diagram's vertex and hyperedge filing and its hash
@@ -14,7 +15,8 @@ from collections import deque
 import numpy as np
 
 from ttno.diagram import StateDiagram
-from ttno.operators import to_dense
+from ttno.operators import (DEFAULT_REGISTRY, dense_size, identity,
+                            to_dense)
 from ttno.svdref import RANK_REL_TOL
 
 from conftest import component_without_edge
@@ -78,6 +80,22 @@ def elementwise_dense(site_dims, terms, ordering):
                 acc += val
             h[i, j] = acc
     return h
+
+
+def kron_dense(h, registry=None):
+    """Dense matrix of ``h`` as a sum over terms of Kronecker chains in
+    ascending site order, identities included."""
+    registry = registry or DEFAULT_REGISTRY
+    tree = h.tree
+    total = dense_size(tree)
+    out = np.zeros((total, total), dtype=complex)
+    for term in h.terms:
+        block = np.array([[term.coefficient]], dtype=complex)
+        for s in tree.nodes:
+            op = term.factors.get(s) or identity(tree.phys_dim(s))
+            block = np.kron(block, registry.resolve(op))
+        out += block
+    return out
 
 
 def random_tree_edges(rng, n_sites):

@@ -820,6 +820,16 @@ def test_cayley_all_to_all_disagreement(tmp_path, monkeypatch, capsys):
                                "2,2,all,7,1\n")
 
 
+def test_cayley_refuses_range_with_all_to_all(capsys):
+    # --all-to-all used to win silently, printing only the ``all`` row
+    with pytest.raises(SystemExit) as exc:
+        main(["cayley", "--degree", "3", "--depth", "2", "--range", "2",
+              "--all-to-all"])
+    assert exc.value.code == EXIT_PARSE
+    assert ("argument --all-to-all: not allowed with argument --range"
+            in capsys.readouterr().err)
+
+
 def test_cayley_invalid_degree():
     assert main(["cayley", "--degree", "1", "--depth", "2"]) == EXIT_VALIDATION
 

@@ -1,6 +1,7 @@
 import hashlib
 import math
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -13,7 +14,8 @@ from ttno.operators import (DEFAULT_REGISTRY, Hamiltonian, OperatorRegistry,
 from ttno.tree import TreeTopology
 
 from conftest import demo_terms, demo_tree, pauli_term
-from oracles import elementwise_dense
+from oracles import (elementwise_dense, kron_dense, pick_nonleaf_root,
+                     random_tree_edges)
 from test_diagram import random40_hamiltonian
 
 X = DEFAULT_REGISTRY.lookup("X", 2)
@@ -84,12 +86,12 @@ def test_non_finite_coefficient_rejected(coeff):
 
 
 @pytest.mark.parametrize("factors, message", [
-    ({9: SiteOperator("X", 2)}, "term acts on unknown site 9"),
+    ({9: SiteOperator("X", 2)}, "term 1 acts on unknown site 9"),
     ({2: SiteOperator("X", 3)},
-     "operator 'X' (dim 3) does not match site 2 (dim 2)"),
-])
+     "term 1: operator 'X' (dim 3) does not match site 2 (dim 2)"),
+], ids=["unknown_site", "dim_mismatch"])
 def test_hamiltonian_refuses_factors_off_the_tree(tree, factors, message):
-    with pytest.raises(ValidationError, match=re.escape(message)):
+    with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
         Hamiltonian(tree, [pauli_term({1: "X"}), ProductTerm(1.0, factors)])
 
 
@@ -186,6 +188,47 @@ def test_to_dense_linear_in_terms(demo_hamiltonian):
     t2 = demo_hamiltonian.terms[2:]
     total = to_dense(Hamiltonian(tree, t1)) + to_dense(Hamiltonian(tree, t2))
     assert np.allclose(total, to_dense(demo_hamiltonian), atol=1e-12)
+
+
+def test_to_dense_matches_kron_chain_bit_for_bit():
+    # random trees of dimension-1, qubit and boson sites, user matrices at
+    # every dimension, complex coefficients, identity terms included
+    rng = np.random.default_rng(4242)
+    labels = {1: ("A",), 2: ("A", "X", "Y"), 3: ("A", "B", "N")}
+    for i in range(60):
+        n = int(rng.integers(1, 8))
+        edges = random_tree_edges(rng, n)
+        dims = {s: int(rng.choice((1, 2, 3))) for s in range(n)}
+        tree = TreeTopology(edges, pick_nonleaf_root(edges, n), dims)
+        registry = OperatorRegistry()
+        for d in labels:
+            registry.register("A", rng.normal(size=(d, d))
+                              + 1j * rng.normal(size=(d, d)))
+        terms = []
+        for _ in range(int(rng.integers(1, 12))):
+            support = rng.choice(n, size=int(rng.integers(0, n + 1)),
+                                 replace=False)
+            terms.append(ProductTerm(complex(*rng.normal(size=2)), {
+                int(s): SiteOperator(str(rng.choice(labels[dims[s]])),
+                                     dims[s]) for s in support}))
+        h = Hamiltonian(tree, terms)
+        assert (to_dense(h, registry=registry).tobytes()
+                == kron_dense(h, registry).tobytes()), i
+
+
+def test_to_dense_peak_is_about_one_output_matrix():
+    # the Kronecker chain held a full-size block per term, and its partial
+    # products, beside the output
+    chain = TreeTopology([(i, i + 1) for i in range(9)], root=1)
+    h = random_hamiltonian(chain, 40, ("X", "Y", "Z"), 3, seed=77)
+    tracemalloc.start()
+    try:
+        out = to_dense(h)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert out.shape == (1024, 1024)
+    assert peak < 1.1 * out.nbytes
 
 
 def test_dense_cap(monkeypatch):

@@ -314,6 +314,58 @@ def test_oracle_memo_keyed_by_matrix_content(first):
     assert [optimal_bond_dims(h, r)[(0, 1)] for r in registries] == [1, 2]
 
 
+def test_oracle_memo_sees_a_register_between_calls():
+    # one registry and one h: a memo keyed by op ids alone would hand the
+    # second call the expansion of the matrix "A" had before
+    pair = TreeTopology([(0, 1)], root=0)
+    a, x = SiteOperator("A", 2), SiteOperator("X", 2)
+    h = Hamiltonian(pair, [ProductTerm(1.0, {0: a, 1: a}),
+                           ProductTerm(1.0, {0: x, 1: x})])
+    registry = OperatorRegistry()
+    registry.register("A", X_MATRIX)
+    assert optimal_bond_dims(h, registry) == dense_bond_dims(h, registry)
+    assert optimal_bond_dims(h, registry) == {(0, 1): 1}
+    registry.register("A", np.diag([1.0, -1.0]))
+    assert optimal_bond_dims(h, registry) == dense_bond_dims(h, registry)
+    assert optimal_bond_dims(h, registry) == {(0, 1): 2}
+
+
+def test_matches_dense_on_dimensions_1_2_and_4():
+    # basis strings count positions in steps of K = 16, the d^2 of a d = 4
+    # site; d = 1 sites carry only the identity.  User matrices A and B, a
+    # dependent C = a A + b B and a zero matrix O at every dimension: most
+    # expansions have several components, and O's has none
+    rng = np.random.default_rng(1624)
+    checked = 0
+    while checked < 80:
+        n = int(rng.integers(2, 8))
+        dims = {s: int(rng.choice((1, 2, 4))) for s in range(n)}
+        if math.prod(dims.values()) > 256:
+            continue
+        edges = random_tree_edges(rng, n)
+        tree = TreeTopology(edges, pick_nonleaf_root(edges, n), dims)
+        registry = OperatorRegistry()
+        for d in (1, 2, 4):
+            m = rng.normal(size=(2, d, d)) + 1j * rng.normal(size=(2, d, d))
+            registry.register("A", m[0])
+            registry.register("B", m[1])
+            registry.register("C", complex(*rng.normal(size=2)) * m[0]
+                              + complex(*rng.normal(size=2)) * m[1])
+            registry.register("O", np.zeros((d, d)))
+        terms = {}
+        for _ in range(int(rng.integers(1, 16))):
+            support = rng.choice(n, size=int(rng.integers(1, n + 1)),
+                                 replace=False)
+            factors = {int(s): SiteOperator(str(rng.choice(list("ABCO"))),
+                                            dims[s]) for s in support}
+            key = tuple(sorted((s, op.label) for s, op in factors.items()))
+            terms[key] = ProductTerm(complex(*rng.normal(size=2)), factors)
+        h = Hamiltonian(tree, terms.values())
+        assert (optimal_bond_dims(h, registry)
+                == dense_bond_dims(h, registry)), checked
+        checked += 1
+
+
 def test_dominance_over_random_suite(tree):
     results = run_bench(tree, [10], 40, seed=1717)
     for rec in results[10]:
