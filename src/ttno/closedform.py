@@ -3,7 +3,7 @@
 Two families: an explicit TTNO for nearest-neighbour interactions on an
 arbitrary tree (optionally with single-site terms), and formulas for the
 root bond dimension of fixed-range / all-to-all two-site interactions on
-full Cayley trees, cross-checked against brute-force pair counting.
+full Cayley trees, cross-checked against a count by depth on the built tree.
 """
 
 from __future__ import annotations
@@ -85,8 +85,6 @@ def nn_ttno(tree: TreeTopology, interaction: NNInteraction,
     """Explicit TTNO for sum of per-edge interactions (+ single-site terms),
     each block at its multi-index in leg order: the parent leg's value
     (none at the root), then the children's, all 0 but at most one."""
-    if tree.is_leaf(tree.root) and len(tree.nodes) > 2:
-        raise ValidationError("root must not be a leaf (re-root the tree first)")
     interaction.validate(tree)
     registry = registry or DEFAULT_REGISTRY
     dims = nn_bond_dimensions(tree, interaction)
@@ -169,23 +167,24 @@ def fixed_range_bond_bound(spec: CayleyTreeSpec, chi: int) -> int:
 def _max_root_crossing(spec: CayleyTreeSpec, in_range) -> int:
     """Pairs whose distance satisfies ``in_range`` and whose route crosses a
     root edge, plus the two trivial index values; max over root edges.  A
-    pair crosses the root edge above each endpoint when the endpoints lie
-    in different root subtrees (the root lies in none)."""
-    tree = cayley_tree(spec)
-    nodes, kids = tree.nodes, tree.children(tree.root)
-    top = {s: c for c in kids for s in tree.subtree(c)}
-    crossing = dict.fromkeys((None, *kids), 0)  # None: ends at the root
-    for i, a in enumerate(nodes):
-        for b in nodes[i + 1:]:
-            ends = (top.get(a), top.get(b))
-            if ends[0] != ends[1] and in_range(tree.distance(a, b)):
-                for c in ends:
-                    crossing[c] += 1
-    return max(crossing[c] for c in kids) + 2
+    pair crosses the edge above one endpoint when the other lies outside its
+    subtree (the root always does), at the sum of the two depths."""
+    rooting = cayley_tree(spec).rooting
+    root = [1] + [0] * spec.depth  # sites per depth: the root alone
+    shells = []  # the same per root subtree, each one run of the preorder
+    for s in rooting.order[1:]:
+        if rooting.depth[s] == 1:
+            shells.append([0] * len(root))
+        shells[-1][rooting.depth[s]] += 1
+    total = [sum(n) for n in zip(root, *shells)]
+    levels = range(len(root))
+    return 2 + max(sum(inside[a] * (total[b] - inside[b])
+                       for a in levels for b in levels if in_range(a + b))
+                   for inside in shells)
 
 
 def brute_force_root_bond(spec: CayleyTreeSpec, chi: int) -> int:
-    """Ground truth: count pairs at distance exactly chi whose route crosses
+    """Ground truth: pairs of the built tree at distance exactly chi across
     a root edge, plus the two trivial index values; max over root edges."""
     if chi < 1:
         raise ValidationError("chi must be >= 1")
@@ -200,5 +199,6 @@ def all_to_all_bound(spec: CayleyTreeSpec) -> int:
 
 
 def brute_force_all_to_all_bond(spec: CayleyTreeSpec) -> int:
+    """The same count for every distance 1..2*depth-1 at once."""
     chi_max = 2 * spec.depth - 1
     return _max_root_crossing(spec, lambda dist: 1 <= dist <= chi_max)

@@ -547,6 +547,69 @@ def test_build_swapped_hamiltonian_value_refused_or_built(files,
     check_hamiltonian_swap(Path(tree), tmp / "fuzz.json", tmp / "out.json")
 
 
+# the keys a build reads but does not need: a term without "coeff" has
+# coefficient 1, one without "factors" is the identity
+OPTIONAL_KEYS = {"coeff", "factors"}
+REPEAT = "@repeat@"  # stands for the repeated key until the JSON is written
+KEY_NAMES = st.one_of(
+    st.text(max_size=4),
+    st.sampled_from(["coef", "Coeff", "factor", "term", "operator", "dims",
+                     " dim", "matrix ", "re", "im", "'", '"', "\\"]))
+
+
+@given(data=st.data())
+def check_hamiltonian_keys(tree, ham, out, data):
+    doc = json.loads(json.dumps(FUZZ_HAM_JSON))
+    obj = data.draw(st.sampled_from(
+        [doc, *doc["terms"], doc["operators"]["Q"]]))
+    action = data.draw(st.sampled_from(["remove", "add", "repeat"]))
+    if action == "remove":
+        key = data.draw(st.sampled_from(sorted(obj)))
+        del obj[key]
+        text = json.dumps(doc)
+    elif action == "add":
+        key = data.draw(KEY_NAMES.filter(lambda k: k not in obj))
+        obj[key] = data.draw(JSON_VALUES)
+        text = json.dumps(doc)
+    else:  # the same key again, at any place in the object
+        key = data.draw(st.sampled_from(sorted(obj)))
+        value = data.draw(st.one_of(st.just(obj[key]), JSON_VALUES))
+        items = list(obj.items())
+        items.insert(data.draw(st.integers(0, len(items))), (REPEAT, value))
+        obj.clear()
+        obj.update(items)
+        text = json.dumps(doc).replace(json.dumps(REPEAT), json.dumps(key))
+    ham.write_text(text, encoding="utf-8")
+    if out.exists():
+        out.unlink()
+    err = io.StringIO()
+    with warnings.catch_warnings(), redirect_stderr(err), redirect_stdout(
+            io.StringIO()):
+        warnings.simplefilter("error")
+        rc = main(["build", str(tree), str(ham), "--out", str(out)])
+    err = err.getvalue()
+    if action == "remove" and key in OPTIONAL_KEYS:
+        assert rc == EXIT_OK, err
+        assert out.exists()
+        return
+    assert rc == EXIT_VALIDATION, err
+    assert not out.exists()
+    assert err.startswith("validation error: ") and err.count("\n") == 1
+    assert "Traceback" not in err
+    if action != "remove":
+        assert repr(key) in err, (key, err)
+
+
+def test_build_hamiltonian_with_a_key_removed_added_or_repeated(
+        files, hypothesis_home):
+    # one key of the Hamiltonian JSON, at the top level, in a term or in an
+    # operator, removed, added or given twice: the build exits 0 only
+    # without a key that has a default, else 3 naming an added or repeated
+    # key, with no warning, no traceback and no dump
+    tmp, tree, _ = files
+    check_hamiltonian_keys(Path(tree), tmp / "fuzz.json", tmp / "out.json")
+
+
 def test_build_random40_without_dense_tensors(tmp_path):
     # the dense tensor at site 3 alone would take 48 GiB
     rng = np.random.default_rng(1)
@@ -828,6 +891,33 @@ def test_cayley_refuses_range_with_all_to_all(capsys):
     assert exc.value.code == EXIT_PARSE
     assert ("argument --all-to-all: not allowed with argument --range"
             in capsys.readouterr().err)
+
+
+@pytest.mark.parametrize("to", [[], ["--out", "-"]],
+                         ids=["default", "dash"])
+def test_cayley_prints_csv_to_stdout(tmp_path, capsys, to):
+    argv = ["cayley", "--degree", "3", "--depth", "3"]
+    out = tmp_path / "c.csv"
+    assert main([*argv, "--out", str(out)]) == EXIT_OK
+    assert capsys.readouterr().out == ""
+    assert main([*argv, *to]) == EXIT_OK
+    printed = capsys.readouterr()
+    assert printed.err == ""
+    assert printed.out.encode("utf-8") == out.read_bytes()
+
+
+@pytest.mark.parametrize("flags", [[], ["--all-to-all"]],
+                         ids=["sweep", "all_to_all"])
+def test_cayley_degree_8_depth_5(tmp_path, flags):
+    # 22,409 sites, ~2.5e8 site pairs: counted pair by pair, one call took
+    # minutes
+    out = tmp_path / "c.csv"
+    assert main(["cayley", "--degree", "8", "--depth", "5", *flags,
+                 "--out", str(out)]) == EXIT_OK
+    rows = [row.split(",") for row in out.read_text().splitlines()[1:]]
+    assert [row[2] for row in rows] == (
+        ["all"] if flags else [str(chi) for chi in range(1, 10)])
+    assert all(row[3] == row[4] for row in rows)
 
 
 def test_cayley_invalid_degree():

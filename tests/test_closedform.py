@@ -15,9 +15,9 @@ from ttno.operators import (DEFAULT_REGISTRY, OperatorRegistry, SiteOperator,
                             to_dense)
 from ttno.tree import TreeTopology
 
-from closedform_fixtures import (all_to_all_hamiltonian, cayley_shell_count,
-                                 cayley_site_count, fixed_range_hamiltonian,
-                                 zero_field_nn_ttno)
+from closedform_fixtures import (_site_pairs, all_to_all_hamiltonian,
+                                 cayley_shell_count, cayley_site_count,
+                                 fixed_range_hamiltonian, zero_field_nn_ttno)
 from oracles import pick_nonleaf_root, random_tree_edges
 
 
@@ -140,6 +140,44 @@ def test_nn_interaction_must_cover_edges(tree):
         nn_ttno(tree, inter)
 
 
+def test_nn_ttno_rooted_at_a_leaf():
+    # a root with one neighbour needs no re-rooting: its one child leg
+    # carries the same three channels as any other bond
+    for edges, root in [([(0, 1), (1, 2)], 0),
+                        ([(0, 1), (1, 2), (1, 3), (3, 4)], 4)]:
+        t = TreeTopology(edges, root=root)
+        inter = uniform_nn_interaction(t, "X", field_label="Z")
+        ttno = nn_ttno(t, inter)
+        assert np.allclose(contract_to_dense(ttno),
+                           to_dense(inter.to_hamiltonian(t)), atol=1e-12)
+        assert ttno.bond_dimensions() == nn_bond_dimensions(t, inter)
+
+
+def _off_endpoint(tree):
+    inter = uniform_nn_interaction(tree, "X")
+    inter.edge_ops[(7, 8)] = {7: SiteOperator("X", 2), 6: SiteOperator("X", 2)}
+    return nn_ttno(tree, inter)
+
+
+def _field_off_tree(tree):
+    inter = uniform_nn_interaction(tree, "X")
+    inter.single_site[9] = SiteOperator("Z", 2)
+    return nn_ttno(tree, inter)
+
+
+@pytest.mark.parametrize("call, message", [
+    (_off_endpoint, r"edge \(7, 8\) operators must sit on its endpoints"),
+    (_field_off_tree, "single-site operator at unknown site 9"),
+    (lambda tree: CayleyTreeSpec(3, 0), "Cayley depth must be >= 1"),
+    (lambda tree: brute_force_root_bond(CayleyTreeSpec(3, 2), 0),
+     "chi must be >= 1"),
+], ids=["edge_op_off_endpoint", "field_off_tree", "cayley_depth_0",
+        "chi_0"])
+def test_closedform_refusals_name_the_fault(tree, call, message):
+    with pytest.raises(ValidationError, match=f"^{message}$"):
+        call(tree)
+
+
 # -- Cayley trees --------------------------------------------------------------
 
 def test_cayley_tree_examples():
@@ -213,6 +251,28 @@ def test_fixed_range_bound_matches_brute_force():
                         == brute_force_root_bond(spec, chi)), (kappa, depth, chi)
 
 
+def test_shell_count_matches_pair_enumeration():
+    # per root edge, the pairs with exactly one endpoint in its subtree:
+    # every edge of a Cayley tree's root sees the same count, and the brute
+    # force reports it plus the two trivial values
+    for kappa in (2, 3, 4):
+        for depth in (1, 2, 3, 4):
+            spec = CayleyTreeSpec(kappa, depth)
+            t = cayley_tree(spec)
+            subtrees = [t.subtree(c) for c in t.children(t.root)]
+            ranges = {chi: (lambda dist, chi=chi: dist == chi)
+                      for chi in range(1, 2 * depth + 1)}
+            ranges["all"] = lambda dist: 1 <= dist <= 2 * depth - 1
+            for chi, in_range in ranges.items():
+                pairs = _site_pairs(t, in_range)
+                counts = {sum((a in sub) != (b in sub) for a, b in pairs)
+                          for sub in subtrees}
+                assert len(counts) == 1, (kappa, depth, chi)
+                got = (brute_force_all_to_all_bond(spec) if chi == "all"
+                       else brute_force_root_bond(spec, chi))
+                assert got == counts.pop() + 2, (kappa, depth, chi)
+
+
 def test_fixed_range_chain_is_linear():
     spec = CayleyTreeSpec(2, 5)
     for chi in range(1, 6):
@@ -279,8 +339,7 @@ def test_algorithm_matches_fixed_range_bound():
         bound = fixed_range_bond_bound(spec, chi)
         child = t.children(t.root)[0]
         inside = t.subtree(child)
-        pairs = [(a, b) for i, a in enumerate(t.nodes) for b in t.nodes[i + 1:]
-                 if t.distance(a, b) == chi]
+        pairs = _site_pairs(t, lambda dist: dist == chi)
         has_inside = any(a in inside and b in inside for a, b in pairs)
         has_outside = any(a not in inside and b not in inside
                           for a, b in pairs)

@@ -10,7 +10,7 @@ from ttno.errors import ValidationError
 from ttno.operators import to_dense
 from ttno.oqs import (OQSSpec, boson_site, chain_topology, ftp_topology,
                       n_sites, oqs_hamiltonian, oqs_terms, reported_bond_dims,
-                      spin_site, star_topology)
+                      spin_site, star_topology, topology)
 from ttno.svdref import optimal_bond_dims
 
 from oqs_fixtures import (chain_fixture_kind, chain_reference_matrices,
@@ -225,3 +225,11 @@ def test_operator_matrix_equivalence_gauge():
     b[1, 1], b[0, 0], b[1, 0] = eye, eye, x
     assert operator_matrices_equivalent(a, b, allow_scaling=True)
     assert not operator_matrices_equivalent(a, b, allow_scaling=False)
+
+
+@pytest.mark.parametrize("call", [
+    topology, lambda spec, kind: reported_bond_dims(kind, spec)],
+    ids=["topology", "reported_bond_dims"])
+def test_unknown_topology_kind_refused(call):
+    with pytest.raises(ValidationError, match="^unknown topology 'ring'$"):
+        call(OQSSpec(3, 2), "ring")

@@ -405,6 +405,19 @@ def test_r_diff_without_bonds_rejected():
         r_diff([rec])
 
 
+@pytest.mark.parametrize("short_first", [False, True],
+                         ids=["short_last", "short_first"])
+def test_r_diff_refuses_records_whose_edge_sets_differ(tree, short_first):
+    dims = {e: 2 for e in tree.edges}
+    short = dict(dims)
+    short.pop((7, 8))
+    recs = [BenchRecord(1, 0, 5, BondReport(dims, dict(dims))),
+            BenchRecord(1, 1, 5, BondReport(short, dict(short)))]
+    with pytest.raises(ValidationError,
+                       match="^records have inconsistent edge sets$"):
+        r_diff(recs[::-1] if short_first else recs)
+
+
 def test_bond_report_edge_sets_must_match(tree):
     alg = {e: 2 for e in tree.edges}
     opt = dict(alg)
