@@ -446,8 +446,9 @@ def read_ttno(path: str) -> TTNO:
         with open(path, encoding="utf-8") as fh:
             data = json.load(fh, object_pairs_hook=lambda pairs: (
                 _parsed_floats(keys(pairs))))
-    except ValueError as exc:
-        # a decode error, or an integer literal past int's digit limit
+    except (ValueError, RecursionError) as exc:
+        # a decode error, an integer literal past int's digit limit, or
+        # arrays or objects nested too deep to decode
         raise ValidationError(f"ttno dump {path}: not valid JSON "
                               f"({exc})") from exc
     if keys.repeat:

@@ -41,8 +41,9 @@ def _load_json(path: str):
     except json.JSONDecodeError as exc:
         raise _ParseFailure(
             f"{path}: line {exc.lineno} column {exc.colno}: {exc.msg}") from exc
-    except (OSError, ValueError) as exc:
-        # ValueError: not UTF-8, or an integer literal past int's digit limit
+    except (OSError, ValueError, RecursionError) as exc:
+        # ValueError: not UTF-8, or an integer literal past int's digit
+        # limit; RecursionError: arrays or objects nested too deep to decode
         raise _ParseFailure(f"{path}: {exc}") from exc
     if keys.repeat:
         raise ValidationError(f"{path}: {keys.repeat}")

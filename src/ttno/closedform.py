@@ -9,6 +9,7 @@ full Cayley trees, cross-checked against a count by depth on the built tree.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -61,10 +62,8 @@ def uniform_nn_interaction(tree: TreeTopology, label: str = "X",
     edge_ops = {e: {e[0]: SiteOperator(label, tree.phys_dim(e[0])),
                     e[1]: SiteOperator(label, tree.phys_dim(e[1]))}
                 for e in tree.edges}
-    single = {}
-    if field_label is not None:
-        single = {s: SiteOperator(field_label, tree.phys_dim(s))
-                  for s in tree.nodes}
+    single = {s: SiteOperator(field_label, tree.phys_dim(s))
+              for s in tree.nodes if field_label is not None}
     return NNInteraction(edge_ops, single)
 
 
@@ -131,22 +130,30 @@ class CayleyTreeSpec:
         if self.depth < 1:
             raise ValidationError("Cayley depth must be >= 1")
 
+    @cached_property
+    def shells(self) -> tuple[list[int], list[list[int]]]:
+        """Sites per depth of the built tree, and of each root subtree (each
+        one run of the preorder): counted once per spec, so a sweep over
+        chi builds the tree once."""
+        rooting = cayley_tree(self).rooting
+        subtrees = []
+        for s in rooting.order[1:]:
+            if rooting.depth[s] == 1:
+                subtrees.append([0] * (self.depth + 1))
+            subtrees[-1][rooting.depth[s]] += 1
+        root = [1] + [0] * self.depth  # the root alone
+        return [sum(n) for n in zip(root, *subtrees)], subtrees
+
 
 def cayley_tree(spec: CayleyTreeSpec) -> TreeTopology:
     """Full Cayley tree: root of the given degree, interior nodes of the same
     degree, all leaves at distance ``depth`` from the root."""
-    edges = []
-    next_id = 1
-    frontier = [0]
+    edges, frontier = [], [0]
     for level in range(spec.depth):
-        new_frontier = []
-        for node in frontier:
-            n_kids = spec.degree if level == 0 else spec.degree - 1
-            for _ in range(n_kids):
-                edges.append((node, next_id))
-                new_frontier.append(next_id)
-                next_id += 1
-        frontier = new_frontier
+        n_kids = spec.degree if level == 0 else spec.degree - 1
+        parents = [node for node in frontier for _ in range(n_kids)]
+        frontier = range(len(edges) + 1, len(edges) + 1 + len(parents))
+        edges += zip(parents, frontier)
     return TreeTopology(edges, root=0)
 
 
@@ -169,15 +176,8 @@ def _max_root_crossing(spec: CayleyTreeSpec, in_range) -> int:
     root edge, plus the two trivial index values; max over root edges.  A
     pair crosses the edge above one endpoint when the other lies outside its
     subtree (the root always does), at the sum of the two depths."""
-    rooting = cayley_tree(spec).rooting
-    root = [1] + [0] * spec.depth  # sites per depth: the root alone
-    shells = []  # the same per root subtree, each one run of the preorder
-    for s in rooting.order[1:]:
-        if rooting.depth[s] == 1:
-            shells.append([0] * len(root))
-        shells[-1][rooting.depth[s]] += 1
-    total = [sum(n) for n in zip(root, *shells)]
-    levels = range(len(root))
+    total, shells = spec.shells
+    levels = range(len(total))
     return 2 + max(sum(inside[a] * (total[b] - inside[b])
                        for a in levels for b in levels if in_range(a + b))
                    for inside in shells)

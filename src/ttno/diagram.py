@@ -90,8 +90,9 @@ import warnings
 
 from .errors import (DuplicateTermError, PathCapExceededError,
                      ValidationError)
+# fold_coefficient is unused here; the fold-count test patches it here too
 from .operators import (Hamiltonian, ProductTerm, SiteOperator,
-                        fold_coefficient, identity)
+                        fold_coefficient, identity, take_term)
 from .tree import Edge, TreeTopology, edge_key
 
 PATH_CAP = 10 ** 6
@@ -112,7 +113,9 @@ class StateDiagram:
         self.ops: dict[int, SiteOperator] = {}
         # the folded terms grafted so far, by key, in order
         self.terms: dict[tuple, ProductTerm] = {}
-        self._identity = {s: identity(tree.phys_dim(s)) for s in tree.nodes}
+        self._derived: dict = {}  # add_term's scaled operators
+        ids = {d: identity(d) for d in set(tree.phys_dims.values())}
+        self._identity = {s: ids[d] for s, d in tree.phys_dims.items()}
         r = self._rooting = tree.last_leaf_rooting
         self._incident, self._far, self._span = tree.incident, r.far, r.span
         self._up_slot = r.up_slot
@@ -137,8 +140,11 @@ class StateDiagram:
         self.match_visits = 0
         # identity messages of every site s but the rooting's leaf: the one
         # s sends toward the leaf and the one it receives from there, None
-        # where undefined; _broken holds the lowest sites that send none
-        self._up_id, self._down_id, self._broken = self._identity_messages()
+        # where undefined; _broken holds the lowest sites that send none.
+        # With no hyperedge no site sends, so the lowest are the leaves.
+        self._up_id = dict.fromkeys(r.order[1:])
+        self._down_id = dict.fromkeys(r.order[1:])
+        self._broken = {s for s in r.order[1:] if not r.kids[s]}
         self._broken_peak = len(self._broken)
 
     # -- construction ------------------------------------------------------
@@ -174,10 +180,10 @@ class StateDiagram:
         return cls(tree).add_term(term)
 
     def add_term(self, term: ProductTerm) -> "StateDiagram":
-        """Graft one more product term onto the diagram (in place)."""
-        root = self.tree.root
-        term = fold_coefficient(term, root, self.tree.phys_dim(root))
-        key = term.key()
+        """Graft one more product term onto the diagram (in place), checked,
+        folded and keyed as a ``Hamiltonian`` takes it."""
+        term, key = take_term(term, len(self.terms), self.tree,
+                              self._derived)
         if key in self.terms:
             raise DuplicateTermError(f"term already represented: {term!r}")
         self._graft(term, *self._match(term))

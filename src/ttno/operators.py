@@ -8,6 +8,7 @@ matrices are resolved on demand through an :class:`OperatorRegistry`.
 
 from __future__ import annotations
 
+import cmath
 import itertools
 import math
 import os
@@ -104,18 +105,25 @@ class SiteOperator:
     def is_identity(self) -> bool:
         return self.label == IDENTITY_LABEL
 
-    def scaled(self, c: complex) -> "SiteOperator":
-        """This operator multiplied by a scalar, with a derived label."""
+    def scaled(self, c: complex,
+               derived: dict | None = None) -> "SiteOperator":
+        """This operator multiplied by a scalar, with a derived label.  The
+        result is the one ``derived`` holds under its (base label, dim,
+        scale), if any, else a new one filed there; label and id are
+        functions of that key, so sharing changes no output."""
         c = complex(c)
         if c == 1.0:
             return self
         total = c * self.scale
         base = self.base_label
-        if total == 1.0:
-            label = base
-        else:
-            label = f"{format_scalar(total)}*{base}"
-        return SiteOperator(label, self.dim, scale=total, base_label=base)
+        key = (base, self.dim, total)
+        derived = {} if derived is None else derived
+        op = derived.get(key)
+        if op is None:
+            label = base if total == 1.0 else f"{format_scalar(total)}*{base}"
+            op = derived[key] = SiteOperator(label, self.dim, scale=total,
+                                             base_label=base)
+        return op
 
     def __eq__(self, other):
         return isinstance(other, SiteOperator) and self.op_id == other.op_id
@@ -209,18 +217,18 @@ class ProductTerm:
         c = self.coefficient = complex(self.coefficient)
         if c == 0:
             raise ValidationError("term coefficient must be non-zero")
-        if not (math.isfinite(c.real) and math.isfinite(c.imag)):
+        if not cmath.isfinite(c):
             raise ValidationError(f"term coefficient {c!r} is not finite")
         for s, op in self.factors.items():
-            if op.is_identity():
+            if op.label == IDENTITY_LABEL:  # op.is_identity(), inline
                 raise ValidationError(
                     f"identity factor at site {s}: identities are implicit")
 
     def key(self) -> tuple:
         """Canonical symbolic identity, independent of factor-map order."""
-        return (self.coefficient,
-                tuple((s, op.op_id) for s, op in
-                      sorted(self.factors.items())))
+        pairs = [(s, op.op_id) for s, op in self.factors.items()]
+        pairs.sort()
+        return (self.coefficient, tuple(pairs))
 
     def __eq__(self, other):
         return isinstance(other, ProductTerm) and self.key() == other.key()
@@ -233,51 +241,58 @@ class ProductTerm:
         return f"ProductTerm({format_scalar(self.coefficient)} * [{facs or 'I'}])"
 
 
-def fold_coefficient(term: ProductTerm, root: int,
-                     root_dim: int) -> ProductTerm:
+def fold_coefficient(term: ProductTerm, root: int, root_dim: int,
+                     derived: dict | None = None) -> ProductTerm:
     """Absorb the scalar into the factor at the smallest acted-on site.
 
     The folded factor carries the scale in its identity (and a derived
     display label like ``-2*X``), so scaled operators stay distinct.  An
     all-identity term folds into an explicit scaled identity at ``root``,
-    of dimension ``root_dim``.
+    of dimension ``root_dim``.  ``derived`` is the table of scaled
+    operators that ``SiteOperator.scaled`` shares.
     """
     if term.coefficient == 1.0:
         return term
     c = term.coefficient
     if not term.factors:
-        return ProductTerm(1.0, {root: identity(root_dim).scaled(c)})
+        return ProductTerm(1.0, {root: identity(root_dim).scaled(c, derived)})
     target = min(term.factors)
     return ProductTerm(1.0, {**term.factors,
-                             target: term.factors[target].scaled(c)})
+                             target: term.factors[target].scaled(c, derived)})
+
+
+def take_term(term: ProductTerm, n: int, tree: TreeTopology,
+              derived: dict) -> tuple[ProductTerm, tuple]:
+    """Term number ``n`` checked against ``tree``, folded and keyed: the
+    folded term and its key.  Its scaled factor comes from ``derived``
+    (see ``SiteOperator.scaled``), so equal folds share one operator."""
+    phys_dims = tree.phys_dims
+    for s, op in term.factors.items():
+        d = phys_dims.get(s)
+        if d is None:
+            raise ValidationError(f"term {n} acts on unknown site {s}")
+        if op.dim != d:
+            raise ValidationError(f"term {n}: operator {op.label!r} (dim "
+                                  f"{op.dim}) does not match site {s} (dim {d})")
+    f = fold_coefficient(term, tree.root, phys_dims[tree.root], derived)
+    return f, f.key()
 
 
 class Hamiltonian:
-    """A tree plus a tuple of product terms, each folded and keyed once:
-    ``folded`` maps the keys to the folded terms in order (read-only)."""
+    """A tree plus a tuple of product terms, each checked, folded and keyed
+    once (``take_term``): ``folded`` maps the keys to the folded terms in
+    order (read-only)."""
 
     def __init__(self, tree: TreeTopology, terms):
         self.tree = tree
         self.terms: tuple[ProductTerm, ...] = tuple(terms)
-        phys_dims = tree.phys_dims
-        root, root_dim = tree.root, tree.phys_dim(tree.root)
         folded = self.folded = {}
-        for t in self.terms:
-            for s, op in t.factors.items():
-                if s not in phys_dims:
-                    raise ValidationError(
-                        f"term {len(folded)} acts on unknown site {s}")
-                if op.dim != phys_dims[s]:
-                    raise ValidationError(
-                        f"term {len(folded)}: operator {op.label!r} (dim "
-                        f"{op.dim}) does not match site {s} (dim "
-                        f"{phys_dims[s]})")
-            f = fold_coefficient(t, root, root_dim)
-            k = f.key()
+        derived: dict = {}
+        for n, t in enumerate(self.terms):
+            f, k = take_term(t, n, tree, derived)
             if k in folded:  # the i-th key in ``folded`` is term i's
-                raise DuplicateTermError(
-                    f"term {len(folded)} repeats term "
-                    f"{list(folded).index(k)}: {t!r}")
+                raise DuplicateTermError(f"term {n} repeats term "
+                                         f"{list(folded).index(k)}: {t!r}")
             folded[k] = f
 
     def folded_terms(self) -> list[ProductTerm]:

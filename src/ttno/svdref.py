@@ -320,10 +320,13 @@ def r_diff(records: list[BenchRecord]) -> float:
     """Mean over samples and bonds of (found dim - optimal dim)."""
     if not records:
         raise ValidationError("r_diff of an empty record list")
+    edges = records[0].report.alg.keys()
+    for i, r in enumerate(records):
+        if r.report.alg.keys() != edges:
+            raise ValidationError(
+                f"records have inconsistent edge sets: record {i} (sample "
+                f"{r.sample}, {r.n_terms} terms) differs from record 0")
     n_bonds = records[0].report.n_bonds()
-    for r in records:
-        if r.report.n_bonds() != n_bonds:
-            raise ValidationError("records have inconsistent edge sets")
     if not n_bonds:
         raise ValidationError("r_diff of records without bonds: a "
                               "single-site tree has no bond to compare")

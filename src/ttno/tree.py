@@ -195,15 +195,16 @@ class TreeTopology:
                 a, b = edge
             except (TypeError, ValueError):
                 a = b = None
-            a, b = as_int(a), as_int(b)
-            if a is None or b is None:
-                raise ValidationError(f"edge {edge!r} must be a pair of "
-                                      f"integer site ids")
+            if type(a) is not int or type(b) is not int:  # as_int's fast path
+                a, b = as_int(a), as_int(b)
+                if a is None or b is None:
+                    raise ValidationError(f"edge {edge!r} must be a pair of "
+                                          f"integer site ids")
             if a == b:
                 raise ValidationError(f"self-loop at site {a}")
             if a < 0 or b < 0:
                 raise ValidationError("site ids must be non-negative")
-            e = edge_key(a, b)
+            e = (a, b) if a < b else (b, a)
             if e in edge_set:
                 raise ValidationError(f"duplicate edge {e}")
             edge_set.add(e)
@@ -242,9 +243,10 @@ class TreeTopology:
         self.phys_dims: dict[int, int] = {s: 2 for s in self.nodes}
         if phys_dims:
             keys: dict[int, object] = {}
-            for key, dim in phys_dims.items():
-                s = json_key_int(key) if isinstance(key, str) else as_int(key)
-                d = as_int(dim)
+            for key, dim in phys_dims.items():  # as_int's fast path inline
+                s = key if type(key) is int else (
+                    json_key_int(key) if isinstance(key, str) else as_int(key))
+                d = dim if type(dim) is int else as_int(dim)
                 if s is None or d is None:
                     raise ValidationError(f"phys_dims entry {key!r}: {dim!r} "
                                           f"is not an integer pair")

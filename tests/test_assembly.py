@@ -693,6 +693,19 @@ def test_read_rejects_malformed_dump(tmp_path, demo_hamiltonian, corrupt,
         read_ttno(str(p))
 
 
+def test_read_rejects_dump_nested_too_deep(tmp_path, demo_hamiltonian):
+    # a tree nested 1,000 lists deep raised a bare RecursionError
+    p = tmp_path / "demo.json"
+    write_ttno(emit_tensors(from_hamiltonian(demo_hamiltonian)), str(p))
+    data = json.loads(p.read_text())
+    data["tree"] = "NESTED"
+    p.write_text(json.dumps(data).replace('"NESTED"', "[" * 1000 + "]" * 1000))
+    with pytest.raises(ValidationError,
+                       match=f"^ttno dump {re.escape(str(p))}: not valid JSON "
+                             r"\(maximum recursion depth exceeded"):
+        read_ttno(str(p))
+
+
 def test_read_accepts_tensor_without_blocks(tmp_path, demo_hamiltonian):
     p = tmp_path / "demo.json"
     write_ttno(emit_tensors(from_hamiltonian(demo_hamiltonian)), str(p))

@@ -288,6 +288,53 @@ def test_input_not_utf8_is_a_parse_error(files, capsys, command):
     assert bad in capsys.readouterr().err
 
 
+def _nested_input(field: str, depth: int) -> str:
+    """Tree or Hamiltonian JSON with ``field`` nested ``depth`` lists deep."""
+    nested = "[" * depth + "]" * depth
+    if field == "edges":
+        return f'{{"root": 1, "edges": {nested}}}'
+    return f'{{"terms": {nested}}}'
+
+
+@pytest.mark.parametrize("field", ["terms", "edges"])
+def test_input_nested_too_deep_is_a_parse_error(files, capsys, field):
+    # 1,000 levels overflowed the JSON decoder's recursion: exit 1 with a
+    # RecursionError traceback
+    tmp, tree, ham = files
+    bad = tmp / "deep.json"
+    bad.write_text(_nested_input(field, 1000))
+    out = tmp / "o.json"
+    argv = (["build", str(bad), ham] if field == "edges"
+            else ["build", tree, str(bad)])
+    assert main(argv + ["--out", str(out)]) == EXIT_PARSE
+    captured = capsys.readouterr()
+    assert captured.err.startswith(f"parse error: {bad}: ")
+    assert "Traceback" not in captured.err
+    assert captured.out == ""
+    assert not out.exists()
+
+
+@given(field=st.sampled_from(["terms", "edges"]),
+       depth=st.integers(1, 3000))
+def test_nested_input_at_any_depth_exits_documented(tmp_path_factory, field,
+                                                    depth):
+    # shallow nesting is refused by validation, deep nesting by the parser;
+    # no depth escapes as an exception
+    tmp = tmp_path_factory.mktemp("deep")
+    (tmp / "tree.json").write_text(json.dumps(TREE_JSON))
+    (tmp / "ham.json").write_text(json.dumps(HAM_JSON))
+    bad = tmp / "deep.json"
+    bad.write_text(_nested_input(field, depth))
+    argv = (["build", str(bad), str(tmp / "ham.json")] if field == "edges"
+            else ["build", str(tmp / "tree.json"), str(bad)])
+    with redirect_stderr(io.StringIO()) as err:
+        rc = main(argv + ["--out", str(tmp / "o.json")])
+    assert rc in (EXIT_PARSE, EXIT_VALIDATION)
+    if rc == EXIT_PARSE:
+        assert err.getvalue().startswith(f"parse error: {bad}: ")
+    assert not (tmp / "o.json").exists()
+
+
 @pytest.mark.parametrize("command", ["build --out", "build --report",
                                      "plotdata --out-prefix"])
 def test_unwritable_output_is_a_parse_error(files, capsys, command):
@@ -845,6 +892,19 @@ def test_cayley_all_to_all(tmp_path):
     assert rc == EXIT_OK
     row = out.read_text().splitlines()[1].split(",")
     assert row[3] == row[4]
+
+
+def test_cayley_sweep_builds_the_tree_once(tmp_path, monkeypatch):
+    # the brute-force column counted a newly built tree for every chi
+    builds = []
+    build = closedform.cayley_tree
+    monkeypatch.setattr(closedform, "cayley_tree",
+                        lambda spec: builds.append(spec) or build(spec))
+    out = tmp_path / "c.csv"
+    rc = main(["cayley", "--degree", "3", "--depth", "3", "--out", str(out)])
+    assert rc == EXIT_OK
+    assert builds == [closedform.CayleyTreeSpec(3, 3)]
+    assert len(out.read_text().splitlines()) == 1 + 5
 
 
 @pytest.mark.parametrize("depth, bad_chi", [(3, 2), (3, 5)],

@@ -2,6 +2,7 @@ import gc
 import hashlib
 import math
 import pickle
+import re
 import sys
 from collections import Counter
 
@@ -34,8 +35,11 @@ def path_keys(diagram):
 
 
 @pytest.mark.parametrize("topology", [
-    demo_tree(), demo_tree(root=3), TreeTopology([], root=0)])
+    demo_tree(), demo_tree(root=3), TreeTopology([], root=0),
+    TreeTopology([(0, 1), (1, 2), (2, 3)], root=0)])
 def test_empty_diagram(topology):
+    # the empty diagram sets its identity-message caches without computing
+    # them; validate() recomputes them all and compares
     g = StateDiagram(topology)
     g.validate()
     assert g.single_paths() == []
@@ -117,6 +121,24 @@ def test_add_duplicate_term_rejected(demo_hamiltonian):
     # the terms cannot change under the table
     with pytest.raises(AttributeError):
         h.terms.append(ProductTerm(1.0, {0: SiteOperator("Z", 2)}))
+
+
+@pytest.mark.parametrize("factors, message", [
+    ({9: SiteOperator("X", 2)}, "term 1 acts on unknown site 9"),
+    ({0: SiteOperator("X", 3)},
+     "term 1: operator 'X' (dim 3) does not match site 0 (dim 2)"),
+], ids=["unknown_site", "dim_mismatch"])
+def test_add_term_refuses_factors_off_the_tree(factors, message):
+    # add_term skipped the Hamiltonian's checks: a KeyError for site 9, and
+    # a 3x3 operator on a qubit whose bond dimensions were then reported
+    chain = TreeTopology([(0, 1), (1, 2)], root=1)
+    g = StateDiagram(chain).add_term(pauli_term({0: "Z"}))
+    before = g.dump()
+    with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
+        g.add_term(ProductTerm(1.0, factors))
+    assert g.dump() == before
+    assert len(g.terms) == 1
+    g.validate()
 
 
 def test_from_hamiltonian_refuses_no_terms(tree):

@@ -11,6 +11,7 @@ from ttno.errors import (DenseCapExceededError, DuplicateTermError,
 from ttno.operators import (DEFAULT_REGISTRY, Hamiltonian, OperatorRegistry,
                             ProductTerm, SiteOperator, fold_coefficient,
                             random_hamiltonian, to_dense)
+from ttno.oqs import OQSSpec, oqs_hamiltonian, oqs_terms
 from ttno.tree import TreeTopology
 
 from conftest import demo_terms, demo_tree, pauli_term
@@ -132,6 +133,37 @@ def test_fold_preserves_dense():
     h = Hamiltonian(tree, terms)
     folded = Hamiltonian(tree, h.folded_terms())
     assert np.allclose(to_dense(h), to_dense(folded), atol=1e-12)
+
+
+def test_equal_folds_share_one_operator():
+    # the 3 exchange terms per spin pair fold -J into X, Y or Z on the
+    # earlier spin: one derived operator each, whatever was built before
+    spec = OQSSpec(4, 1, coupling=0.75)
+    terms = oqs_terms(spec)
+    h = oqs_hamiltonian(spec, "star")
+    exchange = [f for f, t in zip(h.folded_terms(), terms)
+                if t.coefficient != 1.0]
+    firsts = [f.factors[min(f.factors)] for f in exchange]
+    assert len({id(op) for op in firsts}) == 3
+    for op in firsts:
+        alone = SiteOperator(op.base_label, 2).scaled(-0.75)
+        assert (op.label, op.op_id) == (alone.label, alone.op_id)
+        assert op.label == f"-0.75*{op.base_label}"
+    again = oqs_hamiltonian(spec, "star")
+    assert list(again.folded) == list(h.folded)
+    assert ([op.label for f in again.folded_terms()
+             for op in f.factors.values()]
+            == [op.label for f in h.folded_terms()
+                for op in f.factors.values()])
+
+
+def test_scaled_reuses_the_table_entry():
+    x, table = SiteOperator("X", 2), {}
+    a = x.scaled(2.0, table)
+    assert x.scaled(2, table) is a
+    assert SiteOperator("X", 2, scale=0.5).scaled(4.0, table) is a
+    assert x.scaled(2.0) is not a and x.scaled(2.0) == a
+    assert list(table) == [("X", 2, 2.0)]
 
 
 def test_term_equality_is_order_insensitive():

@@ -414,8 +414,21 @@ def test_r_diff_refuses_records_whose_edge_sets_differ(tree, short_first):
     recs = [BenchRecord(1, 0, 5, BondReport(dims, dict(dims))),
             BenchRecord(1, 1, 5, BondReport(short, dict(short)))]
     with pytest.raises(ValidationError,
-                       match="^records have inconsistent edge sets$"):
+                       match=r"^records have inconsistent edge sets: record 1 "
+                             rf"\(sample {int(not short_first)}, 5 terms\) "
+                             r"differs from record 0$"):
         r_diff(recs[::-1] if short_first else recs)
+
+
+def test_r_diff_refuses_records_over_other_edges_of_equal_count():
+    # only the bond counts were compared: excess 2 on (1, 2) and 0 on
+    # (5, 6) averaged to 1.0
+    recs = [BenchRecord(1, 0, 5, BondReport({(1, 2): 3}, {(1, 2): 1})),
+            BenchRecord(1, 1, 5, BondReport({(5, 6): 1}, {(5, 6): 1}))]
+    with pytest.raises(ValidationError,
+                       match=r"^records have inconsistent edge sets: record 1 "
+                             r"\(sample 1, 5 terms\) differs from record 0$"):
+        r_diff(recs)
 
 
 def test_bond_report_edge_sets_must_match(tree):
