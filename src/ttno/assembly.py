@@ -10,8 +10,10 @@ A tensor is held as its stored d x d blocks, in the layout of the dump:
 order and ``blocks`` holds those blocks.  A block is stored when any of its
 entries has a non-zero bit pattern, so ``-0.0`` survives and a dump reads
 back bit-identical.  The tensors of one physical dimension hold rows of
-one block array and one multi-index array, built and checked once at
-emission and read.  The dense array is built only on request, to verify.
+one block array and one multi-index array.  Emission sums the blocks of
+all tensors of one dimension and leg count together, and the reader checks
+the multi-indices of the whole dump at once.  The dense array is built only
+on request, to verify.
 
 Dump format ``ttno-v2``: ``{"format": "ttno-v2", "tree": ..., "tensors":
 {"<site>": {"legs", "shape", "index", "re", "im"}}}``, where ``re`` and
@@ -19,12 +21,16 @@ Dump format ``ttno-v2``: ``{"format": "ttno-v2", "tree": ..., "tensors":
 The writer keeps one table from a block's bytes to its ``re`` and ``im``
 texts, so each distinct block is formatted once per dump: a tensor's new
 blocks take one ``json.dumps`` call per part, split at once into block
-texts, and every tensor's lists are joins of block texts.  The table is
-emptied before it would hold more blocks than the largest tensor so far,
-so it holds about two tensors' texts at a time.  The reader parses the
-dump once, holds one tensor's entries as Python objects at a time, one
-array per parsed list, and names a bad entry from what it parsed.  The
-dense ``ttno-v1`` format is not read: rebuild such a dump from its inputs.
+texts, and every tensor's lists are joins of block texts.  Likewise a
+second table gives each distinct ``index`` its text once, and the
+``legs`` and ``shape`` of all tensors take one call.  The tables are
+emptied before they outgrow the largest tensors so far, so they hold
+about two tensors' texts at a time.  The reader parses the dump once,
+holds one tensor's entries as Python objects at a time, one array per
+parsed list, checks each tensor's ``legs``, ``shape``, ``re`` and ``im``
+and then every ``index`` in whole-dump passes; a failed pass reruns the
+tensor-by-tensor checks in dump order to name the first fault.  The dense
+``ttno-v1`` format is not read: rebuild such a dump from its inputs.
 """
 
 from __future__ import annotations
@@ -119,36 +125,71 @@ class TTNO:
         return dims
 
 
-def tensors_from_blocks(specs) -> dict[int, TTNOTensor]:
-    """Tensors from ``(site, legs, shape, pairs)`` specs, each holding the
-    sums of its ``(multi-index, d x d matrix)`` pairs: matrices on one
-    multi-index add up in pair order, as if from a block of ``+0.0``, and
-    sums whose entries are all ``+0.0`` are not stored.  A sum that is not
+def tensors_from_blocks(specs, matrices,
+                        bond_index: np.ndarray | None = None
+                        ) -> dict[int, TTNOTensor]:
+    """Tensors from ``(site, legs, shape, rows)`` specs, each holding the
+    sums of its rows, int tuples ``(key, *multi-index)`` where
+    ``matrices[key]`` is a d x d matrix: matrices on one multi-index add up
+    in row order, as if from a block of ``+0.0``, and sums whose entries are
+    all ``+0.0`` are not stored.  With ``bond_index``, an int array, each
+    multi-index entry ``v`` stands for ``bond_index[v]``.  A sum that is not
     finite raises ValidationError naming the first such site in ``specs``
-    and its first such multi-index."""
+    and its first such multi-index.
+
+    The rows of all tensors of one dimension and leg count are summed
+    together: sorted stably by tensor and multi-index, each block's first
+    matrix is taken from one table of the matrices and the later ones are
+    added to it in order."""
     heads, groups = [], {}
-    for site, legs, shape, pairs in specs:
-        # per d: each block's first matrix, and the row and matrix of each
-        # later pair on a multi-index
-        first, rows, later = groups.setdefault(shape[-1], ([], [], []))
-        sums = dict(reversed(pairs))  # each multi-index's first matrix
-        keys = sorted(sums)
-        if len(sums) < len(pairs):
-            row, seen = {k: r for r, k in enumerate(keys, len(first))}, set()
-            for idx, m in pairs:
-                if idx in seen:
-                    rows.append(row[idx])
-                    later.append(m)
-                seen.add(idx)
-        first += [sums[k] for k in keys]
-        heads.append((site, tuple(legs), tuple(shape), keys))
-    stacks = {}
-    for d, (first, rows, later) in groups.items():
-        blocks = stacks[d] = np.array(first, complex).reshape(-1, d, d)
+    for site, legs, shape, rows in specs:
+        groups.setdefault((shape[-1], len(legs)), []).append(len(heads))
+        heads.append([site, tuple(legs), tuple(shape), rows, None])
+    tables: dict[int, tuple[dict, list]] = {}  # per d: key -> row, matrices
+    for key, m in matrices.items():
+        at, ms = tables.setdefault(len(m), ({}, []))
+        at[key] = len(ms)
+        ms.append(m)
+    # per d: for each group of its tensors, their block counts, multi-index
+    # rows and blocks
+    parts: dict[int, list] = {}
+    for (d, width), ks in groups.items():
+        at, ms = tables.get(d, ({}, []))
+        table = np.array(ms, complex).reshape(-1, d, d)
+        ns = [len(heads[k][3]) for k in ks]
+        rows = np.fromiter(chain.from_iterable(chain.from_iterable(
+            heads[k][3] for k in ks)), np.int64, (width + 1) * sum(ns)
+        ).reshape(-1, width + 1)
+        index = rows[:, 1:] if bond_index is None else bond_index[rows[:, 1:]]
+        ops = np.fromiter(map(at.__getitem__, rows[:, 0].tolist()), np.intp,
+                          len(rows))
+        tensor = np.repeat(np.arange(len(ks)), ns)
+        order = np.lexsort((*index.T[::-1], tensor))
+        index, ops, tensor = index[order], ops[order], tensor[order]
+        first = np.ones(len(order), bool)  # the first row on its block
+        first[1:] = ((index[1:] != index[:-1]).any(axis=1)
+                     | (tensor[1:] != tensor[:-1]))
+        blocks = table[ops[first]]
         with np.errstate(over="ignore", invalid="ignore"):
-            np.add.at(blocks, rows, np.array(later, complex).reshape(-1, d, d))
+            np.add.at(blocks, np.cumsum(first)[~first] - 1,
+                      table[ops[~first]])
         blocks += 0.0  # as if summed from +0.0: -0.0 entries become +0.0
-    tensors, bad = _tensors(heads, stacks, drop_zeros=True)
+        kept = blocks.view(np.uint64).any(axis=(1, 2))
+        parts.setdefault(d, []).append((
+            ks, np.bincount(tensor[first][kept], minlength=len(ks)).tolist(),
+            index[first][kept], blocks[kept]))
+    stacks = {d: np.concatenate([p[3] for p in ps]) for d, ps in parts.items()}
+    index = np.concatenate([p[2].ravel() for ps in parts.values() for p in ps])
+    pos = 0
+    for d, ps in parts.items():
+        row = 0
+        for ks, counts, idx, _ in ps:
+            width = idx.shape[1]
+            for k, n in zip(ks, counts):
+                heads[k][3] = index[pos:pos + n * width].reshape(n, width)
+                heads[k][4] = stacks[d][row:row + n]
+                pos, row = pos + n * width, row + n
+    tensors, bad = _tensors(heads, stacks)
     if bad:
         t, k = bad
         raise ValidationError(
@@ -157,29 +198,15 @@ def tensors_from_blocks(specs) -> dict[int, TTNOTensor]:
     return tensors
 
 
-def _tensors(heads, stacks: dict[int, np.ndarray], drop_zeros: bool):
-    """The tensors of ``(site, legs, shape, multi-indices)`` heads, in their
-    order, whose blocks are stacked per dimension ``d`` in ``stacks[d]``:
-    each holds rows of that array and of one int64 array of multi-indices.
-    Blocks of only ``+0.0`` entries are dropped if ``drop_zeros``, else
-    refused as a dump's.  Also returns the first tensor and row with a
-    non-finite entry, or None."""
-    tensors, clean = dict.fromkeys(h[0] for h in heads), True
-    for d, blocks in stacks.items():
-        hs = [h for h in heads if h[2][-1] == d]
-        kept = blocks.view(np.uint64).any(axis=(1, 2))
-        if drop_zeros and not kept.all():
-            rows, blocks = iter(kept.tolist()), blocks[kept]
-            hs = [(*h[:3], [k for k in h[3] if next(rows)]) for h in hs]
-        index = np.fromiter(chain.from_iterable(chain.from_iterable(
-            h[3] for h in hs)), np.int64)
-        row = pos = 0
-        for site, legs, shape, keys in hs:
-            n, width = len(keys), len(legs)
-            tensors[site] = TTNOTensor(site, legs, shape, index[
-                pos:pos + n * width].reshape(n, width), blocks[row:row + n])
-            row, pos = row + n, pos + n * width
-        clean &= bool((drop_zeros or kept.all()) and np.isfinite(blocks).all())
+def _tensors(heads, stacks: dict[int, np.ndarray]):
+    """The tensors of ``(site, legs, shape, index, blocks)`` heads, in their
+    order, where ``index`` is an int64 array of one row per block and
+    ``blocks`` rows of ``stacks[d]``, one array per dimension ``d``.  A
+    block of only ``+0.0`` entries is refused as a dump's.  Also returns
+    the first tensor and row with a non-finite entry, or None."""
+    tensors = {h[0]: TTNOTensor(*h) for h in heads}
+    clean = all(blocks.view(np.uint64).any(axis=(1, 2)).all()
+                and np.isfinite(blocks).all() for blocks in stacks.values())
     for t in () if clean else tensors.values():
         zero = np.flatnonzero(~t.blocks.view(np.uint64).any(axis=(1, 2)))
         if len(zero):
@@ -213,11 +240,11 @@ def emit_tensors(diagram: StateDiagram,
         return min(s for s in tree.nodes
                    if any(y[0] == k for y in diagram.eps[s]))
 
-    # uid -> bond index
-    index = [0] * diagram.n_vertices()
-    for vs in diagram.w.values():
-        for i, v in enumerate(vs):
-            index[v] = i
+    # uid -> bond index, its position in its edge's collection
+    w, index = diagram.w.values(), np.empty(diagram.n_vertices(), np.int64)
+    index[np.fromiter(chain.from_iterable(w), np.intp, len(index))] = (
+        np.fromiter(chain.from_iterable(map(range, map(len, w))), np.int64,
+                    len(index)))
     matrices = {}
     for k, op in diagram.ops.items():
         try:
@@ -245,12 +272,13 @@ def emit_tensors(diagram: StateDiagram,
     def specs():
         for s in tree.nodes:
             legs = _in_leg_order(r, s, tree.incident[s])
-            # where each leg's vertex sits in a hyperedge key, after its op_id
-            slots = _in_leg_order(r, s, range(1, len(legs) + 1))
-            yield s, legs, (*[dims[e] for e in legs], phys[s], phys[s]), [
-                (tuple([index[y[i]] for i in slots]), matrices[y[0]])
-                for y in eps[s]]
-    return TTNO(tree, tensors_from_blocks(specs()))
+            # hyperedge keys are rows, once their vertices are in leg order
+            rows = eps[s]
+            if s != r.root and r.up_slot[s]:
+                rows = list(map(operator.itemgetter(0, *_in_leg_order(
+                    r, s, range(1, len(legs) + 1))), rows))
+            yield s, legs, (*[dims[e] for e in legs], phys[s], phys[s]), rows
+    return TTNO(tree, tensors_from_blocks(specs(), matrices, index))
 
 
 def contract_to_dense(ttno: TTNO) -> np.ndarray:
@@ -302,7 +330,8 @@ def dense_element_count(ttno: TTNO) -> int:
 # -- dump format ------------------------------------------------------------
 
 
-_FIELDS = ("legs", "shape", "index", "re", "im")  # of a tensor entry
+# the keys of a tensor entry, in order
+_FIELDS = dict.fromkeys(("legs", "shape", "index", "re", "im")).keys()
 
 
 def _parsed_floats(obj: dict) -> dict:
@@ -312,7 +341,7 @@ def _parsed_floats(obj: dict) -> dict:
     converted if every entry is an int or a float, an integer to the float
     it rounds to (past the float range, an infinity, refused as ``1e400``
     is); any other list is left for ``_read_tensor`` to word."""
-    if all(key in obj for key in _FIELDS):
+    if obj.keys() >= _FIELDS:
         for key in ("re", "im"):
             values = obj[key]
             if type(values) is list and set(map(type, values)) <= {int, float}:
@@ -343,14 +372,24 @@ def write_ttno(ttno: TTNO, path: str) -> None:
     formatted together, one ``json.dumps`` call per part, and split into
     block texts; its lists are joins of block texts.  The table is emptied
     before it would hold more blocks than the largest tensor so far, so
-    memory holds about two tensors' texts at a time.
+    memory holds about two tensors' texts at a time.  A second table maps
+    an index's shape and bytes to its text, and is emptied before it would
+    hold more entries than four times the widest index so far: an index
+    text takes a few bytes per entry, against tens for the lists that
+    format it.  The ``legs`` and ``shape`` of all tensors, which grow with
+    the tree and not with the blocks, take one ``json.dumps`` call.
     """
     texts: dict[bytes, tuple[str, str]] = {}  # block bytes -> re, im text
-    largest = 0
+    indexes: dict[tuple, str] = {}  # index shape and bytes -> its text
+    largest = widest = held = 0  # held: the index entries in the table
     with open(path, "w", encoding="utf-8") as fh:
         fh.write('{"format": "ttno-v2", "tree": ')
         fh.write(json.dumps(ttno.tree.to_json_dict()))
         fh.write(', "tensors": {')
+        # every tensor's legs and shape in one call, split per tensor at the
+        # braces between them, the only braces they hold
+        heads = json.dumps([{"legs": t.legs, "shape": t.shape}
+                            for t in ttno.tensors.values()])[2:-2].split("}, {")
         for i, (s, t) in enumerate(ttno.tensors.items()):
             size = t.phys_dim ** 2  # entries per block
             keys = np.ascontiguousarray(t.blocks, dtype=complex).reshape(
@@ -367,16 +406,23 @@ def write_ttno(ttno: TTNO, path: str) -> None:
                     _block_texts(json.dumps(entries.imag.tolist()), size))))
             re = f"[{', '.join([texts[k][0] for k in keys])}]"
             im = f"[{', '.join([texts[k][1] for k in keys])}]"
-            head = json.dumps({"legs": t.legs, "shape": t.shape,
-                               "index": t.index.tolist()})
-            fh.write(f'{", " if i else ""}"{s}": {head[:-1]}, "re": {re}, '
-                     f'"im": {im}}}')
+            key = (t.index.shape, t.index.tobytes())
+            if key not in indexes:
+                widest = max(widest, t.index.size)
+                if held + t.index.size > 4 * widest:
+                    indexes.clear()
+                    held = 0
+                indexes[key] = json.dumps(t.index.tolist())
+                held += t.index.size
+            fh.write(f'{", " if i else ""}"{s}": {{{heads[i]}, "index": '
+                     f'{indexes[key]}, "re": {re}, "im": {im}}}')
         fh.write("}}")
 
 
-def _read_tensor(tree: TreeTopology, s: int, td) -> tuple:
-    """Check one parsed tensor entry against the tree, and return its site,
-    legs, shape and list of multi-indices."""
+def _read_tensor(tree: TreeTopology, s: int, td, check_index: bool) -> tuple:
+    """Check one parsed tensor entry against the tree, its multi-indices
+    only if ``check_index``, and return its site, legs, shape and list of
+    multi-indices."""
     def bad(message: str) -> ValidationError:
         return ValidationError(f"ttno dump, site {s}: {message}")
 
@@ -391,7 +437,8 @@ def _read_tensor(tree: TreeTopology, s: int, td) -> tuple:
                   f"{[list(e) for e in legs]}")
     shape, d = td["shape"], tree.phys_dims[s]
     if (not isinstance(shape, list) or len(shape) != len(legs) + 2
-            or not all(type(n) is int and 1 <= n < 2 ** 63 for n in shape)):
+            or not set(map(type, shape)) <= {int}
+            or not 1 <= min(shape) <= max(shape) < 2 ** 63):
         raise bad(f"shape {shape!r} is not a list of {len(legs) + 2} "
                   f"integers from 1 to 2**63 - 1")
     if shape[-2:] != [d, d]:
@@ -400,25 +447,18 @@ def _read_tensor(tree: TreeTopology, s: int, td) -> tuple:
     bond, rows = shape[:-2], td["index"]
     if not isinstance(rows, list):
         raise bad("'index' must be a list of bond multi-indices")
-    # whole-list passes in C; the loop below finds and words a failure
-    if not (set(map(type, rows)) <= {list}
-            and set(map(len, rows)) <= {len(bond)}
-            and set(map(type, chain.from_iterable(rows))) <= {int}
-            and all(0 <= min(c) and max(c) < n
-                    for c, n in zip(zip(*rows), bond))
-            and all(map(operator.lt, rows, rows[1:]))):
-        for k, r in enumerate(rows):
-            if not (isinstance(r, list) and len(r) == len(bond)
-                    and all(type(i) is int for i in r)):
-                raise bad(f"block index {r!r} is not a list of {len(bond)} "
-                          f"integers")
-            if not all(0 <= i < n for i, n in zip(r, bond)):
-                raise bad(f"block index {r} is out of range for bond "
-                          f"dimensions {bond}")
-            if k and r <= rows[k - 1]:  # lists compare in row-major order
-                raise bad(f"block {k}: index {r} does not follow "
-                          f"{rows[k - 1]}; the index must be strictly "
-                          f"increasing in row-major order")
+    for k, r in enumerate(rows if check_index else ()):
+        if not (isinstance(r, list) and len(r) == len(bond)
+                and all(type(i) is int for i in r)):
+            raise bad(f"block index {r!r} is not a list of {len(bond)} "
+                      f"integers")
+        if not all(0 <= i < n for i, n in zip(r, bond)):
+            raise bad(f"block index {r} is out of range for bond "
+                      f"dimensions {bond}")
+        if k and r <= rows[k - 1]:  # lists compare in row-major order
+            raise bad(f"block {k}: index {r} does not follow "
+                      f"{rows[k - 1]}; the index must be strictly "
+                      f"increasing in row-major order")
     for key in ("re", "im"):
         values = td[key]
         # the hook left a list: name a boolean if it is the first non-number
@@ -434,6 +474,54 @@ def _read_tensor(tree: TreeTopology, s: int, td) -> tuple:
             raise bad(f"{key!r} holds {values.size} numbers, not "
                       f"{len(rows)} blocks x {d * d}")
     return s, legs, tuple(shape), rows
+
+
+def _index_arrays(heads) -> list[np.ndarray] | None:
+    """The lists of multi-indices of ``(site, legs, shape, rows)`` heads as
+    int64 arrays of one row per block, all views of one array, or None if
+    a row is not a list of one int per leg within the bond dimensions or a
+    tensor's rows do not strictly increase in row-major order.  The checks
+    are whole-dump passes in C: one type pass over all rows, then one array
+    per row width, compared with the bond dimensions repeated per row and
+    row by row within each tensor."""
+    rows = list(chain.from_iterable(h[3] for h in heads))
+    if not (set(map(type, rows)) <= {list}
+            and set(map(type, chain.from_iterable(rows))) <= {int}):
+        return None
+    widths: dict[int, list[int]] = {}  # row width -> its heads, by position
+    for k, h in enumerate(heads):
+        widths.setdefault(len(h[1]), []).append(k)
+    groups = [(w, ks, list(chain.from_iterable(heads[k][3] for k in ks)))
+              for w, ks in widths.items()]
+    if not all(set(map(len, rs)) <= {w} for w, _, rs in groups):
+        return None
+    try:  # an int past int64 is out of range
+        flat = np.fromiter(chain.from_iterable(chain.from_iterable(
+            rs for _, _, rs in groups)), np.int64,
+            sum(w * len(rs) for w, _, rs in groups))
+    except OverflowError:
+        return None
+    arrays, pos = [None] * len(heads), 0
+    for w, ks, rs in groups:
+        a = flat[pos:pos + w * len(rs)].reshape(len(rs), w)
+        pos += a.size
+        ns = [len(heads[k][3]) for k in ks]
+        # as uint64, a negative entry is out of range too
+        bond = np.array([heads[k][2][:-2] for k in ks], np.uint64)
+        if not (a.view(np.uint64)
+                < np.repeat(bond.reshape(len(ks), w), ns, 0)).all():
+            return None
+        # within a tensor, the first entry where a row differs from the one
+        # before must rise; rows of no entries are all equal
+        step = a[1:] - a[:-1]
+        rises = (step[np.arange(len(step)), (step != 0).argmax(axis=1)] > 0
+                 if w else np.zeros(len(step), bool))
+        tensor = np.repeat(np.arange(len(ks)), ns)
+        if not (rises | (tensor[1:] != tensor[:-1])).all():
+            return None
+        for k, row in zip(ks, np.cumsum(ns).tolist()):
+            arrays[k] = a[row - len(heads[k][3]):row]
+    return arrays
 
 
 def read_ttno(path: str) -> TTNO:
@@ -475,10 +563,18 @@ def read_ttno(path: str) -> TTNO:
         if key not in sites:
             raise ValidationError(f"ttno dump: tensor for {key!r}, which is "
                                   f"not a site of the tree")
-    heads, groups, stacks = [], {}, {}
-    for k, td in entries.items():
-        heads.append(_read_tensor(tree, sites[k], td))
-        groups.setdefault(heads[-1][2][-1], []).append(td)
+    try:
+        heads = [_read_tensor(tree, sites[k], td, check_index=False)
+                 for k, td in entries.items()]
+        arrays = _index_arrays(heads)
+    except ValidationError:
+        arrays = None
+    if arrays is None:  # the loop below finds and words the first fault
+        for k, td in entries.items():
+            _read_tensor(tree, sites[k], td, check_index=True)
+    groups, stacks = {}, {}
+    for td, h in zip(entries.values(), heads):
+        groups.setdefault(h[2][-1], []).append(td)
     for d, tds in groups.items():
         blocks = stacks[d] = np.empty(
             (sum(td["re"].size for td in tds) // d // d, d, d), complex)
@@ -486,7 +582,12 @@ def read_ttno(path: str) -> TTNO:
         # imaginary -0.0 into +0.0
         blocks.real = np.concatenate([td["re"] for td in tds]).reshape(-1, d, d)
         blocks.imag = np.concatenate([td["im"] for td in tds]).reshape(-1, d, d)
-    tensors, bad = _tensors(heads, stacks, drop_zeros=False)
+    row = dict.fromkeys(stacks, 0)
+    for k, (s, legs, shape, _) in enumerate(heads):
+        d, n = shape[-1], len(arrays[k])
+        heads[k] = (s, legs, shape, arrays[k], stacks[d][row[d]:row[d] + n])
+        row[d] += n
+    tensors, bad = _tensors(heads, stacks)
     if bad:  # a NaN, Infinity or overflowing literal (1e400): name it
         t = bad[0]
         for key, part in ("re", t.blocks.real), ("im", t.blocks.imag):

@@ -11,12 +11,10 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from functools import cached_property
 
-import numpy as np
-
 from .assembly import TTNO, canonical_legs, tensors_from_blocks
 from .errors import ValidationError
 from .operators import (DEFAULT_REGISTRY, Hamiltonian, OperatorRegistry,
-                        ProductTerm, SiteOperator)
+                        ProductTerm, SiteOperator, identity)
 from .tree import Edge, TreeTopology, edge_key
 
 # -- nearest-neighbour TTNO ---------------------------------------------------
@@ -88,32 +86,37 @@ def nn_ttno(tree: TreeTopology, interaction: NNInteraction,
     registry = registry or DEFAULT_REGISTRY
     dims = nn_bond_dimensions(tree, interaction)
 
+    matrices = {}  # op_id -> matrix, each operator resolved once
+
+    def key(op: SiteOperator) -> int:
+        if op.op_id not in matrices:
+            matrices[op.op_id] = registry.resolve(op)
+        return op.op_id
+
     specs = []
     for s in tree.nodes:
         legs = canonical_legs(tree, s)
         d = tree.phys_dim(s)
         shape = tuple(dims[e] for e in legs) + (d, d)
-        eye = np.eye(d, dtype=complex)
+        eye = key(identity(d))
         parent = tree.parent(s)
         kids = tree.children(s)
         zeros = (0,) * len(kids)
-        done, pairs = (), []
+        done, rows = (), []  # (op_id, *multi-index)
         if parent is not None:
             done = (2,)  # the parent leg once a term has acted at or below s
             op_p = interaction.edge_ops[edge_key(parent, s)][s]
-            pairs += [((0,) + zeros, eye),
-                      ((1,) + zeros, registry.resolve(op_p))]
+            rows += [(eye, 0, *zeros), (key(op_p), 1, *zeros)]
         for i, c in enumerate(kids):
             e = edge_key(s, c)
-            pairs.append((done + zeros[:i] + (1,) + zeros[i + 1:],
-                          registry.resolve(interaction.edge_ops[e][s])))
+            rows.append((key(interaction.edge_ops[e][s]), *done, *zeros[:i],
+                         1, *zeros[i + 1:]))
             if dims[e] == 3:
-                pairs.append((done + zeros[:i] + (2,) + zeros[i + 1:], eye))
+                rows.append((eye, *done, *zeros[:i], 2, *zeros[i + 1:]))
         if s in interaction.single_site:
-            z = registry.resolve(interaction.single_site[s])
-            pairs.append((done + zeros, z))
-        specs.append((s, legs, shape, pairs))
-    return TTNO(tree, tensors_from_blocks(specs))
+            rows.append((key(interaction.single_site[s]), *done, *zeros))
+        specs.append((s, legs, shape, rows))
+    return TTNO(tree, tensors_from_blocks(specs, matrices))
 
 
 # -- Cayley trees --------------------------------------------------------------

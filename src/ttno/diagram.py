@@ -90,9 +90,8 @@ import warnings
 
 from .errors import (DuplicateTermError, PathCapExceededError,
                      ValidationError)
-# fold_coefficient is unused here; the fold-count test patches it here too
-from .operators import (Hamiltonian, ProductTerm, SiteOperator,
-                        fold_coefficient, identity, take_term)
+from .operators import (Hamiltonian, ProductTerm, SiteOperator, identity,
+                        take_term)
 from .tree import Edge, TreeTopology, edge_key
 
 PATH_CAP = 10 ** 6

@@ -246,10 +246,12 @@ def fold_coefficient(term: ProductTerm, root: int, root_dim: int,
     """Absorb the scalar into the factor at the smallest acted-on site.
 
     The folded factor carries the scale in its identity (and a derived
-    display label like ``-2*X``), so scaled operators stay distinct.  An
-    all-identity term folds into an explicit scaled identity at ``root``,
-    of dimension ``root_dim``.  ``derived`` is the table of scaled
-    operators that ``SiteOperator.scaled`` shares.
+    display label like ``-2*X``), so scaled operators stay distinct.  A
+    factor that the scalar turns into the identity (base label ``I``, scale
+    1) is dropped, as identities are implicit.  An all-identity term folds
+    into an explicit scaled identity at ``root``, of dimension
+    ``root_dim``.  ``derived`` is the table of scaled operators that
+    ``SiteOperator.scaled`` shares.
     """
     if term.coefficient == 1.0:
         return term
@@ -257,8 +259,11 @@ def fold_coefficient(term: ProductTerm, root: int, root_dim: int,
     if not term.factors:
         return ProductTerm(1.0, {root: identity(root_dim).scaled(c, derived)})
     target = min(term.factors)
-    return ProductTerm(1.0, {**term.factors,
-                             target: term.factors[target].scaled(c, derived)})
+    op = term.factors[target].scaled(c, derived)
+    factors = {**term.factors, target: op}
+    if op.base_label == IDENTITY_LABEL and op.scale == 1.0:
+        del factors[target]
+    return ProductTerm(1.0, factors)
 
 
 def take_term(term: ProductTerm, n: int, tree: TreeTopology,

@@ -2,12 +2,14 @@
 
 These deliberately avoid the package's own code paths: BFS on a raw edge
 list, an element-wise Kronecker sum, and a recursive-attachment random tree
-generator.  Three build on package code.  The Kronecker chain is the
+generator.  Four build on package code.  The Kronecker chain is the
 reference for the in-place ``to_dense``.  The dense rank oracle uses
 ``to_dense`` (itself checked against the element-wise sum) and stands apart
 from the term-based ``optimal_bond_dims`` it checks.  The reference diagram
 construction uses the diagram's vertex and hyperedge filing and its hash
-indexes but none of the support-local matching it checks.
+indexes but none of the support-local matching it checks.  The reference
+emission reads a diagram one hyperedge at a time, with the registry's
+matrices but none of the batched block summing it checks.
 """
 
 from collections import deque
@@ -17,6 +19,7 @@ import numpy as np
 from ttno.diagram import StateDiagram
 from ttno.operators import (DEFAULT_REGISTRY, dense_size, identity,
                             to_dense)
+from ttno.tree import edge_key
 from ttno.svdref import RANK_REL_TOL
 
 from conftest import component_without_edge
@@ -197,3 +200,35 @@ def _climb(g, site, term, marked):
                 break
         else:
             return
+
+
+def reference_emission(g, registry=None):
+    """``emit_tensors(g, registry)`` one hyperedge at a time, per site: its
+    legs (the edge to its parent first, then those to its children by
+    ascending id), its shape, and a dict from each stored multi-index, in
+    row-major order, to its block.  A hyperedge's multi-index holds the
+    position of each of its vertices in its edge's collection, in leg
+    order; the matrices on one multi-index are summed from a block of
+    ``+0.0`` in hyperedge order, and sums of only ``+0.0`` entries are
+    dropped."""
+    registry = registry or DEFAULT_REGISTRY
+    tree = g.tree
+    edge_of, pos = {}, {}
+    for e, vs in g.w.items():
+        for i, v in enumerate(vs):
+            edge_of[v], pos[v] = e, i
+    out = {}
+    for s in tree.nodes:
+        p, d = tree.parent(s), tree.phys_dim(s)
+        legs = tuple(edge_key(s, n) for n in (
+            [] if p is None else [p]) + sorted(tree.children(s)))
+        sums = {}
+        for y in g.eps[s]:
+            at = {edge_of[v]: pos[v] for v in y[1:]}
+            idx = tuple(at[e] for e in legs)
+            block = sums.get(idx, np.zeros((d, d), complex))
+            sums[idx] = block + registry.resolve(g.ops[y[0]])
+        shape = (*(len(g.w[e]) for e in legs), d, d)
+        out[s] = (legs, shape, {idx: sums[idx] for idx in sorted(sums)
+                                if sums[idx].view(np.uint64).any()})
+    return out

@@ -27,7 +27,7 @@ from ttno.oqs import OQSSpec, oqs_hamiltonian
 from ttno.tree import TreeTopology
 
 from conftest import demo_tree, pauli_term, refuse_allocation
-from oracles import pick_nonleaf_root, random_tree_edges
+from oracles import pick_nonleaf_root, random_tree_edges, reference_emission
 from test_diagram import pinned_systems
 
 
@@ -72,10 +72,23 @@ def test_single_term_tensors_have_one_slice_each(tree):
     assert dense_element_count(ttno) == 8 * 4
 
 
+def from_pairs(specs):
+    """``tensors_from_blocks`` on specs whose pairs ``(multi-index,
+    matrix)`` carry their matrices: each matrix gets a key of its own."""
+    matrices, keyed = {}, []
+    for site, legs, shape, pairs in specs:
+        rows = []
+        for idx, m in pairs:
+            rows.append((len(matrices), *idx))
+            matrices[len(matrices)] = m
+        keyed.append((site, legs, shape, rows))
+    return tensors_from_blocks(keyed, matrices)
+
+
 def test_from_blocks_sums_pairs_and_drops_zero_sums():
     x = np.array([[0, 1], [1, 0]], dtype=complex)
     z = np.array([[1, 0], [0, -1]], dtype=complex)
-    (t,) = tensors_from_blocks([(7, ((7, 8), (7, 9)), (2, 3, 2, 2), [
+    (t,) = from_pairs([(7, ((7, 8), (7, 9)), (2, 3, 2, 2), [
         ((1, 2), x), ((0, 1), z), ((1, 2), 0.5 * z), ((1, 0), x),
         ((1, 0), -x), ((0, 0), np.full((2, 2), -0.0))])]).values()
     # sorted in row-major order; X - X and +0.0 + (-0.0) are +0.0, dropped
@@ -99,7 +112,7 @@ def test_from_blocks_sums_in_pair_order_bit_exactly():
           + 1j * rng.standard_normal((2, 2)) for _ in range(4)]
     neg = np.array([[complex(-0.0, -0.0), 1.0], [complex(0.0, -0.0), 2.0]])
     y = rng.standard_normal((2, 2)) + 0j
-    tensors = tensors_from_blocks([
+    tensors = from_pairs([
         (2, ((1, 2),), (3, 2, 2),
          [((0,), ms[0]), ((2,), neg), ((0,), ms[1]), ((1,), y),
           ((0,), ms[2]), ((1,), -y), ((0,), ms[3])]),
@@ -127,12 +140,12 @@ def test_from_blocks_names_the_site_whose_sum_overflows():
         with pytest.raises(ValidationError, match=(
                 r"^site 5: the matrices summed into block \(1,\) overflow "
                 r"to non-finite entries")):
-            tensors_from_blocks(specs)
+            from_pairs(specs)
 
 
 def test_tensors_compare_by_identity_and_print_briefly(tree):
     z = np.array([[1, 0], [0, -1]], dtype=complex)
-    a, b = (tensors_from_blocks([(3, ((2, 3),), (2, 2, 2), [((1,), z)])])[3]
+    a, b = (from_pairs([(3, ((2, 3),), (2, 2, 2), [((1,), z)])])[3]
             for _ in range(2))
     assert a == a and a != b  # no elementwise comparison of the arrays
     assert repr(a) == "TTNOTensor(site=3, shape=(2, 2, 2), blocks=1)"
@@ -218,6 +231,70 @@ def test_emission_resolves_each_operator_once():
     assert set(calls.values()) == {1}
     assert np.allclose(contract_to_dense(ttno), to_dense(h), atol=1e-12,
                        rtol=0.0)
+
+
+# user matrix entries, signed zeros among them
+ENTRIES = st.sampled_from([0.0, -0.0, 1.0, -1.0, 0.1, 1e-17, -2.25])
+
+
+@st.composite
+def emission_systems(draw):
+    """A Hamiltonian on a random tree of 1-5 sites, physical dimensions 1-3
+    and a root that is no leaf, and its registry: per dimension a complex
+    matrix ``A`` of entries from ``ENTRIES``, its negative ``B``, so that
+    sums on one multi-index can cancel to zero, and another ``C``.  Terms
+    act on at most three sites with few labels, so that hyperedges share
+    multi-indices."""
+    n = draw(st.integers(1, 5))
+    edges = [(k, draw(st.integers(0, k - 1))) for k in range(1, n)]
+    dims = draw(st.lists(st.sampled_from((1, 2, 3)), min_size=n, max_size=n))
+    inner = [s for s in range(n) if sum(s in e for e in edges) > 1] or [0]
+    tree = TreeTopology(edges, draw(st.sampled_from(inner)),
+                        dict(enumerate(dims)))
+    registry = OperatorRegistry()
+    for d in sorted(set(dims)):
+        a, c = (np.empty((d, d), complex) for _ in range(2))
+        for m in a, c:
+            for part in m.real, m.imag:
+                part[...] = np.reshape(draw(st.lists(
+                    ENTRIES, min_size=d * d, max_size=d * d)), (d, d))
+        for label, m in ("A", a), ("B", -a), ("C", c):
+            registry.register(label, m)
+    terms = {}
+    for _ in range(draw(st.integers(1, 12))):
+        support = draw(st.lists(st.integers(0, n - 1), min_size=1,
+                                max_size=3, unique=True))
+        labels = [(s, draw(st.sampled_from("ABC"))) for s in sorted(support)]
+        coeff = draw(st.sampled_from([1.0, -1.0, 1 / 3, 2j]))
+        terms[coeff, tuple(labels)] = ProductTerm(coeff, {
+            s: SiteOperator(label, dims[s]) for s, label in labels})
+    return Hamiltonian(tree, terms.values()), registry
+
+
+@given(system=emission_systems())
+def check_emission(seen, system):
+    h, registry = system
+    g = from_hamiltonian(h)
+    want = reference_emission(g, registry)
+    for s, t in emit_tensors(g, registry).tensors.items():
+        legs, shape, blocks = want[s]
+        assert t.legs == legs and t.shape == shape
+        assert t.index.dtype == np.int64
+        assert t.index.tolist() == [list(i) for i in blocks]
+        assert t.blocks.tobytes() == np.array(
+            list(blocks.values()), complex).reshape(-1, *shape[-2:]).tobytes()
+        shared = {y[1:] for y in g.eps[s]}  # the hyperedges' multi-indices
+        seen["repeated"] += len(shared) < len(g.eps[s])
+        seen["cancelled"] += len(blocks) < len(shared)
+
+
+def test_emission_matches_reference(hypothesis_home):
+    # emission sums the blocks of all tensors of one dimension and leg
+    # count at once; each tensor must hold, bit for bit, what summing its
+    # hyperedges one at a time gives, repeats and cancellations included
+    seen = Counter()
+    check_emission(seen)
+    assert seen["repeated"] and seen["cancelled"]
 
 
 def test_colliding_hyperedges_sum():
@@ -693,6 +770,57 @@ def test_read_rejects_malformed_dump(tmp_path, demo_hamiltonian, corrupt,
         read_ttno(str(p))
 
 
+# a fault in a tensor's shape or legs, and the message naming it at site 2
+HEAD_FAULTS = {
+    "shape": (lambda t: t.update(shape=[3, 2, 2, 2]),
+              "shape [3, 2, 2, 2] is not a list of 5 integers from 1 to "
+              "2**63 - 1"),
+    "legs": (lambda t: t["legs"].reverse(),
+             "legs [[2, 4], [2, 3], [1, 2]] differ from the tree's "
+             "[[1, 2], [2, 3], [2, 4]]"),
+}
+# a fault in a tensor's index, and the message naming it at site 2
+INDEX_FAULTS = {
+    "bool": (lambda rows: rows.__setitem__(0, [0, True, 0]),
+             "block index [0, True, 0] is not a list of 3 integers"),
+    "float": (lambda rows: rows.__setitem__(0, [0, 0.5, 0]),
+              "block index [0, 0.5, 0] is not a list of 3 integers"),
+    "range": (lambda rows: rows.__setitem__(0, [0, 2, 0]),
+              "block index [0, 2, 0] is out of range for bond dimensions "
+              "[3, 2, 2]"),
+    "order": (lambda rows: rows.reverse(),
+              "block 1: index [1, 1, 1] does not follow [2, 1, 1]; the index "
+              "must be strictly increasing in row-major order"),
+    "2**63": (lambda rows: rows.__setitem__(0, [2 ** 63, 0, 0]),
+              f"block index [{2 ** 63}, 0, 0] is out of range for bond "
+              f"dimensions [3, 2, 2]"),
+}
+
+
+@pytest.mark.parametrize("index_fault", INDEX_FAULTS)
+@pytest.mark.parametrize("head_fault", HEAD_FAULTS)
+@pytest.mark.parametrize("first", ["head", "index"])
+def test_read_names_the_first_fault_in_dump_order(tmp_path, demo_hamiltonian,
+                                                  first, head_fault,
+                                                  index_fault):
+    # the index checks run over the whole dump; a fault in site 2 is named
+    # before one in site 5, whichever check finds each
+    p = tmp_path / "demo.json"
+    write_ttno(emit_tensors(from_hamiltonian(demo_hamiltonian)), str(p))
+    head, index = HEAD_FAULTS[head_fault], INDEX_FAULTS[index_fault]
+    early, late = (2, 5) if first == "head" else (5, 2)
+
+    def corrupt(d):
+        head[0](_tensor(d, early))
+        index[0](_tensor(d, late)["index"])
+
+    p.write_text(_edit(corrupt)(p.read_text()))
+    message = head[1] if first == "head" else index[1]
+    with pytest.raises(ValidationError, match=(
+            f"^{re.escape(f'ttno dump, site 2: {message}')}$")):
+        read_ttno(str(p))
+
+
 def test_read_rejects_dump_nested_too_deep(tmp_path, demo_hamiltonian):
     # a tree nested 1,000 lists deep raised a bare RecursionError
     p = tmp_path / "demo.json"
@@ -846,7 +974,7 @@ def test_tensors_share_block_arrays_without_overlap(tmp_path):
                  for _ in range(4)]
         specs.append((s, legs, (*[2] * len(legs), d, d),
                       [((1,), x), ((1,), -x)] if s == 2 else pairs))
-    emitted = TTNO(tree, tensors_from_blocks(specs))
+    emitted = TTNO(tree, from_pairs(specs))
     assert len(emitted.tensors[2].index) == 0
     p = tmp_path / "mixed.json"
     write_ttno(emitted, str(p))

@@ -657,6 +657,63 @@ def test_build_hamiltonian_with_a_key_removed_added_or_repeated(
     check_hamiltonian_keys(Path(tree), tmp / "fuzz.json", tmp / "out.json")
 
 
+# the tree JSON with all three keys; without "phys_dims" every site has
+# dimension 2, as here
+FUZZ_TREE_JSON = {**TREE_JSON, "phys_dims": {"8": 2}}
+TREE_KEYS = ("root", "edges", "phys_dims")
+
+
+@given(data=st.data())
+def check_tree_keys(tree, ham, out, data):
+    doc = json.loads(json.dumps(FUZZ_TREE_JSON))
+    action = data.draw(st.sampled_from(["remove", "add", "repeat"]))
+    if action == "remove":
+        key = data.draw(st.sampled_from(TREE_KEYS))
+        del doc[key]
+        text = json.dumps(doc)
+    elif action == "add":
+        key = data.draw(KEY_NAMES.filter(lambda k: k not in doc))
+        doc[key] = data.draw(JSON_VALUES)
+        text = json.dumps(doc)
+    else:  # the same key again, at any place in the object
+        key = data.draw(st.sampled_from(TREE_KEYS))
+        value = data.draw(st.one_of(st.just(doc[key]), JSON_VALUES))
+        items = list(doc.items())
+        items.insert(data.draw(st.integers(0, len(items))), (REPEAT, value))
+        doc = dict(items)
+        text = json.dumps(doc).replace(json.dumps(REPEAT), json.dumps(key))
+    tree.write_text(text, encoding="utf-8")
+    if out.exists():
+        out.unlink()
+    err = io.StringIO()
+    with warnings.catch_warnings(), redirect_stderr(err), redirect_stdout(
+            io.StringIO()):
+        warnings.simplefilter("error")
+        rc = main(["build", str(tree), str(ham), "--out", str(out)])
+    err = err.getvalue()
+    if action == "remove" and key == "phys_dims":
+        assert rc == EXIT_OK, err
+        assert out.exists()
+        return
+    assert rc == EXIT_VALIDATION, err
+    assert not out.exists()
+    assert err.startswith("validation error: ") and err.count("\n") == 1
+    assert "Traceback" not in err
+    assert repr(key) in err, (key, err)
+    if action == "repeat":
+        assert str(tree) in err
+
+
+def test_build_tree_with_a_key_removed_added_or_repeated(files,
+                                                         hypothesis_home):
+    # one key of the tree JSON removed, added or given twice: the build
+    # exits 0 only without "phys_dims", which has a default, else 3 naming
+    # the key (and the file, for a repeated key), with no warning, no
+    # traceback and no dump
+    tmp, _, ham = files
+    check_tree_keys(tmp / "fuzz_tree.json", Path(ham), tmp / "out.json")
+
+
 def test_build_random40_without_dense_tensors(tmp_path):
     # the dense tensor at site 3 alone would take 48 GiB
     rng = np.random.default_rng(1)

@@ -306,8 +306,7 @@ def test_each_term_keyed_and_folded_once(monkeypatch, make):
         return fold(*args)
 
     monkeypatch.setattr(ProductTerm, "key", counted_key)
-    for module in (ttno.operators, ttno.diagram):
-        monkeypatch.setattr(module, "fold_coefficient", counted_fold)
+    monkeypatch.setattr(ttno.operators, "fold_coefficient", counted_fold)
     g = from_hamiltonian(make())
     n = len(g.terms)
     assert calls == {"key": n, "fold": n}

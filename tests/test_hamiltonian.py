@@ -6,6 +6,8 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from ttno.assembly import contract_to_dense, emit_tensors
+from ttno.diagram import from_hamiltonian
 from ttno.errors import (DenseCapExceededError, DuplicateTermError,
                          UnknownOperatorError, ValidationError)
 from ttno.operators import (DEFAULT_REGISTRY, Hamiltonian, OperatorRegistry,
@@ -125,6 +127,28 @@ def test_fold_all_identity_term():
     assert f.coefficient == 1.0
     assert list(f.factors) == [3]
     assert np.allclose(DEFAULT_REGISTRY.resolve(f.factors[3]), 2.5 * np.eye(2))
+
+
+def test_factor_folding_to_the_identity_is_dropped():
+    # a factor 0.5 * I times the coefficient 2 is the identity: it was
+    # refused as "identity factor at site 0", naming no term, though the
+    # term is the valid I (x) X
+    tree = TreeTopology([(0, 1)], 0)
+    half = SiteOperator("J", 2, scale=0.5, base_label="I")
+    h = Hamiltonian(tree, [ProductTerm(2.0, {0: half,
+                                             1: SiteOperator("X", 2)})])
+    (f,) = h.folded.values()
+    assert f.coefficient == 1.0 and list(f.factors) == [1]
+    assert f.factors[1].label == "X"
+    want = np.kron(np.eye(2), X)
+    assert np.allclose(to_dense(h), want, atol=1e-12, rtol=0.0)
+    assert np.allclose(contract_to_dense(emit_tensors(from_hamiltonian(h))),
+                       want, atol=1e-12, rtol=0.0)
+    # a term left with no factor is the all-identity term of coefficient 1
+    alone = ProductTerm(2.0, {0: half})
+    assert fold_coefficient(alone, 0, 2).key() == ProductTerm(1.0).key()
+    with pytest.raises(DuplicateTermError, match="^term 1 repeats term 0"):
+        Hamiltonian(tree, [ProductTerm(1.0), alone])
 
 
 def test_fold_preserves_dense():
