@@ -230,7 +230,11 @@ def emit_tensors(diagram: StateDiagram,
     matrix cannot be allocated raises DenseCapExceededError naming it, its
     dimension and the lowest site of that dimension; a label the registry
     does not know raises UnknownOperatorError, and a matrix, or a block
-    sum, that is not finite raises ValidationError, both naming the site."""
+    sum, that is not finite raises ValidationError, both naming the site.
+    A diagram with no terms raises ValidationError: its bonds have
+    dimension 0, which no dump can hold."""
+    if not diagram.terms:
+        raise ValidationError("diagram has no terms")
     registry = registry or DEFAULT_REGISTRY
     tree = diagram.tree
     r = tree.rooting

@@ -75,13 +75,23 @@ not returned).  Each such mark is the one vertex the term's path on the
 sender's side runs through, so the site holds the path's hyperedge only if
 the whole path exists, and the duplicate check refuses that term first.
 
-Messages are looked up in per-site hash indexes instead of scans.  The
-*open* index of a site's i-th incident edge maps ``(op_id, vertices on the
-other edges)`` to the tuple of hyperedges with that key in creation order
-(at a leaf the key is the operator alone): the candidates of the message
-the site sends over edge i.  It holds a hyperedge only if it was the first
-at its site on its vertex of edge i.  A later one shares that vertex, and
-since counts never fall it could never be a message.
+Messages are looked up in a per-site slot table instead of scans.  Slot i
+of a site is the pair of its i-th incident edge's count list, the flat list
+that counts hyperedges at that end of the edge, and its *open* index, which
+maps ``(op_id, vertices on the other edges)`` to the tuple of hyperedges
+with that key in creation order (at a leaf the key is the operator alone):
+the candidates of the message the site sends over edge i.  A new hyperedge
+is filed there only if its vertex on edge i now has count 1.  A later one
+shares that vertex, and since counts never fall it could never be a
+message.  Filing walks a site's slots once, and a lookup reads one slot.
+
+The staleness test after a new hyperedge uses the vertices the graft has
+just made: a fresh vertex is never a message.  Where the site's message
+over a slot is defined, it is stale exactly when the new vertex there is
+that message.  A missing message can only be completed by an identity
+hyperedge carrying the incoming messages on every other slot, so a
+hyperedge with a factor or two fresh vertices completes none, and the
+incoming messages are compared only once a missing message asks.
 """
 
 from __future__ import annotations
@@ -124,16 +134,20 @@ class StateDiagram:
         self._mute = (root if root != r.root
                       and len(self._incident[root]) == 1 else None)
         # _degree[k][v]: how many hyperedges touch vertex v at endpoint k of
-        # its edge; _degree_at[s][i] is the list that counts them at site s
-        # for the vertices of its i-th incident edge
+        # its edge
         self._degree: tuple[list[int], list[int]] = ([], [])
-        self._degree_at = {s: tuple(self._degree[e[1] == s]
-                                    for e in self._incident[s])
-                           for s in tree.nodes}
         # per site and incident edge i: (op_id, *vertices on the other
         # edges) -> hyperedges in creation order
         self._open: dict[int, list[dict[tuple, tuple]]] = {
             s: [{} for _ in self._incident[s]] for s in tree.nodes}
+        # _slots[s][i]: the list that counts hyperedges at site s on the
+        # vertices of its i-th incident edge, and that edge's open index
+        # there; the same objects as in _degree and _open
+        self._slots = {s: tuple(zip((self._degree[e[1] == s]
+                                     for e in self._incident[s]),
+                                    self._open[s]))
+                       for s in tree.nodes}
+        self._ident_id = {s: op.op_id for s, op in self._identity.items()}
         # open-index hits examined by the term messages and the identity
         # message caches (runtime-bound probe)
         self.match_visits = 0
@@ -159,18 +173,20 @@ class StateDiagram:
                        vs: tuple[int, ...]) -> None:
         """The hyperedge of ``op`` at ``site`` on the vertices ``vs``, one
         per incident edge in incident-edge order, filed in the indexes."""
-        y = (op.op_id, *vs)
+        k = op.op_id
+        y = (k, *vs)
         self.eps[site][y] = None
-        self.ops.setdefault(op.op_id, op)
-        for i, (counts, index) in enumerate(zip(self._degree_at[site],
-                                                self._open[site])):
+        if k not in self.ops:
+            self.ops[k] = op
+        for i, (counts, index) in enumerate(self._slots[site]):
             v = vs[i]
-            counts[v] += 1
+            n = counts[v] = counts[v] + 1
             # only the first hyperedge at site on v can ever be found: the
             # count of v there never falls back to 1
-            if counts[v] == 1:
+            if n == 1:
                 key = y[:i + 1] + y[i + 2:]
-                index[key] = index.get(key, ()) + (y,)
+                hits = index.get(key)
+                index[key] = (y,) if hits is None else hits + (y,)
 
     @classmethod
     def from_single_term(cls, tree: TreeTopology,
@@ -197,8 +213,8 @@ class StateDiagram:
         would drag extra hyperedges into the path).  Only the first
         hyperedge on each vertex is filed, so every hit examined had its
         vertex to itself when it was filed."""
-        counts = self._degree_at[site][free]
-        for y in self._open[site][free].get(key, ()):
+        counts, index = self._slots[site][free]
+        for y in index.get(key, ()):
             self.match_visits += 1
             v = y[free + 1]
             if counts[v] == 1:
@@ -215,7 +231,7 @@ class StateDiagram:
         r = self._rooting
         up_of, kids, depth, leaf = r.up, r.kids, r.depth, r.root
         factors = term.factors
-        ident = self._identity
+        ident_id = self._ident_id
         cached = self._up_id
         # marks[s]: the mark of the edge from s toward the leaf, or None;
         # first the sites of Steiner(S), with its top t
@@ -239,8 +255,8 @@ class StateDiagram:
                         break
                     ins.append(v)
                 else:
-                    op = factors.get(a) or ident[a]
-                    v = self._lookup(a, up_slot[a], (op.op_id, *ins))
+                    k = factors[a].op_id if a in factors else ident_id[a]
+                    v = self._lookup(a, up_slot[a], (k, *ins))
             marks[a] = v
             if v is None:
                 cands.add(a)
@@ -271,7 +287,7 @@ class StateDiagram:
         # unmarked, and is then no graft site
         far = self._far
         while a is not None:
-            key = [(factors.get(a) or ident[a]).op_id]
+            key = [factors[a].op_id if a in factors else ident_id[a]]
             free = None
             for i, c in enumerate(far[a]):
                 v = marks[c] if c in marks else cached[c]
@@ -320,26 +336,34 @@ class StateDiagram:
         for s in sites:
             far = far_of[s]
             vs = []
+            fresh = 0
             for c, e in zip(far, incident[s]):
                 v = marks[c] if c in marks else ups[c]
                 if v is None:
                     v = marks[c] = self._new_vertex(e)
+                    fresh += 1
                 vs.append(v)
             vs = tuple(vs)
             want = factors.get(s) or self._identity[s]
             self._new_hyperedge(s, want, vs)
-            # the slots j where the new hyperedge is an identity that
-            # carries the incoming identity message on every slot but j
-            carries = ()
-            if s not in factors:
-                off = [j for j, c in enumerate(far)
-                       if vs[j] != (downs[s] if c == s else ups[c])]
-                carries = (off if len(off) == 1
-                           else range(len(far)) if not off else ())
+            # carries: the slots j where the new hyperedge is an identity
+            # that carries the incoming identity message on every slot but
+            # j, found once a missing message asks.  A fresh vertex is no
+            # message, so with a factor or two fresh vertices there are none
+            carries = () if fresh > 1 or s in factors else None
             for j, c in enumerate(far):
                 sent = ups[s] if c == s else downs[c]
-                if vs[j] == sent or (sent is None and j in carries):
-                    (stale_ups if c == s else stale_downs).append((s, j))
+                if sent is None:
+                    if carries is None:
+                        off = [i for i, k in enumerate(far)
+                               if vs[i] != (downs[s] if k == s else ups[k])]
+                        carries = (off if len(off) == 1
+                                   else range(len(far)) if not off else ())
+                    if j not in carries:
+                        continue
+                elif vs[j] != sent:
+                    continue
+                (stale_ups if c == s else stale_downs).append((s, j))
         if stale_ups or stale_downs:
             self._refresh(stale_ups, stale_downs)
 
@@ -414,7 +438,7 @@ class StateDiagram:
         on its edge toward the leaf and ``ups[c]`` from each kid ``c``."""
         if site == self._mute:
             return None
-        key = [self._identity[site].op_id]
+        key = [self._ident_id[site]]
         for j, c in enumerate(self._far[site]):
             if j != slot:
                 v = downs[site] if c == site else ups[c]
@@ -550,11 +574,16 @@ class StateDiagram:
                     if counts[v] == 1:
                         key = y[:i + 1] + y[i + 2:]
                         index[key] = index.get(key, ()) + (y,)
-            for e, index, want in zip(incident, self._open[s], opens):
+            for e, index, want, (counts, filed) in zip(
+                    incident, self._open[s], opens, self._slots[s]):
                 if index != want:
                     raise ValidationError(
                         f"open index of edge {e} at site {s} disagrees with "
                         f"its hyperedges")
+                if counts is not self._degree[e[1] == s] or filed is not index:
+                    raise ValidationError(
+                        f"slot of edge {e} at site {s} is not the diagram's "
+                        f"hyperedge count list and open index")
         for k, (counts, cached) in enumerate(zip(degree, self._degree)):
             for v, (c, c_cached) in enumerate(zip(counts, cached)):
                 if c < 1:

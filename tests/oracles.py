@@ -192,9 +192,10 @@ def _climb(g, site, term, marked):
         e = incident[free]
         want = term.factors.get(site) or g._identity[site]
         key = (want.op_id, *(marked[f] for f in incident if f != e))
-        for y in g._open[site][free].get(key, ()):
+        counts, index = g._slots[site][free]
+        for y in index.get(key, ()):
             v = y[free + 1]
-            if g._degree_at[site][free][v] == 1:
+            if counts[v] == 1:
                 marked[e] = v
                 site = e[0] if e[1] == site else e[1]
                 break

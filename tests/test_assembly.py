@@ -484,6 +484,15 @@ def test_dump_round_trip_bit_exact(tmp_path, demo_hamiltonian):
         assert p.read_bytes() == p2.read_bytes()
 
 
+@pytest.mark.parametrize("tree", [TreeTopology([(0, 1), (1, 2)], root=1),
+                                  TreeTopology([], root=0)])
+def test_empty_diagram_not_emitted(tree):
+    # its bonds have dimension 0: the chain's dump read as shape [0, 2, 2],
+    # which read_ttno refuses, and the lone site's as a zero operator
+    with pytest.raises(ValidationError, match="^diagram has no terms$"):
+        emit_tensors(StateDiagram(tree))
+
+
 def test_dump_round_trip_preserves_irrationals(tmp_path):
     tree = TreeTopology([(0, 1)], root=0)
     h = Hamiltonian(tree, [ProductTerm(np.pi + 1j / 3,

@@ -260,6 +260,38 @@ def test_match_visits_skip_dead_hits_and_idle_refreshes():
     assert g.match_visits < 11_000
 
 
+def demo_samples(seed):
+    """The r_diff study's samples: 5/10/20/30 Pauli terms x 25 on the demo
+    tree."""
+    tree = demo_tree()
+    return [random_hamiltonian(tree, n, ("X", "Y", "Z"), None,
+                               seed=[seed, n, i])
+            for n in (5, 10, 20, 30) for i in range(25)]
+
+
+@pytest.mark.parametrize("make", [
+    lambda: [random40_hamiltonian(1)],
+    lambda: [oqs_hamiltonian(OQSSpec(24, 6, boson_dim=4), "star")],
+    lambda: demo_samples(7),
+], ids=["random40", "oqs_star", "demo_samples"])
+def test_entry_paths_do_the_same_work(make):
+    # per-term timings grow a diagram by from_single_term and add_term;
+    # they describe from_hamiltonian only if both paths build the same
+    # diagram with the same lookups, from folded terms or from raw ones
+    for h in make():
+        whole = from_hamiltonian(h)
+        folded = h.folded_terms()
+        by_term = StateDiagram.from_single_term(h.tree, folded[0])
+        for term in folded[1:]:
+            by_term.add_term(term)
+        raw = StateDiagram(h.tree)
+        for term in h.terms:
+            raw.add_term(term)
+        for g in (by_term, raw):
+            assert g.dump() == whole.dump()
+            assert g.match_visits == whole.match_visits
+
+
 def hub_hamiltonian(n):
     """Z on each leaf of an n-leaf hub, then X on the hub and each leaf."""
     tree = TreeTopology([(0, i) for i in range(1, n + 1)], root=0)
@@ -392,6 +424,13 @@ def _miscount_vertex(g):
     g._degree[1][0] += 1
 
 
+def _copy_slot(g):
+    slots = list(g._slots[2])
+    counts, index = slots[1]
+    slots[1] = (counts, dict(index))
+    g._slots[2] = tuple(slots)
+
+
 def _forget_up_message(g):
     s = next(s for s, v in g._up_id.items() if v is not None)
     g._up_id[s] = None
@@ -457,6 +496,7 @@ def _add_orphan_vertex(g):
     (_repeat_open, "open index"), (_drop_open, "open index"),
     (_refile_open, "open index"),
     (_miscount_vertex, "hyperedge count of vertex 0"),
+    (_copy_slot, r"slot of edge \(2, 3\) at site 2 is not"),
     (_forget_up_message, "identity message on edge"),
     (_swap_up_messages, "identity message on edge"),
     (_invent_down_message, "identity message on edge"),
