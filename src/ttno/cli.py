@@ -139,7 +139,7 @@ def load_hamiltonian(tree: TreeTopology, data: dict) -> tuple[Hamiltonian,
                 raise ValidationError(
                     f"term {i}: factor on unknown site {site}")
             try:
-                registry.lookup(label, tree.phys_dim(site))
+                registry.require(label, tree.phys_dim(site))
             except UnknownOperatorError as exc:
                 raise UnknownOperatorError(
                     f"term {i}, site {site}: {exc}") from exc

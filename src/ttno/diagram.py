@@ -122,7 +122,6 @@ class StateDiagram:
         self.ops: dict[int, SiteOperator] = {}
         # the folded terms grafted so far, by key, in order
         self.terms: dict[tuple, ProductTerm] = {}
-        self._derived: dict = {}  # add_term's scaled operators
         ids = {d: identity(d) for d in set(tree.phys_dims.values())}
         self._identity = {s: ids[d] for s, d in tree.phys_dims.items()}
         r = self._rooting = tree.last_leaf_rooting
@@ -136,16 +135,12 @@ class StateDiagram:
         # _degree[k][v]: how many hyperedges touch vertex v at endpoint k of
         # its edge
         self._degree: tuple[list[int], list[int]] = ([], [])
-        # per site and incident edge i: (op_id, *vertices on the other
-        # edges) -> hyperedges in creation order
-        self._open: dict[int, list[dict[tuple, tuple]]] = {
-            s: [{} for _ in self._incident[s]] for s in tree.nodes}
-        # _slots[s][i]: the list that counts hyperedges at site s on the
-        # vertices of its i-th incident edge, and that edge's open index
-        # there; the same objects as in _degree and _open
-        self._slots = {s: tuple(zip((self._degree[e[1] == s]
-                                     for e in self._incident[s]),
-                                    self._open[s]))
+        # _slots[s][i]: the list in _degree that counts hyperedges at site s
+        # on the vertices of its i-th incident edge, and that edge's open
+        # index there, (op_id, *vertices on the other edges) -> hyperedges
+        # in creation order
+        self._slots = {s: tuple((self._degree[e[1] == s], {})
+                                for e in self._incident[s])
                        for s in tree.nodes}
         self._ident_id = {s: op.op_id for s, op in self._identity.items()}
         # open-index hits examined by the term messages and the identity
@@ -197,8 +192,7 @@ class StateDiagram:
     def add_term(self, term: ProductTerm) -> "StateDiagram":
         """Graft one more product term onto the diagram (in place), checked,
         folded and keyed as a ``Hamiltonian`` takes it."""
-        term, key = take_term(term, len(self.terms), self.tree,
-                              self._derived)
+        term, key = take_term(term, len(self.terms), self.tree)
         if key in self.terms:
             raise DuplicateTermError(f"term already represented: {term!r}")
         self._graft(term, *self._match(term))
@@ -574,16 +568,16 @@ class StateDiagram:
                     if counts[v] == 1:
                         key = y[:i + 1] + y[i + 2:]
                         index[key] = index.get(key, ()) + (y,)
-            for e, index, want, (counts, filed) in zip(
-                    incident, self._open[s], opens, self._slots[s]):
+            for e, want, (counts, index) in zip(incident, opens,
+                                                self._slots[s]):
                 if index != want:
                     raise ValidationError(
                         f"open index of edge {e} at site {s} disagrees with "
                         f"its hyperedges")
-                if counts is not self._degree[e[1] == s] or filed is not index:
+                if counts is not self._degree[e[1] == s]:
                     raise ValidationError(
                         f"slot of edge {e} at site {s} is not the diagram's "
-                        f"hyperedge count list and open index")
+                        f"hyperedge count list")
         for k, (counts, cached) in enumerate(zip(degree, self._degree)):
             for v, (c, c_cached) in enumerate(zip(counts, cached)):
                 if c < 1:

@@ -62,6 +62,10 @@ def format_scalar(c: complex) -> str:
 # (base label, dim, scale) -> small int; ids are only ever compared for
 # equality, so sharing one table across the process is harmless
 _OPERATOR_IDS: dict[tuple[str, int, complex], int] = {}
+# (base label, dim, scale) -> the one operator ``SiteOperator.scaled``
+# returns; its label and id are functions of the key, so sharing it across
+# Hamiltonians changes no output
+_SCALED: dict[tuple[str, int, complex], "SiteOperator"] = {}
 _REGISTRY_STATES = itertools.count()  # OperatorRegistry.state values
 
 
@@ -103,25 +107,23 @@ class SiteOperator:
         self.op_id = _OPERATOR_IDS.setdefault(key, len(_OPERATOR_IDS))
 
     def is_identity(self) -> bool:
-        return self.label == IDENTITY_LABEL
+        """The one identity rule: base label ``I`` at scale 1, the op id of
+        ``identity(dim)``, whatever the display label."""
+        return self.base_label == IDENTITY_LABEL and self.scale == 1.0
 
-    def scaled(self, c: complex,
-               derived: dict | None = None) -> "SiteOperator":
-        """This operator multiplied by a scalar, with a derived label.  The
-        result is the one ``derived`` holds under its (base label, dim,
-        scale), if any, else a new one filed there; label and id are
-        functions of that key, so sharing changes no output."""
+    def scaled(self, c: complex) -> "SiteOperator":
+        """This operator multiplied by a scalar, with a derived label: the
+        one operator per (base label, dim, scale), made on first use."""
         c = complex(c)
         if c == 1.0:
             return self
         total = c * self.scale
         base = self.base_label
         key = (base, self.dim, total)
-        derived = {} if derived is None else derived
-        op = derived.get(key)
+        op = _SCALED.get(key)
         if op is None:
             label = base if total == 1.0 else f"{format_scalar(total)}*{base}"
-            op = derived[key] = SiteOperator(label, self.dim, scale=total,
+            op = _SCALED[key] = SiteOperator(label, self.dim, scale=total,
                                              base_label=base)
         return op
 
@@ -176,13 +178,18 @@ class OperatorRegistry:
         self._matrices[(label, m.shape[0])] = m
         self.state = next(_REGISTRY_STATES)
 
+    def require(self, label: str, dim: int) -> None:
+        """Raise UnknownOperatorError unless ``label`` has a matrix at
+        ``dim``, registered or from a factory; builds none."""
+        if (label, dim) not in self._matrices and label not in self._factories:
+            raise UnknownOperatorError(
+                f"no matrix for label {label!r} at dim {dim}")
+
     def lookup(self, label: str, dim: int) -> np.ndarray:
         key = (label, dim)
         m = self._matrices.get(key)
         if m is None:
-            if label not in self._factories:
-                raise UnknownOperatorError(
-                    f"no matrix for label {label!r} at dim {dim}")
+            self.require(label, dim)
             m = self._matrices[key] = self._factories[label](dim)
             m.flags.writeable = False
         return m
@@ -220,7 +227,8 @@ class ProductTerm:
         if not cmath.isfinite(c):
             raise ValidationError(f"term coefficient {c!r} is not finite")
         for s, op in self.factors.items():
-            if op.label == IDENTITY_LABEL:  # op.is_identity(), inline
+            # op.is_identity(), inline: a call here slows every term
+            if op.base_label == IDENTITY_LABEL and op.scale == 1.0:
                 raise ValidationError(
                     f"identity factor at site {s}: identities are implicit")
 
@@ -241,36 +249,33 @@ class ProductTerm:
         return f"ProductTerm({format_scalar(self.coefficient)} * [{facs or 'I'}])"
 
 
-def fold_coefficient(term: ProductTerm, root: int, root_dim: int,
-                     derived: dict | None = None) -> ProductTerm:
+def fold_coefficient(term: ProductTerm, root: int,
+                     root_dim: int) -> ProductTerm:
     """Absorb the scalar into the factor at the smallest acted-on site.
 
     The folded factor carries the scale in its identity (and a derived
     display label like ``-2*X``), so scaled operators stay distinct.  A
-    factor that the scalar turns into the identity (base label ``I``, scale
-    1) is dropped, as identities are implicit.  An all-identity term folds
-    into an explicit scaled identity at ``root``, of dimension
-    ``root_dim``.  ``derived`` is the table of scaled operators that
-    ``SiteOperator.scaled`` shares.
+    factor that the scalar turns into the identity (``is_identity``) is
+    dropped, as identities are implicit.  An all-identity term folds into an
+    explicit scaled identity at ``root``, of dimension ``root_dim``.
     """
     if term.coefficient == 1.0:
         return term
     c = term.coefficient
     if not term.factors:
-        return ProductTerm(1.0, {root: identity(root_dim).scaled(c, derived)})
+        return ProductTerm(1.0, {root: identity(root_dim).scaled(c)})
     target = min(term.factors)
-    op = term.factors[target].scaled(c, derived)
+    op = term.factors[target].scaled(c)
     factors = {**term.factors, target: op}
-    if op.base_label == IDENTITY_LABEL and op.scale == 1.0:
+    if op.is_identity():
         del factors[target]
     return ProductTerm(1.0, factors)
 
 
-def take_term(term: ProductTerm, n: int, tree: TreeTopology,
-              derived: dict) -> tuple[ProductTerm, tuple]:
+def take_term(term: ProductTerm, n: int,
+              tree: TreeTopology) -> tuple[ProductTerm, tuple]:
     """Term number ``n`` checked against ``tree``, folded and keyed: the
-    folded term and its key.  Its scaled factor comes from ``derived``
-    (see ``SiteOperator.scaled``), so equal folds share one operator."""
+    folded term and its key."""
     phys_dims = tree.phys_dims
     for s, op in term.factors.items():
         d = phys_dims.get(s)
@@ -279,7 +284,7 @@ def take_term(term: ProductTerm, n: int, tree: TreeTopology,
         if op.dim != d:
             raise ValidationError(f"term {n}: operator {op.label!r} (dim "
                                   f"{op.dim}) does not match site {s} (dim {d})")
-    f = fold_coefficient(term, tree.root, phys_dims[tree.root], derived)
+    f = fold_coefficient(term, tree.root, phys_dims[tree.root])
     return f, f.key()
 
 
@@ -292,9 +297,8 @@ class Hamiltonian:
         self.tree = tree
         self.terms: tuple[ProductTerm, ...] = tuple(terms)
         folded = self.folded = {}
-        derived: dict = {}
         for n, t in enumerate(self.terms):
-            f, k = take_term(t, n, tree, derived)
+            f, k = take_term(t, n, tree)
             if k in folded:  # the i-th key in ``folded`` is term i's
                 raise DuplicateTermError(f"term {n} repeats term "
                                          f"{list(folded).index(k)}: {t!r}")

@@ -46,6 +46,7 @@ block) and takes one SVD, in float64 when its entries are all real.
 
 from __future__ import annotations
 
+import cmath
 import csv
 import io
 import math
@@ -70,11 +71,27 @@ GRAM_REL_TOL = 1e-12
 # as integer multiples of it add and subtract exactly
 _FIX = 1074
 _FIX_ONE = 1 << _FIX
+# operators and coefficient tables whose largest entry lies outside
+# [2**-500, 2**500] are scaled by a power of two that brings it near 1, so
+# that squared norms neither overflow nor vanish; inside, nothing changes
+_SAFE = (2.0 ** -500, 2.0 ** 500)
 
 # ints pos * K + m, ascending, as the module docstring sets out
 BasisString = tuple[int, ...]
 # (registry state, d, op ids) -> _gram_schmidt of their matrices
 _EXPANSIONS: dict[tuple, tuple] = {}
+
+
+def _exponent(top: float) -> int:
+    """e such that 2**-e scales ``top`` near 1, or 0 where ``top`` is 0 or
+    inside ``_SAFE``."""
+    return math.frexp(top)[1] if top and not _SAFE[0] <= top <= _SAFE[1] else 0
+
+
+def _times_pow2(x, e: int):
+    """``x * 2**e`` in two steps, each exact: ``2**e`` alone can overflow a
+    float."""
+    return x * 2.0 ** (e // 2) * 2.0 ** (e - e // 2)
 
 
 def _gram_schmidt(d: int, matrices
@@ -87,7 +104,8 @@ def _gram_schmidt(d: int, matrices
     basis = [np.eye(d, dtype=complex).ravel()]
     out = []
     for matrix in matrices:
-        resid = matrix.ravel()
+        e = _exponent(np.abs(matrix).max())
+        resid = _times_pow2(matrix.ravel(), -e) if e else matrix.ravel()
         cut = GRAM_REL_TOL * math.sqrt(np.vdot(resid, resid).real / d)
         coeffs = []
         for b in basis:
@@ -98,8 +116,8 @@ def _gram_schmidt(d: int, matrices
         if norm > cut:
             basis.append(resid / norm)
             coeffs.append(norm)
-        out.append(tuple((m, complex(c)) for m, c in enumerate(coeffs)
-                         if abs(c) > cut))
+        out.append(tuple((m, _times_pow2(complex(c), e) if e else complex(c))
+                         for m, c in enumerate(coeffs) if abs(c) > cut))
     return tuple(out)
 
 
@@ -144,7 +162,7 @@ def _basis_coefficients(h: Hamiltonian, registry: OperatorRegistry,
     ``s`` of element ``m`` named by ``base[s] + m``."""
     expansions = _site_expansions(h, registry, base)
     out: dict[BasisString, complex] = {}
-    for term in h.terms:
+    for n, term in enumerate(h.terms):
         # factors of one component go straight into ``ones`` until one
         # branches; the coefficients multiply in ascending site order
         ones, c, strings = [], term.coefficient, None
@@ -162,7 +180,10 @@ def _basis_coefficients(h: Hamiltonian, registry: OperatorRegistry,
                        for key, b in strings for v, x in exp]
         for key, c in [((), c)] if strings is None else strings:
             key = tuple(sorted([*ones, *key]))
-            out[key] = out.get(key, 0.0) + c
+            c = out[key] = out.get(key, 0.0) + c
+            if not cmath.isfinite(c):
+                raise ValidationError(f"term {n}: a basis-string coefficient "
+                                      f"overflows: {term!r}")
     return out
 
 
@@ -237,6 +258,9 @@ def optimal_bond_dims(h: Hamiltonian,
     k = max(d * d for d in tree.phys_dims.values())
     base = {s: i * k for i, s in enumerate(order)}
     coeffs = _basis_coefficients(h, registry or DEFAULT_REGISTRY, base)
+    e = _exponent(max(map(abs, coeffs.values()), default=0.0))
+    if e:
+        coeffs = {key: _times_pow2(c, -e) for key, c in coeffs.items()}
     c0 = coeffs.pop((), 0.0)
     # edges are named by their endpoint t away from the last leaf; the
     # sites below edge t hold the positions span[t]

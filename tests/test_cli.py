@@ -370,6 +370,24 @@ def test_build_unallocatable_tensor(files, monkeypatch, capsys):
     assert "TTNO_DENSE_CAP" not in err
 
 
+def test_build_checks_labels_without_building_matrices(tmp_path, monkeypatch,
+                                                        capsys):
+    # the load check built each factor's matrix: at a 3,000,000-dim site
+    # that was numpy's MemoryError traceback and exit 1.  B's factory
+    # allocates with np.zeros, so refusing its 5 x 5 array stands in for a
+    # matrix too large for memory; emission then names the site
+    (tmp_path / "tree.json").write_text(json.dumps(
+        {"root": 1, "edges": [[1, 2]], "phys_dims": {"2": 5}}))
+    (tmp_path / "ham.json").write_text(json.dumps(
+        {"terms": [{"factors": {"1": "X", "2": "B"}}]}))
+    refuse_allocation(monkeypatch, (5, 5))
+    out = tmp_path / "out.json"
+    assert main(["build", str(tmp_path / "tree.json"),
+                 str(tmp_path / "ham.json"), "--out", str(out)]) == EXIT_CAP
+    assert "site 2: the 5 x 5 matrix of operator 'B'" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_build_refuses_unallocatable_phys_dim(tmp_path, capsys):
     # numpy refuses a 2**32 x 2**32 identity before allocating anything
     (tmp_path / "tree.json").write_text(json.dumps(

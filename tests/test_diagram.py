@@ -404,20 +404,21 @@ def test_large_uids_compare_by_value():
 
 
 def _repeat_open(g):
-    index = g._open[2][1]
+    index = g._slots[2][1][1]
     key, hits = next(iter(index.items()))
     index[key] = hits + hits[:1]
 
 
 def _drop_open(g):
-    index = g._open[2][0]
+    index = g._slots[2][0][1]
     key, hits = next(iter(index.items()))
     index[key] = hits[:-1]
 
 
 def _refile_open(g):
-    key, hits = g._open[2][2].popitem()
-    g._open[2][2][(-1, *key[1:])] = hits
+    index = g._slots[2][2][1]
+    key, hits = index.popitem()
+    index[(-1, *key[1:])] = hits
 
 
 def _miscount_vertex(g):
@@ -427,7 +428,7 @@ def _miscount_vertex(g):
 def _copy_slot(g):
     slots = list(g._slots[2])
     counts, index = slots[1]
-    slots[1] = (counts, dict(index))
+    slots[1] = (list(counts), index)
     g._slots[2] = tuple(slots)
 
 

@@ -5,14 +5,17 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
+import ttno.operators
 from ttno.assembly import contract_to_dense, emit_tensors
 from ttno.diagram import from_hamiltonian
 from ttno.errors import (DenseCapExceededError, DuplicateTermError,
                          UnknownOperatorError, ValidationError)
 from ttno.operators import (DEFAULT_REGISTRY, Hamiltonian, OperatorRegistry,
                             ProductTerm, SiteOperator, fold_coefficient,
-                            random_hamiltonian, to_dense)
+                            identity, random_hamiltonian, to_dense)
 from ttno.oqs import OQSSpec, oqs_hamiltonian, oqs_terms
 from ttno.tree import TreeTopology
 
@@ -50,6 +53,16 @@ def test_registry_builds_factory_operators_once():
     assert np.array_equal(registry.lookup("N", 3), np.eye(3))
     assert np.allclose(registry.lookup("N", 4), np.diag([0, 1, 2, 3]))
     assert OperatorRegistry().lookup("B", 4) is not b
+
+
+def test_registry_requires_a_label_without_building_it():
+    registry = OperatorRegistry()
+    registry.require("B", 5)
+    registry.require("X", 2)
+    assert ("B", 5) not in registry._matrices
+    with pytest.raises(UnknownOperatorError,
+                       match="^no matrix for label 'X' at dim 3$"):
+        registry.require("X", 3)
 
 
 def test_site_operator_symbolic_equality():
@@ -182,12 +195,74 @@ def test_equal_folds_share_one_operator():
 
 
 def test_scaled_reuses_the_table_entry():
-    x, table = SiteOperator("X", 2), {}
-    a = x.scaled(2.0, table)
-    assert x.scaled(2, table) is a
-    assert SiteOperator("X", 2, scale=0.5).scaled(4.0, table) is a
-    assert x.scaled(2.0) is not a and x.scaled(2.0) == a
-    assert list(table) == [("X", 2, 2.0)]
+    # one operator per (base label, dim, scale), whichever operator and
+    # scalar reach it
+    x = SiteOperator("X", 2)
+    a = x.scaled(2.0)
+    assert x.scaled(2) is a and x.scaled(2 + 0j) is a
+    assert SiteOperator("X", 2, scale=0.5).scaled(4.0) is a
+    assert SiteOperator("Q", 2, base_label="X").scaled(2.0) is a
+    assert ttno.operators._SCALED[("X", 2, 2.0)] is a
+    assert (a.label, a.scale, a.base_label) == ("2*X", 2.0, "X")
+    assert x.scaled(1.0) is x
+    assert SiteOperator("X", 2, scale=0.5).scaled(2.0).label == "X"
+
+
+CHAIN3 = TreeTopology([(0, 1), (1, 2)], 1)
+# J for an operator whose base label is its own label
+J_REGISTRY = OperatorRegistry()
+J_REGISTRY.register("J", np.array([[1, 2], [3, 4j]]))
+
+
+def _diagram_agrees(h, registry=DEFAULT_REGISTRY):
+    """The diagram of ``h`` is valid, its dense form is ``to_dense(h)``
+    and its single paths are the folded terms."""
+    g = from_hamiltonian(h)
+    g.validate()
+    got = contract_to_dense(emit_tensors(g, registry=registry))
+    assert np.abs(got - to_dense(h, registry=registry)).max() <= 1e-12
+    paths = [t.key() for t in g.enumerate_single_paths()]
+    assert len(paths) == len(h.folded) and set(paths) == set(h.folded)
+
+
+def test_identity_is_base_label_I_at_scale_1():
+    # J resolves as the identity, under the identity's op id; tested by its
+    # label it was accepted beside the implicit identity, and the diagram of
+    # I + J@0 + X@2 failed validate() and differed from to_dense by 1.0
+    j = SiteOperator("J", 2, base_label="I")
+    assert j.is_identity() and j.op_id == identity(2).op_id
+    for coefficient in (1.0, 2.0):
+        with pytest.raises(ValidationError,
+                           match="^identity factor at site 0"):
+            ProductTerm(coefficient, {0: j, 2: SiteOperator("X", 2)})
+
+
+@pytest.mark.parametrize("op", [SiteOperator("I", 2, scale=2.0),
+                                SiteOperator("I", 2, base_label="X")],
+                         ids=["2I", "X-labelled-I"])
+def test_scaled_and_relabelled_I_are_factors(op):
+    # 2*I and an X under the label "I" were refused as identity factors
+    assert not op.is_identity()
+    h = Hamiltonian(CHAIN3, [ProductTerm(1.0), ProductTerm(1.0, {0: op}),
+                             ProductTerm(1.0, {2: SiteOperator("X", 2)})])
+    _diagram_agrees(h)
+
+
+@given(label=st.sampled_from(["I", "X", "J"]),
+       base=st.sampled_from([None, "I", "X", "J"]),
+       scale=st.sampled_from([1.0, 1, 1 + 0j, 2.0, -1.0, 0.5j]))
+def test_product_term_refuses_exactly_the_identity(label, base, scale):
+    op = SiteOperator(label, 2, scale=scale, base_label=base)
+    x = SiteOperator("X", 2)
+    try:
+        term = ProductTerm(1.0, {0: op, 2: x})
+    except ValidationError as exc:
+        assert op.op_id == identity(2).op_id
+        assert str(exc).startswith("identity factor at site 0")
+        return
+    assert op.op_id != identity(2).op_id
+    h = Hamiltonian(CHAIN3, [ProductTerm(1.0), term, ProductTerm(1.0, {0: x})])
+    _diagram_agrees(h, J_REGISTRY)
 
 
 def test_term_equality_is_order_insensitive():

@@ -1,4 +1,4 @@
-"""The README's library example, run as written."""
+"""The README's python blocks, run as written."""
 
 import re
 from pathlib import Path
@@ -22,3 +22,12 @@ def test_library_example_runs():
     assert np.abs(ns["dense"] - ttno.to_dense(ns["h"])).max() <= 1e-12
     dims = ns["diagram"].bond_dimensions()
     assert all(ns["opt"][e] <= dims[e] for e in dims)
+
+
+def test_every_python_block_runs():
+    # the conventions' examples assert what they state
+    text = README.read_text(encoding="utf-8")
+    blocks = re.findall(r"^```python\n(.*?)^```", text, re.S | re.M)
+    assert len(blocks) >= 2, "README lost a python block"
+    for block in blocks:
+        exec(compile(block, str(README), "exec"), {})

@@ -252,6 +252,49 @@ def test_matches_dense_on_label_collision(two_x, coeff, site, expected):
     assert optimal_bond_dims(h, registry) == expected
 
 
+CHAIN3 = TreeTopology([(0, 1), (1, 2)], 1)
+Z_MATRIX = np.diag([1.0, -1.0])
+
+
+@pytest.mark.parametrize("scale", [1e300, 1e3, 1.0, 1e-300, 5e-324])
+def test_rank_at_any_operator_scale(scale):
+    # at 1e300 the Gram-Schmidt squared norms overflowed, and at 1e-300
+    # they vanished: both operators expanded to nothing and edge (0, 1)
+    # read 1
+    registry = OperatorRegistry()
+    registry.register("BZ", scale * Z_MATRIX)
+    registry.register("BX", scale * X_MATRIX)
+    x, z = SiteOperator("X", 2), SiteOperator("Z", 2)
+    h = Hamiltonian(CHAIN3, [
+        ProductTerm(1.0, {0: SiteOperator("BZ", 2), 1: x}),
+        ProductTerm(1.0, {0: SiteOperator("BX", 2), 1: z})])
+    want = {(0, 1): 2, (1, 2): 1}
+    assert optimal_bond_dims(h, registry) == want
+    assert from_hamiltonian(h).bond_dimensions() == want
+
+
+@pytest.mark.parametrize("coeff", [1e200, 1e-200, 1e-320])
+def test_rank_at_any_coefficient_scale(coeff):
+    # at 1e200 the squared norms of the folds raised OverflowError
+    x, z = SiteOperator("X", 2), SiteOperator("Z", 2)
+    h = Hamiltonian(CHAIN3, [ProductTerm(coeff, {0: x, 1: x}),
+                             ProductTerm(coeff, {0: z, 1: z})])
+    assert optimal_bond_dims(h) == {(0, 1): 2, (1, 2): 1}
+
+
+def test_overflowing_basis_coefficient_names_the_term():
+    registry = OperatorRegistry()
+    registry.register("BZ", 1e300 * Z_MATRIX)
+    h = Hamiltonian(CHAIN3, [
+        ProductTerm(1.0, {1: SiteOperator("X", 2)}),
+        ProductTerm(1e10, {0: SiteOperator("BZ", 2)})])
+    with pytest.raises(ValidationError,
+                       match=r"^term 1: a basis-string coefficient "
+                             r"overflows: ProductTerm\(10000000000 \* "
+                             r"\[BZ@0\]\)$"):
+        optimal_bond_dims(h, registry)
+
+
 def test_transverse_field_chain_beyond_dense_cap():
     # 2^200-dimensional: only the term-based oracle can do this
     n = 200
